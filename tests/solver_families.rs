@@ -1,6 +1,6 @@
 //! Cross-crate integration: every generator family solves correctly under
 //! both deletion policies, with models verified, expected verdicts checked,
-//! and UNSAT results certified by DRAT proofs where cheap enough.
+//! and every UNSAT result certified by its DRAT proof.
 
 use neuroselect::cnf::{verify_model, Cnf};
 use neuroselect::sat_gen::{
@@ -10,12 +10,8 @@ use neuroselect::sat_gen::{
 use neuroselect::sat_solver::{check_proof, Checkpoint, PolicyKind, Solver, SolverConfig};
 use neuroselect::{Budget, SolveResult};
 
-/// UNSAT verdicts on instances up to this many variables are replayed
-/// through the RUP checker; above it the forward check gets slow.
-const PROOF_CHECK_MAX_VARS: u32 = 256;
-
 /// Solves with the full certification pipeline: final-state invariant
-/// audit, model verification on SAT, and DRAT replay on small UNSAT.
+/// audit, model verification on SAT, and DRAT replay on UNSAT.
 fn solve_checked(f: &Cnf, policy: PolicyKind) -> SolveResult {
     let mut s = Solver::new(f, SolverConfig::with_policy(policy));
     s.enable_proof();
@@ -24,7 +20,7 @@ fn solve_checked(f: &Cnf, policy: PolicyKind) -> SolveResult {
         .expect("invariant audit after solving");
     match &r {
         SolveResult::Sat(model) => assert!(verify_model(f, model).is_ok(), "invalid model"),
-        SolveResult::Unsat if f.num_vars() <= PROOF_CHECK_MAX_VARS => {
+        SolveResult::Unsat => {
             let proof = s.take_proof().expect("proof enabled");
             assert_eq!(check_proof(f, &proof), Ok(()));
         }
@@ -46,7 +42,7 @@ fn mixed_batch_policies_agree_and_models_verify() {
     assert_eq!(batch.instances.len(), 6);
     for inst in &batch.instances {
         // solve_both_policies model-verifies every SAT answer and replays
-        // the DRAT proof of every small UNSAT one
+        // the DRAT proof of every UNSAT one
         let (ra, rb) = solve_both_policies(&inst.cnf);
         assert_eq!(ra.is_sat(), rb.is_sat(), "{} verdict mismatch", inst.name);
         // family-specific expectations
@@ -118,8 +114,8 @@ fn unsat_proof_checks_with_aggressive_reduction() {
 
 /// Inprocessing-enabled certification: verdicts must match the plain
 /// solver on every generator family, with models verified against the
-/// original formula (BVE reconstruction on the hook) and small UNSAT
-/// verdicts replayed through the RUP checker, delete lines included.
+/// original formula (BVE reconstruction on the hook) and UNSAT verdicts
+/// replayed through the RUP checker, delete lines included.
 fn solve_inprocessed_checked(f: &Cnf, label: &str) -> SolveResult {
     let mut s = Solver::new(
         f,
@@ -138,7 +134,7 @@ fn solve_inprocessed_checked(f: &Cnf, label: &str) -> SolveResult {
             verify_model(f, model).is_ok(),
             "{label}: invalid model after inprocessing"
         ),
-        SolveResult::Unsat if f.num_vars() <= PROOF_CHECK_MAX_VARS => {
+        SolveResult::Unsat => {
             let proof = s.take_proof().expect("proof enabled");
             assert_eq!(check_proof(f, &proof), Ok(()), "{label}: DRAT replay");
         }
