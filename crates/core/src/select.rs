@@ -401,6 +401,17 @@ mod tests {
     }
 
     #[test]
+    fn empty_formulas_are_classified_by_the_model() {
+        let s = tiny_solver();
+        for text in ["p cnf 0 0\n", "p cnf 3 0\n", "p cnf 0 1\n0\n"] {
+            let f = cnf::parse_dimacs_str(text).unwrap();
+            let (decision, _) = s.decide_policy(&f);
+            assert_eq!(decision.source, PolicySource::Model, "{text:?}");
+            assert!(decision.degradations.is_empty(), "{text:?}");
+        }
+    }
+
+    #[test]
     fn threshold_controls_choice() {
         let f = sat_gen::phase_transition_3sat(20, 1);
         let mut s = tiny_solver();

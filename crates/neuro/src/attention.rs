@@ -79,6 +79,30 @@ impl LinearAttention {
         tape.div_cols(num, d)
     }
 
+    /// [`forward`](Self::forward) evaluated without a tape, with the
+    /// same operations in the same order.
+    pub(crate) fn infer(&self, store: &ParamStore, z: &Matrix) -> Matrix {
+        let n = z.rows();
+        let inv_n = 1.0 / n as f32;
+        let mut qn = self.f_q.infer(store, z);
+        qn.frob_normalize_in_place();
+        let kt = {
+            let mut kn = self.f_k.infer(store, z);
+            kn.frob_normalize_in_place();
+            kn.transpose()
+        };
+        let mut v = self.f_v.infer(store, z);
+
+        let mut qktv = qn.matmul(&kt.matmul(&v));
+        qktv.map_in_place(|x| x * inv_n);
+        let mut d = qn.matmul(&kt.matmul(&Matrix::full(n, 1, 1.0)));
+        d.map_in_place(|x| x * inv_n + 1.0);
+
+        v.add_assign(&qktv);
+        v.div_rows(&d);
+        v
+    }
+
     /// Reference implementation that materializes the full `N × N`
     /// attention matrix `(1/N) Q̃ K̃ᵀ`. Produces the same values as
     /// [`forward`](Self::forward) (up to floating-point associativity) in

@@ -1,8 +1,7 @@
 //! Basic neural layers: linear maps and multi-layer perceptrons.
 
-#[cfg(test)]
-use crate::Matrix;
-use crate::{NodeId, ParamId, ParamStore, Session, Tape};
+use crate::tape::{relu, sigmoid};
+use crate::{Matrix, NodeId, ParamId, ParamStore, Session, Tape};
 use rand::rngs::SmallRng;
 
 /// Binds a stored parameter onto the tape through the session.
@@ -32,6 +31,17 @@ impl Activation {
             Activation::Tanh => tape.tanh(x),
             Activation::Sigmoid => tape.sigmoid(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation to every element of `m` in place: the
+    /// values of [`apply`](Self::apply), without a tape.
+    pub(crate) fn apply_in_place(self, m: &mut Matrix) {
+        match self {
+            Activation::Relu => m.map_in_place(relu),
+            Activation::Tanh => m.map_in_place(f32::tanh),
+            Activation::Sigmoid => m.map_in_place(sigmoid),
+            Activation::Identity => {}
         }
     }
 }
@@ -84,6 +94,12 @@ impl Linear {
         let xw = tape.matmul(x, w);
         tape.add_row(xw, b)
     }
+
+    /// [`forward`](Self::forward) evaluated without a tape, reading the
+    /// weights straight from `store`.
+    pub(crate) fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        x.matmul_bias(store.value(self.w), store.value(self.b))
+    }
 }
 
 /// A multi-layer perceptron with a configurable hidden activation and an
@@ -134,6 +150,21 @@ impl Mlp {
             if i + 1 < self.layers.len() {
                 h = self.activation.apply(tape, h);
             }
+        }
+        h
+    }
+
+    /// [`forward`](Self::forward) evaluated without a tape, applying the
+    /// activation in place.
+    pub(crate) fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let (first, rest) = self
+            .layers
+            .split_first()
+            .expect("an MLP has at least one layer");
+        let mut h = first.infer(store, x);
+        for layer in rest {
+            self.activation.apply_in_place(&mut h);
+            h = layer.infer(store, &h);
         }
         h
     }

@@ -1,6 +1,11 @@
-//! Dense row-major `f32` matrices — the value type of the autodiff tape.
+//! Dense row-major `f32` matrices — the value type of the autodiff tape and
+//! of tape-free inference.
 
 use std::fmt;
+
+/// Output columns per register block of [`Matrix::matmul`]: the model's
+/// default hidden width, so one block covers a whole row.
+const BLOCK: usize = 32;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -138,23 +143,53 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
+    /// Each output element is the sum over ascending `k` of
+    /// `self[i][k] · other[k][j]`, starting from `0.0` and skipping terms
+    /// whose `self[i][k]` is zero.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_rows(other, None)
+    }
+
+    /// The affine product `self · w + bias`: [`matmul`](Self::matmul)
+    /// with the `1 × cols` row `bias` added to every output row after
+    /// the full sum, in the same pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch or if `bias` is not
+    /// `1 × w.cols()`.
+    pub fn matmul_bias(&self, w: &Matrix, bias: &Matrix) -> Matrix {
+        assert_eq!(bias.shape(), (1, w.cols), "bias must be 1 × cols");
+        self.matmul_rows(w, Some(&bias.data))
+    }
+
+    /// The kernel behind [`matmul`](Self::matmul) and
+    /// [`matmul_bias`](Self::matmul_bias). Each output row is computed a
+    /// block of columns at a time: `BLOCK`-wide blocks, then power-of-two
+    /// blocks for the rest of the row. A block's partial sums stay in a
+    /// fixed-size local array for the whole `k` loop and are written out
+    /// once, instead of loading and storing the output row for every `k`.
+    fn matmul_rows(&self, other: &Matrix, bias: Option<&[f32]>) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        let n = other.cols;
+        let mut out = Matrix::zeros(self.rows, n);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
+            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            let mut j0 = 0;
+            while j0 < n {
+                j0 += match n - j0 {
+                    BLOCK.. => write_block::<BLOCK>(orow, arow, other, bias, j0),
+                    16.. => write_block::<16>(orow, arow, other, bias, j0),
+                    8.. => write_block::<8>(orow, arow, other, bias, j0),
+                    4.. => write_block::<4>(orow, arow, other, bias, j0),
+                    2.. => write_block::<2>(orow, arow, other, bias, j0),
+                    _ => write_block::<1>(orow, arow, other, bias, j0),
+                };
             }
         }
         out
@@ -214,6 +249,37 @@ impl Matrix {
         }
     }
 
+    /// Element-wise map in place.
+    pub(crate) fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        for x in &mut self.data {
+            *x = f(*x);
+        }
+    }
+
+    /// Divides the matrix by its Frobenius norm, floored at `1e-12` so the
+    /// all-zero matrix stays finite, and returns the divisor.
+    pub(crate) fn frob_normalize_in_place(&mut self) -> f32 {
+        let norm = self.frob_norm().max(1e-12);
+        self.map_in_place(|x| x / norm);
+        norm
+    }
+
+    /// Divides every row `r` by `clamp_divisor(d[r])`, where `d` is
+    /// `rows × 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not `rows × 1`.
+    pub(crate) fn div_rows(&mut self, d: &Matrix) {
+        assert_eq!(d.shape(), (self.rows, 1), "divisor must be n × 1");
+        for (r, &dr) in d.data.iter().enumerate() {
+            let dr = clamp_divisor(dr);
+            for x in &mut self.data[r * self.cols..(r + 1) * self.cols] {
+                *x /= dr;
+            }
+        }
+    }
+
     /// Element-wise combination with another matrix of the same shape.
     ///
     /// # Panics
@@ -269,6 +335,52 @@ impl Matrix {
         }
         out
     }
+}
+
+/// Clamps a divisor's magnitude to at least 1e-6, preserving its sign
+/// (`0.0` counts as positive).
+#[inline]
+pub(crate) fn clamp_divisor(d: f32) -> f32 {
+    if d.abs() >= 1e-6 {
+        d
+    } else if d.is_sign_negative() {
+        -1e-6
+    } else {
+        1e-6
+    }
+}
+
+/// Writes output columns `j0..j0 + W` of one row, `arow · b` (plus
+/// `bias`), and returns `W`. Each sum runs over ascending `k` from `0.0`
+/// and skips zero `arow[k]`; the bias is added after the full sum.
+#[inline(always)]
+fn write_block<const W: usize>(
+    orow: &mut [f32],
+    arow: &[f32],
+    b: &Matrix,
+    bias: Option<&[f32]>,
+    j0: usize,
+) -> usize {
+    let mut acc = [0.0f32; W];
+    for (&a, brow) in arow.iter().zip(b.data.chunks_exact(b.cols)) {
+        if a == 0.0 {
+            continue;
+        }
+        let brow: &[f32; W] = brow[j0..j0 + W].try_into().expect("a slice of W columns");
+        for (s, &bv) in acc.iter_mut().zip(brow) {
+            *s += a * bv;
+        }
+    }
+    let out = &mut orow[j0..j0 + W];
+    match bias {
+        Some(bias) => {
+            for ((o, s), &bv) in out.iter_mut().zip(acc).zip(&bias[j0..]) {
+                *o = s + bv;
+            }
+        }
+        None => out.copy_from_slice(&acc),
+    }
+    W
 }
 
 impl fmt::Debug for Matrix {

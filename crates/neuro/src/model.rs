@@ -1,12 +1,26 @@
 //! The NeuroSelect model: Hybrid Graph Transformer layers plus a
 //! classification head (Sections 4.1, 4.3, 4.4).
 
+use crate::tape::sigmoid;
 use crate::{
     Activation, BipartiteMpnn, GraphTensors, LinearAttention, Matrix, Mlp, NodeId, ParamStore,
     Session, Tape,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// The global size statistics `0.1·ln(1 + |V|)`, `0.1·ln(1 + |C|)` that
+/// the readout embeds (Equation 10).
+fn size_stats(g: &GraphTensors) -> Matrix {
+    Matrix::from_vec(
+        1,
+        2,
+        vec![
+            0.1 * (1.0 + g.num_vars as f32).ln(),
+            0.1 * (1.0 + g.num_clauses as f32).ln(),
+        ],
+    )
+}
 
 /// One Hybrid Graph Transformer layer (Equations 3–5): a stack of bipartite
 /// MPNN layers followed by linear attention over the variable nodes only.
@@ -56,6 +70,23 @@ impl HgtLayer {
         // clause features pass through from the MPNN.
         if let Some(attn) = &self.attention {
             hv = attn.forward(tape, sess, store, hv);
+        }
+        (hv, hc)
+    }
+
+    /// [`forward`](Self::forward) evaluated without a tape.
+    pub(crate) fn infer(
+        &self,
+        store: &ParamStore,
+        g: &GraphTensors,
+        mut hv: Matrix,
+        mut hc: Matrix,
+    ) -> (Matrix, Matrix) {
+        for layer in &self.mpnn {
+            (hv, hc) = layer.infer(store, g, &hv, &hc);
+        }
+        if let Some(attn) = &self.attention {
+            hv = attn.infer(store, &hv);
         }
         (hv, hc)
     }
@@ -169,20 +200,7 @@ impl NeuroSelectModel {
         store: &ParamStore,
         g: &GraphTensors,
     ) -> NodeId {
-        let d = self.config.hidden_dim;
-        let nv = g.num_vars.max(1);
-        let nc = g.num_clauses.max(1);
-        let mut hv_init = Matrix::zeros(nv, d);
-        for (r, &(log_deg, pos_frac)) in g.var_structure.iter().enumerate() {
-            hv_init.set(r, 0, 1.0);
-            hv_init.set(r, 1, 0.25 * log_deg);
-            hv_init.set(r, 2, pos_frac);
-        }
-        let mut hc_init = Matrix::zeros(nc, d);
-        for (r, &(log_len, pos_frac)) in g.clause_structure.iter().enumerate() {
-            hc_init.set(r, 1, 0.25 * log_len);
-            hc_init.set(r, 2, pos_frac);
-        }
+        let (hv_init, hc_init) = self.initial_features(g);
         let mut hv = tape.leaf(hv_init);
         let mut hc = tape.leaf(hc_init);
         for layer in &self.layers {
@@ -193,17 +211,42 @@ impl NeuroSelectModel {
         // Equation (10): READOUT = mean over variable nodes, plus a learned
         // embedding of the instance's global size.
         let pooled = tape.mean_rows(hv);
-        let stats = tape.leaf(Matrix::from_vec(
-            1,
-            2,
-            vec![
-                0.1 * (1.0 + g.num_vars as f32).ln(),
-                0.1 * (1.0 + g.num_clauses as f32).ln(),
-            ],
-        ));
+        let stats = tape.leaf(size_stats(g));
         let size_vec = self.size_embed.forward(tape, sess, store, stats);
         let combined = tape.add(pooled, size_vec);
         self.head.forward(tape, sess, store, combined)
+    }
+
+    /// The initial `(variable, clause)` features of
+    /// [`forward`](Self::forward), each side padded to at least one row.
+    fn initial_features(&self, g: &GraphTensors) -> (Matrix, Matrix) {
+        let d = self.config.hidden_dim;
+        let mut hv_init = Matrix::zeros(g.num_vars.max(1), d);
+        for (r, &(log_deg, pos_frac)) in g.var_structure.iter().enumerate() {
+            hv_init.set(r, 0, 1.0);
+            hv_init.set(r, 1, 0.25 * log_deg);
+            hv_init.set(r, 2, pos_frac);
+        }
+        let mut hc_init = Matrix::zeros(g.num_clauses.max(1), d);
+        for (r, &(log_len, pos_frac)) in g.clause_structure.iter().enumerate() {
+            hc_init.set(r, 1, 0.25 * log_len);
+            hc_init.set(r, 2, pos_frac);
+        }
+        (hv_init, hc_init)
+    }
+
+    /// The logit of [`forward`](Self::forward), evaluated straight on
+    /// [`Matrix`] values: no tape, no [`Session`], and every intermediate
+    /// dropped as soon as its consumer has read it.
+    fn logit(&self, store: &ParamStore, g: &GraphTensors) -> f32 {
+        let (mut hv, mut hc) = self.initial_features(g);
+        for layer in &self.layers {
+            (hv, hc) = layer.infer(store, g, hv, hc);
+        }
+        // Equation (10), as in `forward`.
+        let mut combined = hv.mean_rows();
+        combined.add_assign(&self.size_embed.infer(store, &size_stats(g)));
+        self.head.infer(store, &combined).get(0, 0)
     }
 
     /// Inference: the probability that the propagation-frequency policy
@@ -216,17 +259,17 @@ impl NeuroSelectModel {
     /// time of the forward pass — the quantity the paper folds into
     /// NeuroSelect-Kissat's runtime and the telemetry pipeline reports as
     /// the `gnn_forward` phase.
+    ///
+    /// The pass runs without a tape; its probability is bit-identical to
+    /// the sigmoid of [`forward`](Self::forward)'s logit.
     pub fn predict_timed(
         &self,
         store: &ParamStore,
         g: &GraphTensors,
     ) -> (f32, std::time::Duration) {
         let start = std::time::Instant::now();
-        let mut tape = Tape::new();
-        let mut sess = Session::new(store);
-        let logit = self.forward(&mut tape, &mut sess, store, g);
-        let z = tape.value(logit).get(0, 0);
-        (1.0 / (1.0 + (-z).exp()), start.elapsed())
+        let z = self.logit(store, g);
+        (sigmoid(z), start.elapsed())
     }
 
     /// One training step on a single labelled graph (batch size 1, as in

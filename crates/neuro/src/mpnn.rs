@@ -1,6 +1,7 @@
 //! Bipartite message passing (Equations 6–7) and graph tensor caching.
 
-use crate::{Linear, NodeId, ParamStore, Session, Tape};
+use crate::tape::{relu, spmm};
+use crate::{Linear, Matrix, NodeId, ParamStore, Session, Tape};
 use rand::rngs::SmallRng;
 use sat_graph::{BipartiteGraph, CsrMatrix, LiteralClauseGraph};
 use std::rc::Rc;
@@ -37,17 +38,17 @@ pub struct GraphTensors {
 
 impl GraphTensors {
     /// Precomputes the aggregation operators for a graph.
+    ///
+    /// The operators are sized to at least one variable and one clause
+    /// node, as are the feature matrices of every forward pass: a formula
+    /// with no variables or no clauses gets one all-zero node on that side.
     pub fn new(graph: &BipartiteGraph) -> Self {
-        let to_clause = Rc::new(graph.clause_to_var.row_normalized());
-        let to_var = Rc::new(graph.var_to_clause.row_normalized());
-        let abs = |m: &CsrMatrix| -> CsrMatrix {
-            let triplets: Vec<(u32, u32, f32)> = (0..m.rows())
-                .flat_map(|r| m.row(r).iter().map(move |&(c, w)| (r as u32, c, w.abs())))
-                .collect();
-            CsrMatrix::from_triplets(m.rows(), m.cols(), &triplets)
-        };
-        let sum_to_clause = Rc::new(abs(&graph.clause_to_var));
-        let sum_to_var = Rc::new(abs(&graph.var_to_clause));
+        let nv = graph.num_vars.max(1);
+        let nc = graph.num_clauses.max(1);
+        let to_clause = Rc::new(graph.clause_to_var.row_normalized().padded(nc, nv));
+        let to_var = Rc::new(graph.var_to_clause.row_normalized().padded(nv, nc));
+        let sum_to_clause = Rc::new(graph.clause_to_var.map_weights(f32::abs).padded(nc, nv));
+        let sum_to_var = Rc::new(graph.var_to_clause.map_weights(f32::abs).padded(nv, nc));
         let structure = |m: &CsrMatrix| -> Vec<(f32, f32)> {
             (0..m.rows())
                 .map(|r| {
@@ -134,6 +135,31 @@ impl BipartiteMpnn {
 
         (h_var, h_clause)
     }
+
+    /// [`forward`](Self::forward) evaluated without a tape: ReLU and the
+    /// residual sums run in place, and each intermediate is dropped once
+    /// read.
+    pub(crate) fn infer(
+        &self,
+        store: &ParamStore,
+        g: &GraphTensors,
+        x_var: &Matrix,
+        x_clause: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let mut h_clause = {
+            let mut sum = spmm(&g.to_clause, &self.msg_from_var.infer(store, x_var));
+            sum.add_assign(&self.self_clause.infer(store, x_clause));
+            self.out_clause.infer(store, &sum)
+        };
+        h_clause.map_in_place(relu);
+        let mut h_var = {
+            let mut sum = spmm(&g.to_var, &self.msg_from_clause.infer(store, &h_clause));
+            sum.add_assign(&self.self_var.infer(store, x_var));
+            self.out_var.infer(store, &sum)
+        };
+        h_var.map_in_place(relu);
+        (h_var, h_clause)
+    }
 }
 
 /// Cached operators for the NeuroSAT-style literal–clause graph.
@@ -193,6 +219,22 @@ mod tests {
         assert_eq!(g.to_var.rows(), 3);
         assert_eq!(g.to_clause_t.rows(), 3);
         assert_eq!(g.sum_to_var.rows(), 3);
+    }
+
+    #[test]
+    fn operators_are_padded_to_one_node_per_side() {
+        for (text, shape) in [
+            ("p cnf 0 0\n", (1, 1)),
+            ("p cnf 3 0\n", (1, 3)),
+            ("p cnf 0 1\n0\n", (1, 1)),
+        ] {
+            let f = cnf::parse_dimacs_str(text).unwrap();
+            let g = GraphTensors::new(&BipartiteGraph::from_cnf(&f));
+            assert_eq!((g.to_clause.rows(), g.to_clause.cols()), shape, "{text:?}");
+            assert_eq!((g.to_var.rows(), g.to_var.cols()), (shape.1, shape.0));
+            assert_eq!((g.sum_to_var_t.rows(), g.sum_to_var_t.cols()), shape);
+            assert_eq!(g.to_clause.nnz(), 0);
+        }
     }
 
     #[test]

@@ -7,7 +7,13 @@
 //! normalization (Equation 8), per-row division (the `D⁻¹` of Equation 9),
 //! mean-row readout (Equation 10) and a fused sigmoid + binary cross-entropy
 //! loss (Equation 11).
+//!
+//! The tape serves training only. Inference evaluates the layers without
+//! one (their `infer` methods), so it keeps no intermediate alive past its
+//! reader and clones no weights; the scalar functions and kernels below
+//! are shared by both paths, which keeps their values bit-identical.
 
+use crate::matrix::clamp_divisor;
 use crate::Matrix;
 use sat_graph::CsrMatrix;
 use std::rc::Rc;
@@ -43,17 +49,28 @@ struct Node {
     op: Op,
 }
 
-/// Clamps a divisor's magnitude to at least 1e-6, preserving its sign
-/// (`0.0` counts as positive).
+/// Rectified linear unit, the scalar function of [`Tape::relu`].
 #[inline]
-fn clamp_divisor(d: f32) -> f32 {
-    if d.abs() >= 1e-6 {
-        d
-    } else if d.is_sign_negative() {
-        -1e-6
-    } else {
-        1e-6
-    }
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// Logistic sigmoid, the scalar function of [`Tape::sigmoid`].
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// Sparse–dense product `a · x` for a constant operator `a`, the value
+/// of [`Tape::spmm`].
+///
+/// # Panics
+///
+/// Panics if `a.cols() != x.rows()`.
+pub(crate) fn spmm(a: &CsrMatrix, x: &Matrix) -> Matrix {
+    let (n, d) = x.shape();
+    assert_eq!(a.cols(), n, "spmm dimension mismatch");
+    Matrix::from_vec(a.rows(), d, a.matmul_dense(x.as_slice(), d))
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -191,13 +208,13 @@ impl Tape {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| x.max(0.0));
+        let v = self.value(a).map(relu);
         self.push(v, Op::Relu(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -216,8 +233,8 @@ impl Tape {
     /// Frobenius normalization `a / ‖a‖_F` (Equation 8's `Q̃`, `K̃`).
     /// A small epsilon keeps the all-zero matrix finite.
     pub fn frob_normalize(&mut self, a: NodeId) -> NodeId {
-        let norm = self.value(a).frob_norm().max(1e-12);
-        let v = self.value(a).map(|x| x / norm);
+        let mut v = self.value(a).clone();
+        let norm = v.frob_normalize_in_place();
         self.push(v, Op::FrobNormalize(a, norm))
     }
 
@@ -234,15 +251,8 @@ impl Tape {
     ///
     /// Panics if `d` is not `n × 1`.
     pub fn div_cols(&mut self, x: NodeId, d: NodeId) -> NodeId {
-        let (n, cols) = self.value(x).shape();
-        assert_eq!(self.value(d).shape(), (n, 1), "divisor must be n × 1");
         let mut v = self.value(x).clone();
-        for r in 0..n {
-            let dr = clamp_divisor(self.value(d).get(r, 0));
-            for c in 0..cols {
-                v.set(r, c, v.get(r, c) / dr);
-            }
-        }
+        v.div_rows(self.value(d));
         self.push(v, Op::DivCols(x, d))
     }
 
@@ -265,15 +275,12 @@ impl Tape {
     ///
     /// Panics if shapes are inconsistent (including `at` not matching `A`).
     pub fn spmm(&mut self, a: Rc<CsrMatrix>, at: Rc<CsrMatrix>, x: NodeId) -> NodeId {
-        let (n, d) = self.value(x).shape();
-        assert_eq!(a.cols(), n, "spmm dimension mismatch");
+        let v = spmm(&a, self.value(x));
         assert_eq!(
             (at.rows(), at.cols()),
             (a.cols(), a.rows()),
             "at must be Aᵀ"
         );
-        let y = a.matmul_dense(self.value(x).as_slice(), d);
-        let v = Matrix::from_vec(a.rows(), d, y);
         self.push(v, Op::Spmm(at, x))
     }
 

@@ -1,14 +1,199 @@
 //! Property tests for the autodiff engine and the paper's layers.
 
-use neuro::{init_rng, LinearAttention, Matrix, ParamStore, Session, Tape};
+use cnf::Cnf;
+use neuro::{
+    init_rng, GraphTensors, LinearAttention, Matrix, NeuroSelectConfig, NeuroSelectModel,
+    ParamStore, Session, Tape,
+};
 use proptest::prelude::*;
 use rand::Rng;
+use sat_graph::BipartiteGraph;
 
 fn arb_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_rows, 1..=max_cols).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-2.0f32..2.0, r * c)
             .prop_map(move |data| Matrix::from_vec(r, c, data))
     })
+}
+
+/// A formula over variables 1..=10 with 0–14 declared, so some may be
+/// unused or undeclared: clauses may be empty and may repeat or complement
+/// a literal.
+fn arb_cnf() -> impl Strategy<Value = Cnf> {
+    let lit = (1i32..=10, any::<bool>()).prop_map(|(v, neg)| if neg { -v } else { v });
+    let clauses = proptest::collection::vec(proptest::collection::vec(lit, 0..6), 0..12);
+    (0u32..=14, clauses).prop_map(|(declared, clauses)| {
+        let mut f = Cnf::new(declared);
+        for c in &clauses {
+            f.add_dimacs(c);
+        }
+        f
+    })
+}
+
+/// Model shapes around the matmul block width (32): below it, at it, and
+/// one past it.
+fn arb_config() -> impl Strategy<Value = NeuroSelectConfig> {
+    (
+        prop_oneof![Just(5usize), Just(32), Just(33)],
+        1usize..=2,
+        1usize..=2,
+        any::<bool>(),
+        0u64..1000,
+    )
+        .prop_map(
+            |(hidden_dim, hgt_layers, mpnn_per_hgt, use_attention, seed)| NeuroSelectConfig {
+                hidden_dim,
+                hgt_layers,
+                mpnn_per_hgt,
+                use_attention,
+                seed,
+            },
+        )
+}
+
+/// A fresh model whose zero-initialized biases are replaced by random
+/// values, so the order of each bias addition matters.
+fn model_with_random_biases(config: NeuroSelectConfig) -> (ParamStore, NeuroSelectModel) {
+    let mut store = ParamStore::new();
+    let model = NeuroSelectModel::new(&mut store, config);
+    let biases: Vec<_> = store
+        .iter()
+        .filter(|(_, m)| m.rows() == 1)
+        .map(|(id, _)| id)
+        .collect();
+    let mut rng = init_rng(config.seed ^ 0xB1A5);
+    for id in biases {
+        for x in store.value_mut(id).as_mut_slice() {
+            *x = rng.gen_range(-0.5f32..0.5);
+        }
+    }
+    (store, model)
+}
+
+/// `predict` equals the sigmoid of the tape `forward` logit, bit for bit.
+fn assert_predict_matches_tape(model: &NeuroSelectModel, store: &ParamStore, f: &Cnf) {
+    let g = GraphTensors::new(&BipartiteGraph::from_cnf(f));
+    let mut tape = Tape::new();
+    let mut sess = Session::new(store);
+    let logit = model.forward(&mut tape, &mut sess, store, &g);
+    let z = tape.value(logit).get(0, 0);
+    let expected = 1.0 / (1.0 + (-z).exp());
+    let got = model.predict(store, &g);
+    assert_eq!(
+        got.to_bits(),
+        expected.to_bits(),
+        "predict {got} vs tape {expected} on {} vars, {} clauses, {:?}",
+        f.num_vars(),
+        f.num_clauses(),
+        model.config()
+    );
+}
+
+/// The naive triple loop `Matrix::matmul` promises: ascending `k` from
+/// `0.0`, zero left operands skipped, the bias added after the sum.
+fn naive_matmul(a: &Matrix, b: &Matrix, bias: Option<&Matrix>) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut s = 0.0f32;
+            for k in 0..a.cols() {
+                let x = a.get(i, k);
+                if x != 0.0 {
+                    s += x * b.get(k, j);
+                }
+            }
+            out.set(i, j, bias.map_or(s, |bias| s + bias.get(0, j)));
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn predict_matches_tape_on_empty_formulas() {
+    let formulas = ["p cnf 0 0\n", "p cnf 3 0\n", "p cnf 0 1\n0\n"];
+    for config in [
+        NeuroSelectConfig::default(),
+        NeuroSelectConfig {
+            hidden_dim: 33,
+            use_attention: false,
+            ..NeuroSelectConfig::default()
+        },
+    ] {
+        let (store, model) = model_with_random_biases(config);
+        for text in formulas {
+            let f = cnf::parse_dimacs_str(text).unwrap();
+            assert_predict_matches_tape(&model, &store, &f);
+        }
+    }
+}
+
+#[test]
+fn predict_matches_tape_on_a_few_hundred_variables() {
+    let mut rng = init_rng(17);
+    let mut f = Cnf::new(300);
+    for _ in 0..900 {
+        let clause: Vec<i32> = (0..3)
+            .map(|_| {
+                let v = rng.gen_range(1i32..=300);
+                if rng.gen::<bool>() {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect();
+        f.add_dimacs(&clause);
+    }
+    let config = NeuroSelectConfig {
+        hgt_layers: 1,
+        mpnn_per_hgt: 2,
+        ..NeuroSelectConfig::default()
+    };
+    let (store, model) = model_with_random_biases(config);
+    assert_predict_matches_tape(&model, &store, &f);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tape-free inference computes exactly the tape's probability.
+    #[test]
+    fn predict_matches_tape_bit_for_bit(f in arb_cnf(), config in arb_config()) {
+        let (store, model) = model_with_random_biases(config);
+        assert_predict_matches_tape(&model, &store, &f);
+    }
+
+    /// The blocked kernel keeps the naive loop's summation order exactly,
+    /// at output widths below, at, between and beyond the block width.
+    #[test]
+    fn matmul_matches_naive_loop_bit_for_bit(
+        rows in 0usize..4,
+        inner in 0usize..40,
+        width_index in 0usize..7,
+        seed in any::<u64>(),
+    ) {
+        let width = [0, 1, 7, 31, 32, 33, 64][width_index];
+        let mut rng = init_rng(seed);
+        let mut random = |r: usize, c: usize, zeros: bool| {
+            let data = (0..r * c)
+                .map(|_| if zeros && rng.gen_range(0..3) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
+                .collect();
+            Matrix::from_vec(r, c, data)
+        };
+        let a = random(rows, inner, true);
+        let b = random(inner, width, false);
+        let bias = random(1, width, false);
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b, None)));
+        prop_assert_eq!(
+            bits(&a.matmul_bias(&b, &bias)),
+            bits(&naive_matmul(&a, &b, Some(&bias)))
+        );
+    }
 }
 
 proptest! {

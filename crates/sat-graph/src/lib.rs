@@ -38,27 +38,44 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from `(row, col, weight)` triplets.
+    /// Builds a CSR matrix from `(row, col, weight)` triplets. Each row
+    /// keeps its entries in triplet order.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
-        let mut per_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); rows];
-        for &(r, c, w) in triplets {
+        for &(r, c, _) in triplets {
             assert!(
                 (r as usize) < rows && (c as usize) < cols,
                 "index out of bounds"
             );
-            per_row[r as usize].push((c, w));
         }
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut entries = Vec::with_capacity(triplets.len());
-        offsets.push(0);
-        for row in per_row {
-            entries.extend(row);
-            offsets.push(entries.len());
+        let entries = triplets.iter().map(|&(r, c, w)| (r as usize, (c, w)));
+        CsrMatrix::bucket_rows(rows, cols, triplets.len(), entries)
+    }
+
+    /// Counting sort of `nnz` `(row, entry)` pairs into CSR form: one pass
+    /// counts each row's entries, a prefix sum turns the counts into row
+    /// offsets, and a second pass places every entry at its row's cursor,
+    /// so entries keep their input order within a row.
+    fn bucket_rows<I>(rows: usize, cols: usize, nnz: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (usize, (u32, f32))> + Clone,
+    {
+        // `for_each` iterates internally, so a `flat_map` source runs as
+        // plain nested loops.
+        let mut offsets = vec![0usize; rows + 1];
+        pairs.clone().for_each(|(r, _)| offsets[r + 1] += 1);
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
         }
+        let mut cursor = offsets[..rows].to_vec();
+        let mut entries = vec![(0u32, 0.0f32); nnz];
+        pairs.for_each(|(r, entry)| {
+            entries[cursor[r]] = entry;
+            cursor[r] += 1;
+        });
         CsrMatrix {
             rows,
             cols,
@@ -108,12 +125,43 @@ impl CsrMatrix {
         y
     }
 
-    /// The transpose, as a new CSR matrix.
+    /// The transpose, as a new CSR matrix. Row `c` of the transpose lists
+    /// the entries of column `c` in ascending source-row order.
     pub fn transpose(&self) -> CsrMatrix {
-        let triplets: Vec<(u32, u32, f32)> = (0..self.rows)
-            .flat_map(|r| self.row(r).iter().map(move |&(c, w)| (c, r as u32, w)))
-            .collect();
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        let pairs = (0..self.rows).flat_map(|r| {
+            self.row(r)
+                .iter()
+                .map(move |&(c, w)| (c as usize, (r as u32, w)))
+        });
+        CsrMatrix::bucket_rows(self.cols, self.rows, self.nnz(), pairs)
+    }
+
+    /// A copy with every stored weight replaced by `f(weight)`; the
+    /// sparsity pattern and entry order are unchanged.
+    pub fn map_weights(&self, f: impl Fn(f32) -> f32) -> CsrMatrix {
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            offsets: self.offsets.clone(),
+            entries: self.entries.iter().map(|&(c, w)| (c, f(w))).collect(),
+        }
+    }
+
+    /// Grows the matrix to `rows × cols`: the added rows are empty and no
+    /// entry refers to the added columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is smaller than the current shape.
+    pub fn padded(mut self, rows: usize, cols: usize) -> CsrMatrix {
+        assert!(
+            rows >= self.rows && cols >= self.cols,
+            "padding cannot shrink a matrix"
+        );
+        self.offsets.resize(rows + 1, self.entries.len());
+        self.rows = rows;
+        self.cols = cols;
+        self
     }
 
     /// Returns a copy with each row scaled by `1 / max(1, row_degree)`

@@ -35,7 +35,53 @@ fn densify(m: &CsrMatrix) -> Vec<Vec<f32>> {
     out
 }
 
+/// Random triplets over a few rows and columns, so duplicate `(row, col)`
+/// pairs and empty rows are common.
+fn arb_triplets() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)> {
+    (1usize..8, 1usize..6).prop_flat_map(|(rows, cols)| {
+        proptest::collection::vec((0..rows as u32, 0..cols as u32, -2.0f32..2.0), 0..3 * rows)
+            .prop_map(move |t| (rows, cols, t))
+    })
+}
+
+/// The per-row reference: each row's `(col, weight)` entries in input
+/// order.
+fn per_row(
+    rows: usize,
+    entries: impl IntoIterator<Item = (u32, u32, f32)>,
+) -> Vec<Vec<(u32, f32)>> {
+    let mut out = vec![Vec::new(); rows];
+    for (r, c, w) in entries {
+        out[r as usize].push((c, w));
+    }
+    out
+}
+
+fn rows_of(m: &CsrMatrix) -> Vec<Vec<(u32, f32)>> {
+    (0..m.rows()).map(|r| m.row(r).to_vec()).collect()
+}
+
 proptest! {
+    /// Counting-sort construction keeps every row's entries in triplet
+    /// order, exactly as pushing them into per-row lists would.
+    #[test]
+    fn from_triplets_matches_per_row_reference((rows, cols, t) in arb_triplets()) {
+        let m = CsrMatrix::from_triplets(rows, cols, &t);
+        prop_assert_eq!((m.rows(), m.cols(), m.nnz()), (rows, cols, t.len()));
+        prop_assert_eq!(rows_of(&m), per_row(rows, t.iter().copied()));
+    }
+
+    /// The transpose lists each column's entries in ascending source-row
+    /// order, as re-bucketing row-major triplets by column would.
+    #[test]
+    fn transpose_matches_per_row_reference((rows, cols, t) in arb_triplets()) {
+        let m = CsrMatrix::from_triplets(rows, cols, &t);
+        let mt = m.transpose();
+        let swapped = (0..rows).flat_map(|r| m.row(r).iter().map(move |&(c, w)| (c, r as u32, w)));
+        prop_assert_eq!((mt.rows(), mt.cols(), mt.nnz()), (cols, rows, t.len()));
+        prop_assert_eq!(rows_of(&mt), per_row(cols, swapped));
+    }
+
     #[test]
     fn csr_matmul_matches_dense_reference(m in arb_csr(5, 4), x in proptest::collection::vec(-2.0f32..2.0, 4 * 3)) {
         let y = m.matmul_dense(&x, 3);

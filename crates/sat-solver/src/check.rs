@@ -114,8 +114,8 @@ impl Audit<'_> {
 
     /// Trail shape: `trail_lim` monotone and in bounds, `qhead` in bounds,
     /// every trail literal true, levels matching the `trail_lim` partition,
-    /// no variable assigned twice, and exactly the trail's variables
-    /// assigned.
+    /// no variable assigned twice, exactly the trail's variables assigned,
+    /// and the cached reason count equal to a recount.
     fn trail(&self) -> Result<(), CheckError> {
         let s = self.s;
         let mut prev = 0usize;
@@ -174,6 +174,20 @@ impl Audit<'_> {
                 format!(
                     "{assigned} variables assigned but trail holds {}",
                     s.trail.len()
+                ),
+            );
+        }
+        let with_reason = s
+            .trail
+            .iter()
+            .filter(|l| s.reason.get(l.var()).is_some())
+            .count();
+        if with_reason != s.num_reasons {
+            return self.fail(
+                "reason-count-cached",
+                format!(
+                    "cached reason count {} but {with_reason} trail literals have a reason",
+                    s.num_reasons
                 ),
             );
         }
@@ -660,6 +674,16 @@ mod tests {
                 .expect_err("off-trail assignment must be detected");
             assert_eq!(err.invariant, "assigns-match-trail");
         }
+    }
+
+    #[test]
+    fn stale_reason_count_is_caught() {
+        let mut s = solved_solver();
+        s.num_reasons += 1;
+        let err = s
+            .audit_invariants(Checkpoint::PostReduce)
+            .expect_err("a stale reason count must be detected");
+        assert_eq!(err.invariant, "reason-count-cached");
     }
 
     #[test]

@@ -538,6 +538,7 @@ impl Solver {
             let v = crate::varmap::at(&self.trail, i).var();
             self.reason.set(v, None);
         }
+        self.num_reasons = 0;
         while eng.units_logged < self.trail.len() {
             let unit = crate::varmap::at(&self.trail, eng.units_logged);
             eng.units_logged += 1;

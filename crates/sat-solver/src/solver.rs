@@ -79,6 +79,10 @@ pub struct Solver {
     pub(crate) assigns: VarMap<LBool>,
     pub(crate) level: VarMap<u32>,
     pub(crate) reason: VarMap<Option<ClauseRef>>,
+    /// How many trail literals have a reason clause. The reducible-clause
+    /// count subtracts it before every reduction, so it is kept current
+    /// by `assign` and `backtrack` instead of recounted from the trail.
+    pub(crate) num_reasons: usize,
     pub(crate) trail: Vec<Lit>,
     pub(crate) trail_lim: Vec<usize>,
     pub(crate) qhead: usize,
@@ -150,6 +154,7 @@ impl Solver {
             assigns: VarMap::new(n, LBool::Undef),
             level: VarMap::new(n, 0),
             reason: VarMap::new(n, None),
+            num_reasons: 0,
             trail: Vec::with_capacity(n as usize),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -628,6 +633,7 @@ impl Solver {
         // xtask: allow(hot-path-purity) amortized: the trail retains its capacity across backtracks
         self.trail.push(l);
         if reason.is_some() {
+            self.num_reasons += 1;
             // A unit propagation: this is the event counted by the paper's
             // propagation-frequency metric.
             self.stats.propagations += 1;
@@ -945,6 +951,9 @@ impl Solver {
             let v = l.var();
             self.saved_phase.set(v, l.is_positive());
             self.assigns.set(v, LBool::Undef);
+            if self.reason.get(v).is_some() {
+                self.num_reasons -= 1;
+            }
             self.reason.set(v, None);
             self.heap.insert(v, &self.activity);
         }
@@ -1390,10 +1399,7 @@ impl Solver {
                     self.stop_cause = Some(cause);
                     return SolveResult::Unknown;
                 }
-                let reducible = self
-                    .db
-                    .num_learned()
-                    .saturating_sub(self.num_assigned_reasons());
+                let reducible = self.db.num_learned().saturating_sub(self.num_reasons);
                 if reducible >= self.reduce_limit {
                     #[cfg(feature = "metrics")]
                     let metrics_reduce_timer = telemetry::metrics::phase_timer();
@@ -1520,14 +1526,6 @@ impl Solver {
         self.backtrack(0);
         self.qhead = self.qhead.min(self.trail.len());
         self.add_input_clause(lits)
-    }
-
-    fn num_assigned_reasons(&self) -> usize {
-        // Cheap overapproximation: number of propagated literals on the trail.
-        self.trail
-            .iter()
-            .filter(|l| self.reason.get(l.var()).is_some())
-            .count()
     }
 
     fn extract_model(&self) -> Vec<bool> {
