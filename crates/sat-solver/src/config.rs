@@ -267,6 +267,15 @@ impl SolveResult {
         matches!(self, SolveResult::Unknown)
     }
 
+    /// The verdict's record name: `"SAT"`, `"UNSAT"` or `"UNKNOWN"`.
+    pub(crate) fn verdict(&self) -> &'static str {
+        match self {
+            SolveResult::Sat(_) => "SAT",
+            SolveResult::Unsat => "UNSAT",
+            SolveResult::Unknown => "UNKNOWN",
+        }
+    }
+
     /// The model, if satisfiable.
     pub fn model(&self) -> Option<&[bool]> {
         match self {

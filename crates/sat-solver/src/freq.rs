@@ -84,6 +84,16 @@ impl FrequencyTable {
         self.total = 0;
     }
 
+    /// Adds `other`'s counters into this table (the solver folds each
+    /// reduction's counts into its whole-run table before resetting).
+    pub(crate) fn fold(&mut self, other: &FrequencyTable) {
+        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+            self.max = self.max.max(*c);
+        }
+        self.total += other.total;
+    }
+
     /// Read-only view of all counters, indexed by variable index.
     ///
     /// This is the data behind the paper's Figure 3 histogram.

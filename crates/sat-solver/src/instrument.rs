@@ -1,19 +1,23 @@
-//! Telemetry wiring: structured instrumentation of the CDCL search.
+//! Instrumentation of the CDCL search.
 //!
-//! [`SolverTelemetry`] is the bridge between the solver and the
-//! `telemetry` crate. It is strictly opt-in: a solver without telemetry
-//! installed pays nothing (every hook sits behind an `Option` check), and
-//! an installed recorder never changes search behaviour — it only reads
-//! counters the solver maintains anyway. The invariance test in
-//! `tests/telemetry.rs` pins that guarantee.
+//! [`Recorder`] is the solver's single instrumentation spine: every phase
+//! boundary and search event goes through it, and it feeds the opt-in
+//! [`SolverTelemetry`] recorder, the live metrics registry and the trace
+//! ring. An installed recorder never changes search behaviour — it only
+//! reads counters the solver maintains anyway; the invariance tests in
+//! `tests/telemetry.rs`, `tests/metrics.rs` and `tests/trace.rs` pin that
+//! guarantee.
 //!
 //! This module also gives the solver's public statistics types a stable
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
 //! for serde's `Serialize`/`Deserialize`).
 
-use crate::{DbStats, PolicyKind, SolverStats};
+use crate::clause_db::StoredClause;
+use crate::{DbStats, InprocessStats, PolicyKind, SolveResult, SolverStats};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
+#[cfg(feature = "metrics")]
+use telemetry::metrics::{self, Counter, Gauge};
 use telemetry::{Event, Histogram, NullSink, Phase, PhaseTimes, RunRecord, Sink};
 
 /// Per-solve telemetry recorder installed via
@@ -133,45 +137,10 @@ impl SolverTelemetry {
         self.record.take()
     }
 
-    // ---- hooks called by the solver ------------------------------------
-
-    pub(crate) fn on_solve_start(&mut self, policy: &'static str, num_vars: u64, num_clauses: u64) {
-        self.started = Some(Instant::now());
-        self.last_progress = None;
-        self.sink.emit(&Event::SolveStart {
-            instance_id: self.instance_id.clone(),
-            policy: policy.to_string(),
-            num_vars,
-            num_clauses,
-        });
-    }
-
-    #[inline]
-    pub(crate) fn add_phase(&mut self, phase: Phase, elapsed: Duration) {
-        self.phases.add(phase, elapsed);
-    }
-
-    #[inline]
-    pub(crate) fn on_conflict(
-        &mut self,
-        glue: u32,
-        learned_len: usize,
-        trail_depth: usize,
-        live_learned: usize,
-    ) {
-        self.glue.record(u64::from(glue));
-        self.learned_len.record(learned_len as u64);
-        self.trail_depth.record(trail_depth as u64);
-        self.peak_learned = self.peak_learned.max(live_learned as u64);
-    }
-
     /// Emits a heartbeat when the configured interval has elapsed. Called
     /// on conflict boundaries only, and only when heartbeats are enabled.
-    pub(crate) fn maybe_progress(&mut self, stats: &SolverStats, live_learned: usize) {
-        let Some(interval) = self.progress_interval else {
-            return;
-        };
-        let Some(started) = self.started else {
+    fn maybe_progress(&mut self, stats: &SolverStats, live_learned: usize) {
+        let (Some(interval), Some(started)) = (self.progress_interval, self.started) else {
             return;
         };
         let now = Instant::now();
@@ -201,51 +170,281 @@ impl SolverTelemetry {
             propagations_per_sec: rate(stats.propagations),
         });
     }
+}
 
-    pub(crate) fn on_reduction(
+// ---- the search's instrumentation spine --------------------------------
+
+/// The CDCL search's one instrumentation point (DESIGN §7.1). The solver
+/// brackets each solver [`Phase`] with [`begin`](Self::begin) /
+/// [`end`](Self::end) and reports a few typed events; the recorder feeds
+/// them to the installed [`SolverTelemetry`] (runtime opt-in: without one
+/// no phase clock is read), the metrics registry (`metrics` feature) and
+/// the trace ring (`trace` feature). Its `PhaseTimes` are exclusive: a
+/// phase ending inside another (minimize in analyze, inprocess in
+/// restart) counts for the inner one only, so they add up to at most the
+/// solve's wall time. The metrics `phase.*_ns` counters stay inclusive.
+#[derive(Default)]
+pub(crate) struct Recorder {
+    pub(crate) telemetry: Option<Box<SolverTelemetry>>,
+    /// Inclusive time of all phases that ended so far; its growth while a
+    /// phase is open is the time of the phases nested in it.
+    ended: Duration,
+}
+
+/// A phase opened by [`Recorder::begin`]. Dropping it without
+/// [`Recorder::end`] (an early return) ends its trace span only.
+#[must_use]
+pub(crate) struct OpenPhase {
+    phase: Phase,
+    /// `None` without a recorder installed: no clock was read.
+    start: Option<Instant>,
+    ended_before: Duration,
+    #[cfg(feature = "trace")]
+    _span: telemetry::trace::SpanGuard,
+    #[cfg(feature = "metrics")]
+    sampled: Option<Instant>,
+}
+
+/// A trace-only span (`import`, `reduce-score`), ended by dropping it.
+#[must_use]
+pub(crate) struct TraceSpan {
+    #[cfg(feature = "trace")]
+    _span: telemetry::trace::SpanGuard,
+}
+
+/// The registry's `(nanos, calls)` counters for `phase`, if it has any.
+#[cfg(feature = "metrics")]
+fn metered(phase: Phase) -> Option<(Counter, Counter)> {
+    match phase {
+        Phase::Propagate => Some((Counter::PropagateNanos, Counter::PropagateCalls)),
+        Phase::Analyze => Some((Counter::AnalyzeNanos, Counter::AnalyzeCalls)),
+        Phase::Reduce => Some((Counter::ReduceNanos, Counter::ReduceCalls)),
+        Phase::Inprocess => Some((Counter::InprocessNanos, Counter::InprocessCalls)),
+        _ => None,
+    }
+}
+
+/// Refreshes the solver gauges (at restarts and reductions: frequent
+/// enough for live monitoring, off the propagation path).
+#[cfg(feature = "metrics")]
+fn set_gauges(memory_bytes: u64, live_learned: usize) {
+    metrics::set_gauge(Gauge::MemoryBytes, memory_bytes as f64);
+    metrics::set_gauge(Gauge::LiveLearned, live_learned as f64);
+}
+
+impl Recorder {
+    /// Opens `phase`: starts its clock (recorder installed), its trace
+    /// span (`trace`) and its sampled metrics timer (`metrics`).
+    #[inline]
+    pub(crate) fn begin(&self, phase: Phase) -> OpenPhase {
+        let start = self.telemetry.as_ref().map(|_| Instant::now());
+        #[cfg(feature = "trace")]
+        let span = telemetry::trace::span(phase.name());
+        #[cfg(feature = "metrics")]
+        let sampled = metered(phase).and_then(|_| metrics::phase_timer());
+        OpenPhase {
+            phase,
+            start,
+            ended_before: self.ended,
+            #[cfg(feature = "trace")]
+            _span: span,
+            #[cfg(feature = "metrics")]
+            sampled,
+        }
+    }
+
+    /// Closes `open`, recording its exclusive time.
+    #[inline]
+    pub(crate) fn end(&mut self, open: OpenPhase) {
+        #[cfg(feature = "metrics")]
+        if let Some((nanos, calls)) = metered(open.phase) {
+            metrics::phase_done(open.sampled, nanos, calls);
+        }
+        if let (Some(start), Some(t)) = (open.start, self.telemetry.as_deref_mut()) {
+            let inclusive = start.elapsed();
+            let nested = self.ended.saturating_sub(open.ended_before);
+            t.phases.add(open.phase, inclusive.saturating_sub(nested));
+            self.ended = open.ended_before + inclusive;
+        }
+    }
+
+    /// Ends a search-loop propagate call that made `props` assignments.
+    #[inline]
+    pub(crate) fn propagated(&mut self, open: OpenPhase, props: u64, conflict: bool) {
+        #[cfg(feature = "metrics")]
+        {
+            metrics::add(Counter::Propagations, props);
+            if conflict {
+                metrics::inc(Counter::Conflicts);
+            }
+        }
+        #[cfg(not(feature = "metrics"))]
+        let _ = (props, conflict);
+        self.end(open);
+    }
+
+    /// Opens a trace-only span.
+    #[inline]
+    pub(crate) fn trace_span(&self, name: &'static str) -> TraceSpan {
+        #[cfg(not(feature = "trace"))]
+        let _ = name;
+        TraceSpan {
+            #[cfg(feature = "trace")]
+            _span: telemetry::trace::span(name),
+        }
+    }
+
+    /// `clause` took part in conflict analysis. For a clause imported from
+    /// another worker, the `import-use` instant after this lane's
+    /// `clause-import` gives the import-to-use latency.
+    #[inline]
+    pub(crate) fn clause_used(&self, clause: &StoredClause) {
+        #[cfg(feature = "trace")]
+        if clause.imported {
+            telemetry::trace::instant_with("import-use", &[("glue", u64::from(clause.glue))]);
+        }
+        #[cfg(not(feature = "trace"))]
+        let _ = clause;
+    }
+
+    /// A conflict was analyzed into a learned clause of `len` literals.
+    #[inline]
+    pub(crate) fn learned(
         &mut self,
-        reduction_no: u64,
+        glue: u32,
+        len: usize,
+        trail_depth: usize,
+        live_learned: usize,
+        stats: &SolverStats,
+    ) {
+        #[cfg(feature = "metrics")]
+        metrics::inc(Counter::LearnedClauses);
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.glue.record(u64::from(glue));
+            t.learned_len.record(len as u64);
+            t.trail_depth.record(trail_depth as u64);
+            t.peak_learned = t.peak_learned.max(live_learned as u64);
+            t.maybe_progress(stats, live_learned);
+        }
+    }
+
+    /// A branching decision was made.
+    #[inline]
+    pub(crate) fn decided(&self) {
+        #[cfg(feature = "metrics")]
+        metrics::inc(Counter::Decisions);
+    }
+
+    /// A restart fired.
+    pub(crate) fn restarted(&self, memory_bytes: u64, live_learned: usize) {
+        #[cfg(feature = "metrics")]
+        if metrics::armed() {
+            metrics::inc(Counter::Restarts);
+            set_gauges(memory_bytes, live_learned);
+        }
+        #[cfg(not(feature = "metrics"))]
+        let _ = (memory_bytes, live_learned);
+    }
+
+    /// Ends a reduction that deleted `deleted` of `candidates` reducible
+    /// clauses; `stats` already counts it.
+    pub(crate) fn reduced(
+        &mut self,
+        open: OpenPhase,
+        stats: &SolverStats,
         candidates: usize,
         deleted: usize,
-        learned_after: usize,
-        conflicts: u64,
+        live_learned: usize,
+        memory_bytes: u64,
     ) {
-        self.sink.emit(&Event::Reduction {
-            reduction_no,
-            candidates: candidates as u64,
-            deleted: deleted as u64,
-            learned_after: learned_after as u64,
-            conflicts,
+        #[cfg(feature = "metrics")]
+        if metrics::armed() {
+            metrics::inc(Counter::Reductions);
+            metrics::add(Counter::DeletedClauses, deleted as u64);
+            set_gauges(memory_bytes, live_learned);
+        }
+        #[cfg(not(feature = "metrics"))]
+        let _ = memory_bytes;
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.sink.emit(&Event::Reduction {
+                reduction_no: stats.reductions,
+                candidates: candidates as u64,
+                deleted: deleted as u64,
+                learned_after: live_learned as u64,
+                conflicts: stats.conflicts,
+            });
+        }
+        self.end(open);
+    }
+
+    /// Ends an inprocessing round that moved the engine's counters from
+    /// `before` to `after`.
+    pub(crate) fn inprocessed(
+        &mut self,
+        open: OpenPhase,
+        before: Option<InprocessStats>,
+        after: Option<InprocessStats>,
+    ) {
+        #[cfg(feature = "metrics")]
+        if let (Some(b), Some(a), true) = (before, after, metrics::armed()) {
+            metrics::add(Counter::InprocessSubsumed, a.subsumed - b.subsumed);
+            metrics::add(
+                Counter::InprocessStrengthened,
+                a.strengthened - b.strengthened,
+            );
+            metrics::add(
+                Counter::InprocessEliminated,
+                a.eliminated_vars - b.eliminated_vars,
+            );
+        }
+        #[cfg(not(feature = "metrics"))]
+        let _ = (before, after);
+        self.end(open);
+    }
+
+    /// A `solve` call starts.
+    pub(crate) fn solve_started(&mut self, policy: &str, num_vars: u32, num_clauses: usize) {
+        let Some(t) = self.telemetry.as_deref_mut() else {
+            return;
+        };
+        t.started = Some(Instant::now());
+        t.last_progress = None;
+        t.sink.emit(&Event::SolveStart {
+            instance_id: t.instance_id.clone(),
+            policy: policy.to_string(),
+            num_vars: u64::from(num_vars),
+            num_clauses: num_clauses as u64,
         });
     }
 
-    pub(crate) fn on_solve_end(
+    /// A `solve` call ended with `result`; seals the [`RunRecord`].
+    pub(crate) fn solve_ended(
         &mut self,
-        result: &str,
+        result: &SolveResult,
         policy: &'static str,
         stats: &SolverStats,
         db: &DbStats,
     ) {
-        let solve_time_s = self
-            .started
-            .take()
-            .map_or(0.0, |s| s.elapsed().as_secs_f64());
-        let mut record = RunRecord::new(self.instance_id.clone(), policy);
-        record.result = result.to_string();
+        let Some(t) = self.telemetry.as_deref_mut() else {
+            return;
+        };
+        let solve_time_s = t.started.take().map_or(0.0, |s| s.elapsed().as_secs_f64());
+        let mut record = RunRecord::new(t.instance_id.clone(), policy);
+        record.result = result.verdict().to_string();
         record.solve_time_s = solve_time_s;
-        record.peak_learned_clauses = self.peak_learned;
-        record.phases = self.phases;
+        record.peak_learned_clauses = t.peak_learned;
+        record.phases = t.phases;
         record.stats = stats.to_json();
         record.extra = Json::object()
             .with("db", db.to_json())
-            .with("glue_histogram", self.glue.to_json())
-            .with("learned_len_histogram", self.learned_len.to_json())
-            .with("trail_depth_histogram", self.trail_depth.to_json());
-        self.sink.emit(&Event::SolveEnd {
+            .with("glue_histogram", t.glue.to_json())
+            .with("learned_len_histogram", t.learned_len.to_json())
+            .with("trail_depth_histogram", t.trail_depth.to_json());
+        t.sink.emit(&Event::SolveEnd {
             record: record.clone(),
         });
-        self.sink.flush();
-        self.record = Some(record);
+        t.sink.flush();
+        t.record = Some(record);
     }
 }
 

@@ -43,7 +43,6 @@ mod heap;
 mod inprocess;
 mod instrument;
 mod lbool;
-mod observer;
 mod policy;
 mod portfolio;
 mod preprocess;
@@ -60,7 +59,6 @@ pub use freq::FrequencyTable;
 pub use inprocess::InprocessStats;
 pub use instrument::SolverTelemetry;
 pub use lbool::LBool;
-pub use observer::{GlueTrace, NullObserver, SearchObserver};
 pub use policy::{
     ActivityPolicy, ClauseScoreCtx, DefaultPolicy, DeletionPolicy, PolicyKind, PropFreqPolicy,
 };

@@ -880,11 +880,7 @@ fn run_worker(ctx: WorkerContext<'_>) -> FinishedWorker {
         .take_exchange()
         .map(|x| x.counters())
         .unwrap_or((0, 0));
-    let verdict = match &result {
-        SolveResult::Sat(_) => "SAT",
-        SolveResult::Unsat => "UNSAT",
-        SolveResult::Unknown => "UNKNOWN",
-    };
+    let verdict = result.verdict();
     let mut record = solver
         .take_telemetry()
         .and_then(SolverTelemetry::into_record);

@@ -2,8 +2,7 @@
 
 use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
-use crate::instrument::SolverTelemetry;
-use crate::observer::SearchObserver;
+use crate::instrument::{Recorder, SolverTelemetry};
 use crate::proof::ProofLogger;
 use crate::varmap::{at, LitMap, VarMap};
 use crate::vmtf::VmtfQueue;
@@ -93,7 +92,9 @@ pub struct Solver {
     pub(crate) vmtf: VmtfQueue,
     rng_state: u64,
     pub(crate) freq: FrequencyTable,
-    pub(crate) freq_total: FrequencyTable,
+    /// `freq`'s counts folded in at each reset; with `freq` added back, the
+    /// whole-run counts of [`cumulative_frequencies`](Self::cumulative_frequencies).
+    pub(crate) freq_folded: FrequencyTable,
     policy: Box<dyn DeletionPolicy>,
     restart: RestartScheduler,
     cla_inc: f64,
@@ -118,10 +119,8 @@ pub struct Solver {
     min_visited: Vec<Var>,
     glue_levels: Vec<u32>,
     pub(crate) proof: Option<ProofLogger>,
-    observer: Option<Box<dyn SearchObserver>>,
-    /// Opt-in instrumentation; `None` (the default) costs one branch per
-    /// hook site and nothing else.
-    telemetry: Option<Box<SolverTelemetry>>,
+    /// The instrumentation spine (phase times, metrics, trace spans).
+    rec: Recorder,
     /// Cooperative cancellation: when set and raised, the search returns
     /// [`SolveResult::Unknown`] at the next conflict or decision boundary.
     stop: Option<Arc<AtomicBool>>,
@@ -165,7 +164,7 @@ impl Solver {
             vmtf: VmtfQueue::new(n),
             rng_state: config.seed | 1,
             freq: FrequencyTable::new(n),
-            freq_total: FrequencyTable::new(n),
+            freq_folded: FrequencyTable::new(n),
             policy: config.policy.instantiate(),
             restart: RestartScheduler::new(config.restart),
             cla_inc: 1.0,
@@ -182,8 +181,7 @@ impl Solver {
             min_visited: Vec::new(),
             glue_levels: Vec::new(),
             proof: None,
-            observer: None,
-            telemetry: None,
+            rec: Recorder::default(),
             stop: None,
             stop_cause: None,
             rejected_imports: 0,
@@ -312,46 +310,22 @@ impl Solver {
         self.db.memory_bytes() + u64::from(self.num_vars) * PER_VAR + watches + trail
     }
 
-    /// Installs a [`SearchObserver`] that receives conflict, restart, and
-    /// reduction callbacks during solving (replacing any previous one).
-    pub fn set_observer(&mut self, observer: Box<dyn SearchObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the installed observer, if it has type `T`.
-    pub fn take_observer<T: SearchObserver>(&mut self) -> Option<T> {
-        let boxed = self.observer.take()?;
-        let any: Box<dyn std::any::Any> = boxed;
-        match any.downcast::<T>() {
-            Ok(t) => Some(*t),
-            Err(any) => {
-                // wrong type: reinstall so the observer keeps running
-                self.observer = Some(
-                    any.downcast::<Box<dyn SearchObserver>>()
-                        .map(|b| *b)
-                        .unwrap_or(Box::new(crate::observer::NullObserver)),
-                );
-                None
-            }
-        }
-    }
-
     /// Installs a telemetry recorder (replacing any previous one). The
     /// recorder times the solver's phases, tracks glue / clause-length /
     /// trail-depth distributions, and emits structured events around each
     /// subsequent `solve` call.
     pub fn set_telemetry(&mut self, telemetry: SolverTelemetry) {
-        self.telemetry = Some(Box::new(telemetry));
+        self.rec.telemetry = Some(Box::new(telemetry));
     }
 
     /// Removes and returns the installed telemetry recorder.
     pub fn take_telemetry(&mut self) -> Option<SolverTelemetry> {
-        self.telemetry.take().map(|t| *t)
+        self.rec.telemetry.take().map(|t| *t)
     }
 
     /// The installed telemetry recorder, if any.
     pub fn telemetry(&self) -> Option<&SolverTelemetry> {
-        self.telemetry.as_deref()
+        self.rec.telemetry.as_deref()
     }
 
     /// Solver statistics accumulated so far.
@@ -373,8 +347,10 @@ impl Solver {
 
     /// Whole-run per-variable propagation counts (never reset) — the data
     /// behind the paper's Figure 3 histogram.
-    pub fn cumulative_frequencies(&self) -> &FrequencyTable {
-        &self.freq_total
+    pub fn cumulative_frequencies(&self) -> FrequencyTable {
+        let mut total = self.freq_folded.clone();
+        total.fold(&self.freq);
+        total
     }
 
     /// Number of variables.
@@ -487,7 +463,6 @@ impl Solver {
                 // a lazier loader would perform.
                 self.stats.propagations += 1;
                 self.freq.bump(unit.var());
-                self.freq_total.bump(unit.var());
                 // Propagate eagerly so later clauses see the implications.
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -508,8 +483,7 @@ impl Solver {
     /// Drains the clause-sharing channel and integrates every foreign
     /// clause. Only called at the root level (restart boundaries).
     fn import_shared(&mut self) {
-        #[cfg(feature = "trace")]
-        let _import_span = telemetry::trace::span("import");
+        let _span = self.rec.trace_span("import");
         let Some(mut exchange) = self.exchange.take() else {
             return;
         };
@@ -638,7 +612,6 @@ impl Solver {
             // propagation-frequency metric.
             self.stats.propagations += 1;
             self.freq.bump(v);
-            self.freq_total.bump(v);
         }
     }
 
@@ -711,9 +684,7 @@ impl Solver {
     /// First-UIP conflict analysis. Returns the learned clause (asserting
     /// literal first), the backjump level, and the clause's glue.
     fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let analyze_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let _analyze_span = telemetry::trace::span("analyze");
+        let analyzing = self.rec.begin(Phase::Analyze);
         // xtask: allow(hot-path-purity) per-conflict, not per-propagation: the learned clause must be materialized
         let mut learned: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
         let mut counter = 0u32; // literals of the current level not yet resolved
@@ -724,16 +695,7 @@ impl Solver {
 
         let uip = loop {
             self.bump_clause(cref);
-            #[cfg(feature = "trace")]
-            if self.db.clause(cref).imported {
-                // First conflict-side use of a clause imported from another
-                // worker; pairing it with the preceding "clause-import"
-                // instant on this lane gives the import-to-use latency.
-                telemetry::trace::instant_with(
-                    "import-use",
-                    &[("glue", u64::from(self.db.clause(cref).glue))],
-                );
-            }
+            self.rec.clause_used(self.db.clause(cref));
             // Iterate the clause's literals; skip the resolved literal,
             // which sits at position 0 of its reason clause.
             let clen = self.db.clause(cref).len();
@@ -784,9 +746,7 @@ impl Solver {
         }
 
         // Recursive clause minimization: drop implied literals.
-        let minimize_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let minimize_span = telemetry::trace::span("minimize");
+        let minimizing = self.rec.begin(Phase::Minimize);
         let before = learned.len();
         // In-place compaction: `learned` is a local, so `self` stays
         // freely borrowable for `lit_redundant`; no per-conflict side
@@ -800,9 +760,7 @@ impl Solver {
         }
         learned.truncate(w);
         self.stats.minimized_lits += (before - learned.len()) as u64;
-        #[cfg(feature = "trace")]
-        drop(minimize_span);
-        let minimize_elapsed = minimize_timer.map(|start| start.elapsed());
+        self.rec.end(minimizing);
 
         // Backjump level: second-highest level in the learned clause.
         let (bt_level, glue) = if learned.len() == 1 {
@@ -827,16 +785,7 @@ impl Solver {
         for v in self.analyze_toclear.drain(..) {
             self.seen.set(v, false);
         }
-        if let (Some(start), Some(minimize), Some(t)) = (
-            analyze_timer,
-            minimize_elapsed,
-            self.telemetry.as_deref_mut(),
-        ) {
-            // Keep the two phases disjoint: `analyze` excludes the
-            // minimization it contains, so phase totals add up.
-            t.add_phase(Phase::Analyze, start.elapsed().saturating_sub(minimize));
-            t.add_phase(Phase::Minimize, minimize);
-        }
+        self.rec.end(analyzing);
         (learned, bt_level, glue)
     }
 
@@ -1014,12 +963,9 @@ impl Solver {
     /// Deletes low-scoring reducible learned clauses (the REDUCE step whose
     /// scoring the paper varies) and resets the frequency counters.
     fn reduce_db(&mut self) {
-        let reduce_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let _reduce_span = telemetry::trace::span("reduce");
+        let reducing = self.rec.begin(Phase::Reduce);
         self.stats.reductions += 1;
-        #[cfg(feature = "trace")]
-        let score_span = telemetry::trace::span("reduce-score");
+        let scoring = self.rec.trace_span("reduce-score");
         let mut candidates: Vec<(u64, ClauseRef)> = Vec::new();
         for cref in self.db.iter_learned().collect::<Vec<_>>() {
             let c = self.db.clause(cref);
@@ -1036,8 +982,7 @@ impl Solver {
         }
         // Lowest scores first; ties broken by clause slot for determinism.
         candidates.sort_unstable();
-        #[cfg(feature = "trace")]
-        drop(score_span);
+        drop(scoring);
         let delete_count = (candidates.len() as f64 * self.config.reduce_fraction).floor() as usize;
         for &(_, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {
@@ -1051,26 +996,17 @@ impl Solver {
         for cref in self.db.iter_learned().collect::<Vec<_>>() {
             self.db.clause_mut(cref).protected = false;
         }
-        if let Some(obs) = &mut self.observer {
-            obs.on_reduction(self.stats.reductions, delete_count, candidates.len());
-        }
-        if let Some(start) = reduce_timer {
-            let reductions = self.stats.reductions;
-            let conflicts = self.stats.conflicts;
-            let learned_after = self.db.num_learned();
-            if let Some(t) = &mut self.telemetry {
-                t.add_phase(Phase::Reduce, start.elapsed());
-                t.on_reduction(
-                    reductions,
-                    candidates.len(),
-                    delete_count,
-                    learned_after,
-                    conflicts,
-                );
-            }
-        }
+        self.freq_folded.fold(&self.freq);
         self.freq.reset();
         self.reduce_limit += self.config.reduce_inc;
+        self.rec.reduced(
+            reducing,
+            &self.stats,
+            candidates.len(),
+            delete_count,
+            self.db.num_learned(),
+            self.approx_memory_bytes(),
+        );
         self.checkpoint(Checkpoint::PostReduce);
     }
 
@@ -1163,33 +1099,17 @@ impl Solver {
         &self.core
     }
 
-    /// Runs the CDCL loop, bracketing it with telemetry solve start/end
-    /// events when a recorder is installed. The recorder only reads state
-    /// the solver maintains anyway, so installing one never changes the
-    /// search (see the invariance test in `tests/telemetry.rs`).
+    /// Runs the CDCL loop between the recorder's solve start and end
+    /// events (which never change the search: `tests/telemetry.rs`).
     fn search(&mut self, budget: Budget) -> SolveResult {
         self.stop_cause = None;
-        if self.telemetry.is_some() {
-            let policy = self.policy.name();
-            let num_vars = u64::from(self.num_vars);
-            let num_clauses = self.db.num_original() as u64;
-            if let Some(t) = &mut self.telemetry {
-                t.on_solve_start(policy, num_vars, num_clauses);
-            }
-        }
+        self.rec
+            .solve_started(self.policy.name(), self.num_vars, self.db.num_original());
         let result = self.search_loop(budget);
-        if self.telemetry.is_some() {
-            let verdict = match &result {
-                SolveResult::Sat(_) => "SAT",
-                SolveResult::Unsat => "UNSAT",
-                SolveResult::Unknown => "UNKNOWN",
-            };
-            let policy = self.policy.name();
-            let stats = self.stats;
+        if self.rec.telemetry.is_some() {
             let db = self.db_stats();
-            if let Some(t) = &mut self.telemetry {
-                t.on_solve_end(verdict, policy, &stats, &db);
-            }
+            self.rec
+                .solve_ended(&result, self.policy.name(), &self.stats, &db);
         }
         result
     }
@@ -1207,35 +1127,13 @@ impl Solver {
             return SolveResult::Unsat;
         }
         loop {
-            let bcp_timer = self.telemetry.as_ref().map(|_| Instant::now());
-            #[cfg(feature = "trace")]
-            let bcp_span = telemetry::trace::span("propagate");
-            #[cfg(feature = "metrics")]
-            let metrics_props_before = self.stats.propagations;
-            #[cfg(feature = "metrics")]
-            let metrics_bcp_timer = telemetry::metrics::phase_timer();
+            let bcp = self.rec.begin(Phase::Propagate);
+            let props = self.stats.propagations;
             let conflict = self.propagate();
-            #[cfg(feature = "metrics")]
-            {
-                telemetry::metrics::phase_done(
-                    metrics_bcp_timer,
-                    telemetry::metrics::Counter::PropagateNanos,
-                    telemetry::metrics::Counter::PropagateCalls,
-                );
-                telemetry::metrics::add(
-                    telemetry::metrics::Counter::Propagations,
-                    self.stats.propagations.saturating_sub(metrics_props_before),
-                );
-            }
-            #[cfg(feature = "trace")]
-            drop(bcp_span);
-            if let (Some(start), Some(t)) = (bcp_timer, self.telemetry.as_deref_mut()) {
-                t.add_phase(Phase::Propagate, start.elapsed());
-            }
+            self.rec
+                .propagated(bcp, self.stats.propagations - props, conflict.is_some());
             if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
-                #[cfg(feature = "metrics")]
-                telemetry::metrics::inc(telemetry::metrics::Counter::Conflicts);
                 if self.decision_level() == 0 {
                     self.ok = false;
                     if let Some(p) = &mut self.proof {
@@ -1244,23 +1142,9 @@ impl Solver {
                     return SolveResult::Unsat;
                 }
                 let trail_depth = self.trail.len();
-                #[cfg(feature = "metrics")]
-                let metrics_analyze_timer = telemetry::metrics::phase_timer();
                 let (learned, bt_level, glue) = self.analyze(conflict);
-                #[cfg(feature = "metrics")]
-                {
-                    telemetry::metrics::phase_done(
-                        metrics_analyze_timer,
-                        telemetry::metrics::Counter::AnalyzeNanos,
-                        telemetry::metrics::Counter::AnalyzeCalls,
-                    );
-                    telemetry::metrics::inc(telemetry::metrics::Counter::LearnedClauses);
-                }
                 self.stats.learned_clauses += 1;
                 self.stats.glue_sum += glue as u64;
-                if let Some(obs) = &mut self.observer {
-                    obs.on_conflict(self.stats.conflicts, glue, learned.len());
-                }
                 if let Some(p) = &mut self.proof {
                     p.add(&learned);
                 }
@@ -1285,35 +1169,16 @@ impl Solver {
                     }
                 }
                 self.checkpoint(Checkpoint::PostLearn);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.on_conflict(glue, learned.len(), trail_depth, self.db.num_learned());
-                    t.maybe_progress(&self.stats, self.db.num_learned());
-                }
+                let live = self.db.num_learned();
+                self.rec
+                    .learned(glue, learned.len(), trail_depth, live, &self.stats);
                 self.decay_activities();
                 if self.restart.on_conflict(glue) {
-                    let restart_timer = self.telemetry.as_ref().map(|_| Instant::now());
-                    #[cfg(feature = "trace")]
-                    let _restart_span = telemetry::trace::span("restart");
+                    let restarting = self.rec.begin(Phase::Restart);
                     self.restart.on_restart();
                     self.stats.restarts += 1;
-                    // Restart boundaries double as the gauge refresh points:
-                    // cheap, frequent enough for live monitoring, and off
-                    // the per-propagation fast path.
-                    #[cfg(feature = "metrics")]
-                    if telemetry::metrics::armed() {
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Restarts);
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::MemoryBytes,
-                            self.approx_memory_bytes() as f64,
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::LiveLearned,
-                            self.db.num_learned() as f64,
-                        );
-                    }
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_restart(self.stats.restarts);
-                    }
+                    self.rec
+                        .restarted(self.approx_memory_bytes(), self.db.num_learned());
                     self.backtrack(0);
                     // Restart boundaries are the import points: the trail is
                     // at the root level, so foreign clauses can be attached,
@@ -1329,56 +1194,16 @@ impl Solver {
                     // is at the root, so clauses can be strengthened,
                     // deleted, or replaced without touching live decisions.
                     if self.inprocess_due() {
-                        let inprocess_timer = self.telemetry.as_ref().map(|_| Instant::now());
-                        #[cfg(feature = "trace")]
-                        let inprocess_span = telemetry::trace::span("inprocess");
-                        #[cfg(feature = "metrics")]
-                        let metrics_inprocess_timer = telemetry::metrics::phase_timer();
-                        #[cfg(feature = "metrics")]
-                        let inprocess_before = self.inprocess_stats().unwrap_or_default();
+                        let round = self.rec.begin(Phase::Inprocess);
+                        let before = self.inprocess_stats();
                         let still_sat = self.inprocess_round();
-                        #[cfg(feature = "metrics")]
-                        {
-                            telemetry::metrics::phase_done(
-                                metrics_inprocess_timer,
-                                telemetry::metrics::Counter::InprocessNanos,
-                                telemetry::metrics::Counter::InprocessCalls,
-                            );
-                            if telemetry::metrics::armed() {
-                                let after = self.inprocess_stats().unwrap_or_default();
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessSubsumed,
-                                    after.subsumed.saturating_sub(inprocess_before.subsumed),
-                                );
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessStrengthened,
-                                    after
-                                        .strengthened
-                                        .saturating_sub(inprocess_before.strengthened),
-                                );
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessEliminated,
-                                    after
-                                        .eliminated_vars
-                                        .saturating_sub(inprocess_before.eliminated_vars),
-                                );
-                            }
-                        }
-                        #[cfg(feature = "trace")]
-                        drop(inprocess_span);
-                        if let (Some(start), Some(t)) =
-                            (inprocess_timer, self.telemetry.as_deref_mut())
-                        {
-                            t.add_phase(Phase::Inprocess, start.elapsed());
-                        }
+                        self.rec.inprocessed(round, before, self.inprocess_stats());
                         if !still_sat {
                             return SolveResult::Unsat;
                         }
                     }
                     self.checkpoint(Checkpoint::PostBackjump);
-                    if let (Some(start), Some(t)) = (restart_timer, self.telemetry.as_deref_mut()) {
-                        t.add_phase(Phase::Restart, start.elapsed());
-                    }
+                    self.rec.end(restarting);
                 }
                 if let Some(cause) = self.check_budget(&budget) {
                     self.stop_cause = Some(cause);
@@ -1401,40 +1226,12 @@ impl Solver {
                 }
                 let reducible = self.db.num_learned().saturating_sub(self.num_reasons);
                 if reducible >= self.reduce_limit {
-                    #[cfg(feature = "metrics")]
-                    let metrics_reduce_timer = telemetry::metrics::phase_timer();
-                    #[cfg(feature = "metrics")]
-                    let metrics_deleted_before = self.stats.deleted_clauses;
                     self.reduce_db();
-                    #[cfg(feature = "metrics")]
-                    if telemetry::metrics::armed() {
-                        telemetry::metrics::phase_done(
-                            metrics_reduce_timer,
-                            telemetry::metrics::Counter::ReduceNanos,
-                            telemetry::metrics::Counter::ReduceCalls,
-                        );
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Reductions);
-                        telemetry::metrics::add(
-                            telemetry::metrics::Counter::DeletedClauses,
-                            self.stats
-                                .deleted_clauses
-                                .saturating_sub(metrics_deleted_before),
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::MemoryBytes,
-                            self.approx_memory_bytes() as f64,
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::LiveLearned,
-                            self.db.num_learned() as f64,
-                        );
-                    }
                 }
                 match self.decide() {
                     Some(l) => {
                         self.stats.decisions += 1;
-                        #[cfg(feature = "metrics")]
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Decisions);
+                        self.rec.decided();
                         self.trail_lim.push(self.trail.len());
                         self.assign(l, None);
                     }

@@ -4,10 +4,13 @@
 //! registry does not perturb the search (stats stay byte-identical) and
 //! that the registry's counters agree with the solver's own statistics.
 
-use sat_solver::{solve_portfolio, PortfolioConfig, Solver, SolverConfig, SolverStats};
+use sat_solver::{
+    solve_portfolio, PortfolioConfig, Solver, SolverConfig, SolverStats, SolverTelemetry,
+};
 use std::sync::Mutex;
 use telemetry::json::ToJson;
 use telemetry::metrics::{self, Counter};
+use telemetry::Phase;
 
 /// The registry's armed flag is process-global; tests that arm it must
 /// not overlap.
@@ -137,6 +140,41 @@ fn registry_counters_agree_with_solver_stats() {
     // level-0 conflict ends the search without analyzing).
     assert_eq!(snap.counter(Counter::AnalyzeCalls), stats.learned_clauses);
     assert!(snap.counter(Counter::PropagateNanos) > 0);
+
+    // Again with the telemetry recorder installed and inprocessing on, so
+    // every metered phase fires, and with the tracer armed too when the
+    // build has it: all three consumers of the recorder at once.
+    let config = SolverConfig {
+        inprocess: true,
+        inprocess_interval: 1,
+        ..busy_config()
+    };
+    let mut bare = Solver::new(&f, config.clone());
+    assert!(bare.solve().is_unsat());
+    assert!(metrics::arm());
+    telemetry::trace::arm(0);
+    let mut solver = Solver::new(&f, config);
+    solver.set_telemetry(SolverTelemetry::new("php-6-5"));
+    let result = solver.solve();
+    let snap = metrics::snapshot();
+    metrics::disarm();
+    telemetry::trace::disarm();
+    assert!(result.is_unsat());
+    assert_eq!(
+        bare.stats().to_json().to_string(),
+        solver.stats().to_json().to_string(),
+        "stats must be byte-identical with the recorder, metrics and trace on"
+    );
+    let phases = *solver.telemetry().expect("recorder installed").phases();
+    assert!(phases.calls(Phase::Inprocess) > 0);
+    for (phase, calls) in [
+        (Phase::Propagate, Counter::PropagateCalls),
+        (Phase::Analyze, Counter::AnalyzeCalls),
+        (Phase::Reduce, Counter::ReduceCalls),
+        (Phase::Inprocess, Counter::InprocessCalls),
+    ] {
+        assert_eq!(phases.calls(phase), snap.counter(calls), "{phase:?}");
+    }
 }
 
 #[test]

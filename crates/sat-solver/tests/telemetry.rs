@@ -78,6 +78,14 @@ fn event_stream_brackets_the_solve_and_matches_stats() {
         .filter(|e| matches!(e, Event::Reduction { .. }))
         .count() as u64;
     assert_eq!(reductions, stats.reductions);
+    let deleted: u64 = events
+        .iter()
+        .map(|e| match e {
+            Event::Reduction { deleted, .. } => *deleted,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!(deleted, stats.deleted_clauses);
 
     let Some(Event::SolveStart {
         instance_id,
@@ -108,6 +116,32 @@ fn event_stream_brackets_the_solve_and_matches_stats() {
     assert!(record.phases.calls(Phase::Analyze) > 0);
     assert_eq!(record.phases.calls(Phase::Reduce), stats.reductions);
     assert_eq!(record.phases.calls(Phase::Restart), stats.restarts);
+}
+
+#[test]
+fn phase_times_are_disjoint_with_inprocessing() {
+    // An inprocessing round runs inside a restart; counting it in both
+    // phases would make the phases add up to more than the solve took.
+    let f = php(8, 7);
+    let mut solver = Solver::new(
+        &f,
+        SolverConfig {
+            inprocess: true,
+            inprocess_interval: 1,
+            ..SolverConfig::default()
+        },
+    );
+    solver.set_telemetry(SolverTelemetry::new("php-8-7"));
+    assert!(solver.solve().is_unsat());
+    let record = solver.take_telemetry().unwrap().into_record().unwrap();
+    assert!(record.phases.calls(Phase::Inprocess) > 0);
+    let phases_s = record.phases.total().as_secs_f64();
+    // 1 µs of slack covers the f64 conversion of both sides.
+    assert!(
+        phases_s <= record.solve_time_s + 1e-6,
+        "phases sum to {phases_s} s but the solve took {} s",
+        record.solve_time_s
+    );
 }
 
 #[test]

@@ -6,12 +6,12 @@
 //! is the measurement substrate those experiments (and every later
 //! performance PR) report against:
 //!
-//! * [`Registry`] — named monotonic counters, gauges, and fixed-bucket
-//!   [`Histogram`]s;
+//! * [`Histogram`] — fixed-bucket distributions (glue, learned-clause
+//!   length, trail depth at conflict);
 //! * [`Phase`] / [`PhaseTimes`] — scoped wall-time and call counts for the
-//!   solver's `propagate` / `analyze` / `minimize` / `reduce` / `restart`
-//!   phases and the pipeline's `feature-extract` / `gnn-forward` /
-//!   `policy-select` phases;
+//!   solver's `propagate` / `analyze` / `minimize` / `reduce` / `restart` /
+//!   `inprocess` phases and the pipeline's `feature-extract` /
+//!   `gnn-forward` / `policy-select` phases;
 //! * [`Sink`] — pluggable event output: [`NullSink`] (the zero-cost
 //!   default), [`MemorySink`] (tests), and [`JsonlSink`] (versioned,
 //!   schema-stable JSONL records);
@@ -63,13 +63,11 @@ pub mod trace;
 mod histogram;
 mod phase;
 mod record;
-mod registry;
 mod sink;
 
 pub use histogram::Histogram;
 pub use phase::{Phase, PhaseGuard, PhaseTimes};
 pub use record::{Degradation, RequestRecord, RunRecord};
-pub use registry::Registry;
 pub use sink::{Event, JsonlSink, MemorySink, NullSink, Sink};
 
 /// Version of the JSONL event schema emitted by [`JsonlSink`].

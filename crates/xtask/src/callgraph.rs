@@ -1,5 +1,4 @@
-//! Workspace call-graph assembly, the `callgraph.facts` golden manifest,
-//! and the transitive hot-path purity rule.
+//! Workspace call-graph assembly and the transitive hot-path purity rule.
 //!
 //! The graph is built from the per-file facts the extractor produces.
 //! Call-site resolution is deliberately conservative (DESIGN.md §14):
@@ -24,7 +23,7 @@
 
 use crate::extract::{CallSite, CallTarget, EffectKind, FileFacts, FnItem, Receiver, StructInfo};
 use crate::rules::Diagnostic;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Transitive purity roots: BCP, conflict analysis, recursive clause
 /// minimization, and the audited watch-list/assignment accessors.
@@ -774,142 +773,6 @@ fn base_type(tokens: &[String]) -> BaseType {
 }
 
 // ---------------------------------------------------------------------------
-// Golden facts manifest.
-// ---------------------------------------------------------------------------
-
-/// Serializes the graph into the `callgraph.facts` format: one sorted
-/// line per fn (or macro). Line numbers are omitted so pure code motion
-/// does not churn the manifest.
-pub fn to_manifest(g: &Graph) -> String {
-    let mut out = String::from(
-        "# Workspace call-graph facts: per fn, its resolved workspace callees,\n\
-         # effect categories, and unresolved dynamic-call sites. Golden manifest —\n\
-         # CI fails on drift. Regenerate: cargo run -p xtask -- callgraph-update\n",
-    );
-    let mut lines: Vec<String> = Vec::new();
-    for n in &g.nodes {
-        lines.push(fact_line(g, n));
-    }
-    for m in &g.macros {
-        lines.push(format!("macro {m}"));
-    }
-    lines.sort();
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    out
-}
-
-fn fact_line(g: &Graph, n: &FnNode) -> String {
-    let mut effects: Vec<&str> = n
-        .item
-        .effects
-        .iter()
-        .filter(|e| !e.what.ends_with("[cfg-gated]"))
-        .map(|e| e.kind.name())
-        .collect();
-    effects.sort();
-    effects.dedup();
-    let mut calls: Vec<String> = n
-        .edges
-        .iter()
-        .map(|e| g.nodes[e.to].item.id.clone())
-        .chain(n.macro_calls.iter().map(|(m, _, _)| m.clone()))
-        .collect();
-    calls.sort();
-    calls.dedup();
-    let mut dynamics: Vec<String> = n.dynamics.iter().map(|d| d.desc.clone()).collect();
-    dynamics.sort();
-    dynamics.dedup();
-    let or_dash = |s: String| if s.is_empty() { "-".to_string() } else { s };
-    format!(
-        "fn {} file={} cfg={} inline={} effects={} calls={} dynamic={}",
-        n.item.id,
-        n.item.path,
-        n.item.cfg_feature.as_deref().unwrap_or("-"),
-        if n.item.is_inline { "y" } else { "n" },
-        or_dash(effects.join("+")),
-        or_dash(calls.join(",")),
-        or_dash(dynamics.join(";")),
-    )
-}
-
-/// Parses a facts manifest into `key → full line` (key = `fn <id>` or
-/// `macro <id>`).
-pub fn parse_manifest(text: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut map = BTreeMap::new();
-    for (no, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(kind), Some(id)) = (parts.next(), parts.next()) else {
-            return Err(format!(
-                "callgraph.facts:{}: malformed line {raw:?}",
-                no + 1
-            ));
-        };
-        if kind != "fn" && kind != "macro" {
-            return Err(format!(
-                "callgraph.facts:{}: unknown entry kind {kind:?}",
-                no + 1
-            ));
-        }
-        map.insert(format!("{kind} {id}"), line.to_string());
-    }
-    Ok(map)
-}
-
-/// Compares the current graph against the committed manifest; drift
-/// becomes `callgraph-drift` diagnostics with a regeneration hint.
-pub fn compare(g: &Graph, manifest: &BTreeMap<String, String>, diags: &mut Vec<Diagnostic>) {
-    const FACTS: &str = "crates/xtask/callgraph.facts";
-    const HINT: &str = "regenerate with `cargo run -p xtask -- callgraph-update`";
-    let mut current: BTreeMap<String, String> = BTreeMap::new();
-    for n in &g.nodes {
-        current.insert(format!("fn {}", n.item.id), fact_line(g, n));
-    }
-    for m in &g.macros {
-        current.insert(format!("macro {m}"), format!("macro {m}"));
-    }
-    let mut drift: Vec<String> = Vec::new();
-    for (key, line) in &current {
-        match manifest.get(key) {
-            None => drift.push(format!("`{key}` is new (not in the manifest)")),
-            Some(old) if old != line => drift.push(format!(
-                "`{key}` changed: recorded `{old}`, current `{line}`"
-            )),
-            _ => {}
-        }
-    }
-    for key in manifest.keys() {
-        if !current.contains_key(key) {
-            drift.push(format!("`{key}` no longer exists in the workspace"));
-        }
-    }
-    const CAP: usize = 25;
-    let extra = drift.len().saturating_sub(CAP);
-    for d in drift.into_iter().take(CAP) {
-        diags.push(Diagnostic {
-            rule: "callgraph-drift",
-            path: FACTS.to_string(),
-            line: 1,
-            message: format!("{d}; {HINT}"),
-        });
-    }
-    if extra > 0 {
-        diags.push(Diagnostic {
-            rule: "callgraph-drift",
-            path: FACTS.to_string(),
-            line: 1,
-            message: format!("… and {extra} more drifted entries; {HINT}"),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Transitive hot-path purity.
 // ---------------------------------------------------------------------------
 
@@ -1310,27 +1173,6 @@ mod tests {
         let mut diags = Vec::new();
         hot_path_purity(&g, &allows, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn manifest_roundtrip_and_drift() {
-        let src = "pub struct S;\nimpl S { fn a(&self) { self.b() } fn b(&self) {} }";
-        let g = graph(&[("crates/core/src/lib.rs", src)]);
-        let manifest = parse_manifest(&to_manifest(&g)).expect("parses");
-        let mut diags = Vec::new();
-        compare(&g, &manifest, &mut diags);
-        assert!(diags.is_empty(), "{diags:?}");
-        // A graph change drifts.
-        let src2 = "pub struct S;\nimpl S { fn a(&self) {} fn b(&self) {} }";
-        let g2 = graph(&[("crates/core/src/lib.rs", src2)]);
-        let mut diags2 = Vec::new();
-        compare(&g2, &manifest, &mut diags2);
-        assert!(
-            diags2
-                .iter()
-                .any(|d| d.rule == "callgraph-drift" && d.message.contains("callgraph-update")),
-            "{diags2:?}"
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! This is the front half of the interprocedural analysis layer: it walks
 //! a file's tokens (test items already stripped) and produces, per `fn`
 //! item, the facts the call-graph rules need — module path, `impl` owner,
-//! `#[cfg]`/`#[inline]` attributes, every call site with its receiver
+//! `#[cfg]` attributes, every call site with its receiver
 //! shape, every effect site (panic / raw index / allocation / lock / IO),
 //! and parameter names and types. Closure bodies are attributed to their
 //! enclosing `fn`; `macro_rules!` bodies are skipped and recorded as
@@ -126,8 +126,6 @@ pub struct FnItem {
     pub line: u32,
     /// Item-level `#[cfg(feature = "...")]` gate, if any.
     pub cfg_feature: Option<String>,
-    /// Carries `#[inline]` (any flavor).
-    pub is_inline: bool,
     /// Parameter `(name, type-identifier tokens)` pairs, `self` omitted.
     pub params: Vec<(String, Vec<String>)>,
     /// Identifier tokens of the return type, in order.
@@ -232,7 +230,6 @@ pub fn extract_file(path: &str, src: &str, tokens: Vec<Token>) -> FileFacts {
 #[derive(Debug, Default, Clone)]
 struct Attrs {
     cfg_feature: Option<String>,
-    inline: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -329,8 +326,6 @@ impl<'a> Cx<'a> {
         let mut saw_cfg = false;
         let mut saw_not = false;
         let mut saw_feature = false;
-        let mut inline = false;
-        let mut first = true;
         while j < self.toks.len() {
             let t = &self.toks[j];
             if t.is_punct("[") {
@@ -341,12 +336,6 @@ impl<'a> Cx<'a> {
                     break;
                 }
             } else if t.kind == TokenKind::Ident {
-                if first {
-                    if t.text == "inline" {
-                        inline = true;
-                    }
-                    first = false;
-                }
                 match t.text.as_str() {
                     "cfg" | "cfg_attr" => saw_cfg = true,
                     "not" => saw_not = true,
@@ -363,10 +352,7 @@ impl<'a> Cx<'a> {
         }
         let end = j.min(self.toks.len().saturating_sub(1));
         let end_line = self.toks.get(end).map(|t| t.line).unwrap_or(start_line);
-        let mut attrs = Attrs {
-            inline,
-            cfg_feature: None,
-        };
+        let mut attrs = Attrs { cfg_feature: None };
         // `cfg(not(feature = "x"))` is compiled in *default* builds, so it
         // does not gate the item out of the default-build call graph.
         if saw_cfg && saw_feature && !saw_not {
@@ -455,11 +441,8 @@ impl<'a> Cx<'a> {
             }
             if t.is_punct("#") {
                 let (j, a, outer) = self.parse_attr(i);
-                if outer {
-                    if a.cfg_feature.is_some() {
-                        attrs.cfg_feature = a.cfg_feature;
-                    }
-                    attrs.inline |= a.inline;
+                if outer && a.cfg_feature.is_some() {
+                    attrs.cfg_feature = a.cfg_feature;
                 }
                 i = j;
                 continue;
@@ -932,7 +915,6 @@ impl<'a> Cx<'a> {
             module: module.to_string(),
             line,
             cfg_feature: attrs.cfg_feature.clone(),
-            is_inline: attrs.inline,
             params,
             ret,
             body: None,

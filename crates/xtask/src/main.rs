@@ -24,7 +24,6 @@ fn main() -> ExitCode {
         "lint" => lint(args.iter().any(|a| a == "--json")),
         "schema-update" => schema_update(),
         "metrics-update" => metrics_update(),
-        "callgraph-update" => callgraph_update(),
         "callgraph" => callgraph_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
@@ -48,8 +47,6 @@ commands:
                    telemetry crate's sources
   metrics-update   regenerate crates/xtask/metrics.names from the metric
                    name tables in crates/telemetry/src/metrics.rs
-  callgraph-update regenerate the crates/xtask/callgraph.facts golden
-                   manifest from the current sources
   callgraph --dot FN
                    print the Graphviz subgraph reachable from fns
                    matching FN (exact id, `::`-suffix, or bare name)
@@ -146,24 +143,7 @@ fn lint(json: bool) -> ExitCode {
     callgraph::hot_path_purity(&graph, &allow_map, &mut diags);
     lockorder::lock_analysis(&graph, &allow_map, &mut diags);
 
-    // Golden manifests: call-graph facts, telemetry schema, metric names.
-    let facts_path = root.join("crates/xtask/callgraph.facts");
-    match std::fs::read_to_string(&facts_path) {
-        Ok(text) => match callgraph::parse_manifest(&text) {
-            Ok(manifest) => callgraph::compare(&graph, &manifest, &mut diags),
-            Err(e) => {
-                eprintln!("xtask: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => {
-            eprintln!(
-                "xtask: crates/xtask/callgraph.facts is missing; run \
-                 `cargo run -p xtask -- callgraph-update`"
-            );
-            return ExitCode::from(2);
-        }
-    }
+    // Golden manifests: telemetry schema, metric names.
     if let Err(e) = check_telemetry_schema(&root, &mut diags) {
         eprintln!("xtask: {e}");
         return ExitCode::from(2);
@@ -277,28 +257,6 @@ fn build_graph(root: &Path) -> Result<callgraph::Graph, String> {
     Ok(callgraph::Graph::build(
         results.into_iter().map(|r| r.facts).collect(),
     ))
-}
-
-fn callgraph_update() -> ExitCode {
-    let root = workspace_root();
-    let graph = match build_graph(&root) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("xtask: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let path = root.join("crates/xtask/callgraph.facts");
-    match std::fs::write(&path, callgraph::to_manifest(&graph)) {
-        Ok(()) => {
-            println!("wrote {}", relative(&root, &path));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask: cannot write callgraph.facts: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn callgraph_cmd(args: &[String]) -> ExitCode {

@@ -43,6 +43,11 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/sat-solver/src/varmap.rs",
 ];
 
+/// The solver's instrumentation recorder: the one place the search loop
+/// reaches `telemetry::trace` / `telemetry::metrics`, so its call sites
+/// get the hot-path modules' feature-gate discipline.
+const RECORDER_MODULE: &str = "crates/sat-solver/src/instrument.rs";
+
 /// Modules that coordinate racing threads. `Ordering::Relaxed` is suspect
 /// here: the portfolio stop flag and winner CAS carry real happens-before
 /// edges (Release store / Acquire load), and a relaxed operation on one of
@@ -119,6 +124,8 @@ pub fn lint_lexed(
         no_panic(path, tokens, &mut found);
         no_index(path, tokens, &mut found);
         no_hard_assert(path, tokens, &mut found);
+    }
+    if is_hot_path(path) || path == RECORDER_MODULE {
         telemetry_feature_gate(path, src, tokens, &mut found, "trace", "trace-feature-gate");
         telemetry_feature_gate(
             path,
@@ -259,9 +266,10 @@ fn no_hard_assert(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `trace-feature-gate` / `metrics-feature-gate`: in hot-path modules
-/// every `trace::` (resp. `metrics::`) call site must sit under a
-/// `#[cfg(feature = "...")]` gate naming that telemetry feature. Elsewhere
+/// `trace-feature-gate` / `metrics-feature-gate`: in hot-path modules and
+/// the solver's instrumentation recorder, every `trace::` (resp.
+/// `metrics::`) call site must sit under a `#[cfg(feature = "...")]` gate
+/// naming that telemetry feature. Elsewhere
 /// both APIs may rely on their disarmed fast path (one relaxed atomic
 /// load), but BCP and conflict analysis run millions of times per second —
 /// default builds must compile to literally zero telemetry code there.
@@ -279,8 +287,9 @@ fn telemetry_feature_gate(
     let lines: Vec<&str> = src.lines().collect();
     let quoted = format!("\"{module}\"");
     // Pass 1: token ranges gated by `#[cfg(... feature = "<module>" ...)]`
-    // — the attribute plus the item or statement it covers (up to the `}`
-    // closing its first brace, or a `;` outside braces).
+    // — the attribute plus the item, statement, or field it covers (up to
+    // the `}` closing its first brace, a `;` or `,` outside brackets, or
+    // the bracket closing the enclosing struct or literal).
     let mut gated: Vec<(usize, usize)> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -324,23 +333,24 @@ fn telemetry_feature_gate(
             i = j + 1;
             continue;
         }
-        // Walk the gated item/statement: ends at `;` outside braces or at
-        // the `}` closing the first opened brace (fn bodies, gated blocks,
-        // gated `if` statements).
-        let mut brace = 0i32;
+        // Walk the gated item/statement/field: ends at `;` or `,` outside
+        // brackets, at the `}` closing the first opened brace (fn bodies,
+        // gated blocks, gated `if` statements), or at an unmatched closing
+        // bracket (a gated last field with no trailing comma).
+        let mut depth = 0i32;
         let mut k = j + 1;
         let mut end = tokens.len().saturating_sub(1);
         while k < tokens.len() {
             let t = &tokens[k];
-            if t.is_punct("{") {
-                brace += 1;
-            } else if t.is_punct("}") {
-                brace -= 1;
-                if brace == 0 {
+            if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
+                depth += 1;
+            } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
+                depth -= 1;
+                if depth < 0 || (depth == 0 && t.is_punct("}")) {
                     end = k;
                     break;
                 }
-            } else if t.is_punct(";") && brace == 0 {
+            } else if (t.is_punct(";") || t.is_punct(",")) && depth == 0 {
                 end = k;
                 break;
             }
@@ -888,6 +898,26 @@ mod tests {
         // An audited site can be annotated inline.
         let allowed = "fn f() {\n    telemetry::trace::instant(\"x\"); // xtask: allow(trace-feature-gate) cold slow path\n}";
         assert!(run(HOT, allowed).is_empty());
+    }
+
+    #[test]
+    fn feature_gates_cover_the_recorder_and_end_at_gated_fields() {
+        const RECORDER: &str = "crates/sat-solver/src/instrument.rs";
+        let ungated = "fn f() {\n    telemetry::trace::instant(\"x\");\n}";
+        assert_eq!(rules(&run(RECORDER, ungated)), vec!["trace-feature-gate"]);
+        // A gated field covers itself only: neither the rest of the struct
+        // nor the fn after it inherit the gate.
+        let field = "struct S {\n    #[cfg(feature = \"trace\")]\n    g: telemetry::trace::SpanGuard,\n    n: u32,\n}\nfn f() {\n    telemetry::trace::instant(\"oops\");\n}";
+        let d = run(RECORDER, field);
+        assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
+        assert_eq!(d[0].line, 7);
+        // Same for a gated last field of a struct literal (no trailing comma).
+        let literal = "fn f() -> S {\n    let s = S {\n        n: 1,\n        #[cfg(feature = \"trace\")]\n        g: telemetry::trace::span(\"a\")\n    };\n    telemetry::trace::instant(\"oops\");\n    s\n}";
+        let d = run(RECORDER, literal);
+        assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
+        assert_eq!(d[0].line, 7);
+        // The recorder is not a hot-path module: no panic/index rules.
+        assert!(run(RECORDER, "fn f(v: &[u8]) -> u8 { v[0] }").is_empty());
     }
 
     #[test]
