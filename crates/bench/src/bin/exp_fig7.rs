@@ -63,6 +63,7 @@ fn main() {
     let mut improvements = Vec::new();
     let mut below = 0;
     let mut above = 0;
+    let mut no_pick = 0;
     for inst in &test_set {
         let (_, s_def) = solve_with_policy(&inst.instance.cnf, PolicyKind::Default, budget);
         let out = solver.solve(&inst.instance.cnf, budget);
@@ -73,13 +74,27 @@ fn main() {
         } else if n > d * 1.02 {
             above += 1;
         }
-        inference_times.push(out.inference_time.as_secs_f64());
         improvements.push(d - n);
+        // A solve that never reduced never read the policy, so the model
+        // made no pick for it: mark the row and leave its (zero) inference
+        // time out of the Figure 7(b) series.
+        let chosen = if out.policy_needed {
+            inference_times.push(out.inference_time.as_secs_f64());
+            out.chosen.to_string()
+        } else {
+            no_pick += 1;
+            String::from("-")
+        };
         println!(
             "{}\t{}\t{}\t{}",
-            inst.instance.name, s_def.propagations, out.stats.propagations, out.chosen
+            inst.instance.name, s_def.propagations, out.stats.propagations, chosen
         );
     }
+    println!(
+        "({no_pick} of {} solves ended before their first reduction and needed \
+         no pick: chosen \"-\")",
+        test_set.len()
+    );
 
     println!(
         "\nscatter shape: {below} instances below the diagonal (NeuroSelect \
@@ -91,7 +106,10 @@ fn main() {
     print_table(
         &["series", "min", "q1", "median", "q3", "max"],
         &[
-            boxplot_row("inference time (s)", BoxPlot::from_values(&inference_times)),
+            boxplot_row(
+                "inference time (s), solves that picked",
+                BoxPlot::from_values(&inference_times),
+            ),
             boxplot_row(
                 "improvement (props saved)",
                 BoxPlot::from_values(&improvements),

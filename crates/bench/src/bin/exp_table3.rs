@@ -179,6 +179,7 @@ fn main() {
     let mut ns_secs = Vec::new();
     let mut fixed_props = Vec::new();
     let mut switched = 0;
+    let mut picked = 0;
     for inst in &test_set {
         let t = Instant::now();
         let (r, s, rec) = solve_with_policy_recorded(
@@ -198,6 +199,11 @@ fn main() {
             log.push(&out.record);
         }
         let solved = !out.result.is_unknown();
+        // A solve that never reduced made no pick: it ran under the
+        // default policy and reports probability 0.0. It never read the
+        // policy, so the fixed-threshold re-solve below is the same run
+        // under either choice.
+        picked += usize::from(out.policy_needed);
         if out.chosen == PolicyKind::PropFreq {
             switched += 1;
         }
@@ -277,8 +283,10 @@ fn main() {
         100.0 * calibration.oracle_efficiency()
     );
     println!(
-        "\nNeuroSelect chose the propagation-frequency policy on {switched}/{} \
-         instances; its wall-clock column includes model inference.",
+        "\nNeuroSelect chose the propagation-frequency policy on {switched}/{picked} \
+         picks; the other {} of {} instances ended before their first reduction \
+         and needed no pick. Its wall-clock column includes model inference.",
+        test_set.len() - picked,
         test_set.len()
     );
     let improvement = if bp.median > 0.0 {

@@ -397,6 +397,31 @@ mod tests {
     }
 
     #[test]
+    fn every_classifier_predicts_on_empty_formulas() {
+        fn probability<C: Classifier>(c: &C, f: &Cnf) -> f32 {
+            c.predict(&c.prepare(f))
+        }
+        let cfg = BaselineConfig {
+            hidden_dim: 8,
+            rounds: 2,
+            seed: 2,
+        };
+        let ns = NeuroSelectClassifier::new(tiny_ns_config(), 0.01);
+        let gin = GinClassifier::new(cfg, 0.01);
+        let neurosat = NeuroSatClassifier::new(cfg, 0.01);
+        for text in ["p cnf 0 0\n", "p cnf 3 0\n", "p cnf 0 1\n0\n"] {
+            let f = cnf::parse_dimacs_str(text).unwrap();
+            for p in [
+                probability(&ns, &f),
+                probability(&gin, &f),
+                probability(&neurosat, &f),
+            ] {
+                assert!((0.0..=1.0).contains(&p), "{text:?}: {p}");
+            }
+        }
+    }
+
+    #[test]
     fn classifier_names() {
         let c = NeuroSelectClassifier::new(tiny_ns_config(), 0.01);
         assert_eq!(c.name(), "NeuroSelect");

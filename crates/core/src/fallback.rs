@@ -21,7 +21,9 @@ use std::time::Duration;
 pub enum PolicySource {
     /// The modelled deployment pipeline: classifier inference, including
     /// its by-design node-count cutoff (oversized instances use the
-    /// default policy *deliberately*, which is not a degradation).
+    /// default policy *deliberately*, which is not a degradation), or no
+    /// pick was needed (a solve that never reduced its clause database
+    /// never read the policy, so the model was not consulted).
     Model,
     /// The static clause/variable-ratio heuristic (model unavailable).
     Heuristic,
@@ -99,6 +101,20 @@ pub struct PolicyDecision {
     pub source: PolicySource,
     /// Every step down the ladder, in order (empty in normal operation).
     pub degradations: Vec<DegradeReason>,
+}
+
+impl PolicyDecision {
+    /// The model rung's pick when the model is not consulted by design
+    /// (the node cutoff, or no pick needed): the default policy, with no
+    /// degradation.
+    pub(crate) fn unconsulted() -> Self {
+        PolicyDecision {
+            policy: PolicyKind::Default,
+            probability: 0.0,
+            source: PolicySource::Model,
+            degradations: Vec::new(),
+        }
+    }
 }
 
 /// Picks a policy from static formula features, no model required.

@@ -5,7 +5,9 @@
 //! to delete is decided by a scoring policy. The paper introduces a second
 //! policy driven by *variable propagation frequency* (Equation 2) and
 //! trains a Hybrid Graph Transformer to pick, per instance, whichever of
-//! the two policies will solve it faster — one CPU inference before solving.
+//! the two policies will solve it faster — one CPU inference, run when the
+//! solver first reduces its clause database, the one place it reads the
+//! policy (a solve that never reduces skips it).
 //!
 //! This crate is the top of the workspace: it wires the
 //! [`sat_solver`] substrate (CDCL with pluggable deletion
@@ -18,8 +20,9 @@
 //! 2. **Train** ([`train`]): fit a [`Classifier`] (NeuroSelect or a
 //!    baseline) with Adam, batch size 1.
 //! 3. **Evaluate** ([`evaluate`]): Table 2 metrics.
-//! 4. **Deploy** ([`NeuroSelectSolver`]): one inference selects the policy,
-//!    then the solver runs (Table 3 / Figure 7).
+//! 4. **Deploy** ([`NeuroSelectSolver`]): the solver starts at once, and one
+//!    inference selects the policy when the first reduction is due
+//!    (Table 3 / Figure 7).
 //!
 //! # Examples
 //!

@@ -1,12 +1,23 @@
 //! The NeuroSelect-guided solver: one model inference picks the deletion
-//! policy, then the CDCL solver runs with it (Section 4.1, Figure 6).
+//! policy the CDCL solver reduces its clause database with (Section 4.1,
+//! Figure 6).
+//!
+//! The paper classifies before solving. Here the search starts at once and
+//! the model runs when the policy is first read, just before the first
+//! clause-database reduction ([`Solver::solve_with_policy_pick`]). The
+//! search before that reduction does not depend on the policy, so a solve
+//! that reduces gets the same pick, statistics and verdict as
+//! classify-then-solve, and a solve that never reduces skips inference.
+//! The rungs of the fallback ladder that need no inference (a sticky
+//! model fault, the node cutoff) still pick before the search.
 
 use crate::fallback::{degraded_decision, DegradeReason, PolicyDecision, PolicySource};
 use crate::{Classifier, NeuroSelectClassifier};
 use cnf::Cnf;
 use neuro::LoadParamsError;
 use sat_solver::{
-    run_isolated, solve_with_policy_recorded, Budget, PolicyKind, SolveResult, SolverStats,
+    run_isolated, Budget, PolicyKind, SolveResult, Solver, SolverConfig, SolverStats,
+    SolverTelemetry,
 };
 use std::fs::File;
 use std::io::BufReader;
@@ -15,30 +26,44 @@ use std::time::{Duration, Instant};
 use telemetry::json::Json;
 use telemetry::{Phase, PhaseTimes, RunRecord, Sink};
 
-/// The record of one NeuroSelect-guided solve, including the one-time
-/// inference cost the paper folds into NeuroSelect-Kissat's runtime.
+/// The record of one NeuroSelect-guided solve, including the inference
+/// cost the paper folds into NeuroSelect-Kissat's runtime.
 #[derive(Debug, Clone)]
 pub struct SelectionOutcome {
     /// The solver verdict.
     pub result: SolveResult,
     /// Solver statistics of the selected run.
     pub stats: SolverStats,
-    /// The policy the model chose.
+    /// The policy the pick installed; without a pick
+    /// ([`policy_needed`](Self::policy_needed) false under the model rung),
+    /// the default policy the search ran under.
     pub chosen: PolicyKind,
-    /// The model's probability for the propagation-frequency policy.
+    /// The model's probability for the propagation-frequency policy (0.0
+    /// when the model was not consulted).
     pub probability: f32,
-    /// Wall-clock time of the model inference (graph build + forward pass).
+    /// Wall-clock time of the pick: graph build + forward pass when the
+    /// model ran, whether before or during the search; zero when no pick
+    /// was made.
     pub inference_time: Duration,
-    /// Wall-clock time of the solving phase.
+    /// Wall-clock time of the solving phase, excluding any inference that
+    /// ran inside the search.
     pub solve_time: Duration,
-    /// Which rung of the selection ladder produced the policy pick.
+    /// Which rung of the selection ladder produced the policy pick
+    /// ([`PolicySource::Model`] when no pick was needed).
     pub source: PolicySource,
     /// Degradations hit on the way to the pick (empty in normal
     /// operation); also recorded in [`SelectionOutcome::record`].
     pub degradations: Vec<DegradeReason>,
+    /// Whether the search reached a clause-database reduction, the one
+    /// place it reads the deletion policy. Under the model rung the pick
+    /// is made only then: when false, no inference ran. The rungs that
+    /// need no inference (a sticky model fault, the node cutoff) pick
+    /// before the search either way. Mirrored as `extra.policy_needed` in
+    /// the record.
+    pub policy_needed: bool,
     /// Full telemetry record: solver phase timings and distributions plus
     /// the pipeline's `feature_extract` / `gnn_forward` / `policy_select`
-    /// phases and the inference time.
+    /// phases and the inference time (null without a pick).
     pub record: RunRecord,
 }
 
@@ -129,45 +154,50 @@ impl NeuroSelectSolver {
     /// Picks the deletion policy for a formula (one model inference),
     /// returning the policy, probability, and inference time.
     pub fn select_policy(&self, formula: &Cnf) -> (PolicyKind, f32, Duration) {
-        let (decision, elapsed, _) = self.decide_policy_phased(formula);
+        let (decision, elapsed) = self.decide_policy(formula);
         (decision.policy, decision.probability, elapsed)
     }
 
     /// Picks the deletion policy through the full degradation ladder,
     /// returning the [`PolicyDecision`] (policy, source rung, and any
     /// degradations hit) together with the selection wall time.
+    ///
+    /// This classifies up front, for callers that need the pick before
+    /// they build a solver: the O(1) rungs (a sticky model fault, the node
+    /// cutoff), then the inference rungs (inference, the deadline, the
+    /// threshold).
     pub fn decide_policy(&self, formula: &Cnf) -> (PolicyDecision, Duration) {
-        let (decision, elapsed, _) = self.decide_policy_phased(formula);
-        (decision, elapsed)
+        let start = Instant::now();
+        let decision = self
+            .decide_without_inference(formula)
+            .unwrap_or_else(|| self.decide_by_inference(formula).0);
+        (decision, start.elapsed())
     }
 
-    /// [`decide_policy`](Self::decide_policy) with per-phase timing:
-    /// `feature_extract` (formula → graph tensors), `gnn_forward` (model
-    /// forward pass), and `policy_select` (thresholding).
-    ///
-    /// This is the pipeline's fallback chain. Inference runs in panic
-    /// isolation; a panic, a sticky model fault, or an inference time
-    /// beyond [`inference_deadline`](Self::inference_deadline) steps down
-    /// to the static heuristic (and, should that panic too, to the
-    /// default policy) — a broken model degrades the pick, never the run.
-    fn decide_policy_phased(&self, formula: &Cnf) -> (PolicyDecision, Duration, PhaseTimes) {
-        let start = Instant::now();
-        let mut phases = PhaseTimes::default();
+    /// The rungs that need no inference, each O(1): a sticky model fault
+    /// steps down to the static heuristic, and a graph above
+    /// [`node_cutoff`](Self::node_cutoff) takes the default policy.
+    /// `None` means the pick needs the model.
+    fn decide_without_inference(&self, formula: &Cnf) -> Option<PolicyDecision> {
         if let Some(reason) = &self.model_fault {
-            let decision = degraded_decision(formula, reason.clone());
-            return (decision, start.elapsed(), phases);
+            return Some(degraded_decision(formula, reason.clone()));
         }
         let nodes = formula.num_vars() as usize + formula.num_clauses();
-        if nodes > self.node_cutoff {
-            // By-design cutoff (the paper's GPU-memory limit), not a fault.
-            let decision = PolicyDecision {
-                policy: PolicyKind::Default,
-                probability: 0.0,
-                source: PolicySource::Model,
-                degradations: Vec::new(),
-            };
-            return (decision, start.elapsed(), phases);
-        }
+        // By-design cutoff (the paper's GPU-memory limit), not a fault.
+        (nodes > self.node_cutoff).then(PolicyDecision::unconsulted)
+    }
+
+    /// The inference rungs: inference in panic isolation, then
+    /// [`inference_deadline`](Self::inference_deadline), then the
+    /// threshold. A panic or an inference time beyond the deadline steps
+    /// down to the static heuristic (and, should that panic too, to the
+    /// default policy) — a broken model degrades the pick, never the run.
+    /// Also returns the per-phase timing: `feature_extract` (formula →
+    /// graph tensors), `gnn_forward` (model forward pass), and
+    /// `policy_select` (thresholding).
+    fn decide_by_inference(&self, formula: &Cnf) -> (PolicyDecision, PhaseTimes) {
+        let start = Instant::now();
+        let mut phases = PhaseTimes::default();
         // `run_isolated` is sound here for the same reason as in the
         // portfolio: on panic the prepared tensors are dropped mid-unwind
         // and never touched again, and the classifier's forward pass does
@@ -198,7 +228,7 @@ impl NeuroSelectSolver {
             Ok(out) => out,
             Err(crash) => {
                 let reason = DegradeReason::InferencePanic(crash.message);
-                return (degraded_decision(formula, reason), start.elapsed(), phases);
+                return (degraded_decision(formula, reason), phases);
             }
         };
         phases.merge(&inner);
@@ -206,7 +236,7 @@ impl NeuroSelectSolver {
         if let Some(limit) = self.inference_deadline {
             if elapsed > limit {
                 let reason = DegradeReason::InferenceDeadline { limit, elapsed };
-                return (degraded_decision(formula, reason), start.elapsed(), phases);
+                return (degraded_decision(formula, reason), phases);
             }
         }
         let select_start = Instant::now();
@@ -241,7 +271,7 @@ impl NeuroSelectSolver {
             source: PolicySource::Model,
             degradations: Vec::new(),
         };
-        (decision, start.elapsed(), phases)
+        (decision, phases)
     }
 
     /// Solves a formula with the model-selected deletion policy.
@@ -253,10 +283,17 @@ impl NeuroSelectSolver {
     /// the outcome's [`RunRecord`] is tagged with `instance_id`, and solver
     /// events stream into `sink` when one is given.
     ///
+    /// The O(1) rungs (a sticky model fault, the node cutoff) pick before
+    /// the search starts. Otherwise the search starts at once under the
+    /// default policy, and the inference rungs run only when the first
+    /// clause-database reduction is due
+    /// ([`Solver::solve_with_policy_pick`]); a solve that ends before then
+    /// never extracts features or runs the forward pass.
+    ///
     /// The `solve_end` event emitted through the sink carries solver-side
     /// measurements only; the *returned* record is additionally enriched
-    /// with the pipeline phases, the inference time, and the model
-    /// probability.
+    /// with the pipeline phases, the inference time, the model
+    /// probability, and `policy_needed`.
     pub fn solve_recorded(
         &self,
         formula: &Cnf,
@@ -264,16 +301,59 @@ impl NeuroSelectSolver {
         instance_id: &str,
         sink: Option<Box<dyn Sink>>,
     ) -> SelectionOutcome {
-        let (decision, inference_time, pipeline_phases) = self.decide_policy_phased(formula);
+        let start = Instant::now();
+        let upfront = self.decide_without_inference(formula);
+        let upfront_time = start.elapsed();
         let solve_start = Instant::now();
-        let (result, stats, mut record) =
-            solve_with_policy_recorded(formula, decision.policy, budget, instance_id, sink);
-        let solve_time = solve_start.elapsed();
-        record.inference_time_s = Some(inference_time.as_secs_f64());
-        record.phases.merge(&pipeline_phases);
-        record
-            .extra
-            .set("probability", Json::from(f64::from(decision.probability)));
+        let initial = upfront.as_ref().map_or(PolicyKind::Default, |d| d.policy);
+        let mut solver = Solver::new(formula, SolverConfig::with_policy(initial));
+        let mut telemetry = SolverTelemetry::new(instance_id);
+        if let Some(sink) = sink {
+            telemetry = telemetry.with_sink(sink);
+        }
+        solver.set_telemetry(telemetry);
+        let mut lazy = None;
+        let result = if upfront.is_some() {
+            solver.solve_with_budget(budget)
+        } else {
+            solver.solve_with_policy_pick(budget, || {
+                let began = Instant::now();
+                let (decision, phases) = self.decide_by_inference(formula);
+                let policy = decision.policy;
+                lazy = Some((decision, began.elapsed(), phases));
+                policy
+            })
+        };
+        // Inference that ran inside the search is charged to inference
+        // only, so `total_time` counts it once.
+        let lazy_time = lazy.as_ref().map_or(Duration::ZERO, |&(_, t, _)| t);
+        let solve_time = solve_start.elapsed().saturating_sub(lazy_time);
+        let stats = *solver.stats();
+        let mut record = solver
+            .take_telemetry()
+            .and_then(SolverTelemetry::into_record)
+            // Unreachable: the recorder was installed above and survives
+            // the solve; fall back to an empty record rather than panicking.
+            .unwrap_or_else(|| RunRecord::new(instance_id, ""));
+        record.solve_time_s = (record.solve_time_s - lazy_time.as_secs_f64()).max(0.0);
+        let policy_needed = stats.reductions > 0;
+        record.extra.set("policy_needed", Json::from(policy_needed));
+        let picked = upfront
+            .map(|decision| (decision, upfront_time, PhaseTimes::default()))
+            .or(lazy);
+        if let Some((decision, inference_time, pipeline_phases)) = &picked {
+            record.inference_time_s = Some(inference_time.as_secs_f64());
+            record.phases.merge(pipeline_phases);
+            record
+                .extra
+                .set("probability", Json::from(f64::from(decision.probability)));
+        }
+        // Without a pick the search ran under the default policy it
+        // started with, and the model was never consulted.
+        let (decision, inference_time) = picked.map_or_else(
+            || (PolicyDecision::unconsulted(), Duration::ZERO),
+            |(decision, inference_time, _)| (decision, inference_time),
+        );
         record
             .extra
             .set("policy_source", Json::from(decision.source.as_str()));
@@ -289,6 +369,7 @@ impl NeuroSelectSolver {
             solve_time,
             source: decision.source,
             degradations: decision.degradations,
+            policy_needed,
             record,
         }
     }

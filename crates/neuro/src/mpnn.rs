@@ -183,12 +183,19 @@ pub struct LcgTensors {
 
 impl LcgTensors {
     /// Precomputes the aggregation operators for a literal–clause graph.
+    ///
+    /// The operators are sized to at least one literal node, as is the
+    /// literal state of the forward pass: a formula with no variables gets
+    /// one all-zero literal node.
     pub fn new(graph: &LiteralClauseGraph) -> Self {
-        let to_clause = Rc::new(graph.clause_to_lit.row_normalized());
-        let to_lit = Rc::new(graph.lit_to_clause.row_normalized());
-        let n = 2 * graph.num_vars;
-        let flip_triplets: Vec<(u32, u32, f32)> = (0..n as u32).map(|i| (i, i ^ 1, 1.0)).collect();
-        let flip = Rc::new(CsrMatrix::from_triplets(n, n, &flip_triplets));
+        let lits = 2 * graph.num_vars;
+        let n = lits.max(1);
+        let nc = graph.num_clauses;
+        let to_clause = Rc::new(graph.clause_to_lit.row_normalized().padded(nc, n));
+        let to_lit = Rc::new(graph.lit_to_clause.row_normalized().padded(n, nc));
+        let flip_triplets: Vec<(u32, u32, f32)> =
+            (0..lits as u32).map(|i| (i, i ^ 1, 1.0)).collect();
+        let flip = Rc::new(CsrMatrix::from_triplets(lits, lits, &flip_triplets).padded(n, n));
         LcgTensors {
             num_vars: graph.num_vars,
             num_clauses: graph.num_clauses,

@@ -354,7 +354,10 @@ mod tests {
         assert!(db.memory_bytes() > 0, "slab capacity is still accounted");
     }
 
+    // The check is a `debug_assert!`, so it only exists with debug
+    // assertions on.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = ">= 2")]
     fn rejects_unit_clause() {
         ClauseDb::new().add(lits(&[1]), false, 0);

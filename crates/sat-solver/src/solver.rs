@@ -1042,7 +1042,49 @@ impl Solver {
     /// intact (budgets compare against *total* accumulated counters).
     pub fn solve_with_budget(&mut self, budget: Budget) -> SolveResult {
         self.assumptions.clear();
-        self.search(budget)
+        self.search(budget, None)
+    }
+
+    /// Like [`solve_with_budget`](Self::solve_with_budget), but the
+    /// deletion policy is picked where it is first read: `pick` runs once,
+    /// when the first clause-database reduction is due, and the policy it
+    /// returns is installed (also as `config.policy`) before that
+    /// reduction scores a clause. A solve that ends before its first
+    /// reduction never calls `pick`.
+    ///
+    /// The search before the first reduction does not read the policy, so
+    /// a solve that reduces takes exactly the path of a solver built with
+    /// the picked policy, and the solve-end record names it. The
+    /// solve-start event names the policy installed when the search
+    /// starts.
+    ///
+    /// This is for a solver that has not reduced yet. On one that has,
+    /// the pick is refused: `pick` is never called and the installed
+    /// policy stays.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sat_solver::{Budget, PolicyKind, Solver};
+    /// let f = cnf::parse_dimacs_str("p cnf 2 1\n1 2 0\n")?;
+    /// let mut solver = Solver::from_cnf(&f);
+    /// let mut picked = false;
+    /// let result = solver.solve_with_policy_pick(Budget::unlimited(), || {
+    ///     picked = true;
+    ///     PolicyKind::PropFreq
+    /// });
+    /// assert!(result.is_sat());
+    /// assert!(!picked, "a solve this short never reduces");
+    /// # Ok::<(), cnf::ParseDimacsError>(())
+    /// ```
+    pub fn solve_with_policy_pick(
+        &mut self,
+        budget: Budget,
+        pick: impl FnOnce() -> PolicyKind,
+    ) -> SolveResult {
+        self.assumptions.clear();
+        let pick = (self.stats.reductions == 0).then(|| Box::new(pick) as PolicyPick<'_>);
+        self.search(budget, pick)
     }
 
     /// Solves under the given assumptions: literals forced true for this
@@ -1086,7 +1128,7 @@ impl Solver {
             self.frozen.set(a.var(), true);
         }
         self.assumptions = assumptions.to_vec();
-        let result = self.search(budget);
+        let result = self.search(budget, None);
         self.assumptions.clear();
         result
     }
@@ -1101,11 +1143,11 @@ impl Solver {
 
     /// Runs the CDCL loop between the recorder's solve start and end
     /// events (which never change the search: `tests/telemetry.rs`).
-    fn search(&mut self, budget: Budget) -> SolveResult {
+    fn search(&mut self, budget: Budget, pick: Option<PolicyPick<'_>>) -> SolveResult {
         self.stop_cause = None;
         self.rec
             .solve_started(self.policy.name(), self.num_vars, self.db.num_original());
-        let result = self.search_loop(budget);
+        let result = self.search_loop(budget, pick);
         if self.rec.telemetry.is_some() {
             let db = self.db_stats();
             self.rec
@@ -1114,7 +1156,7 @@ impl Solver {
         result
     }
 
-    fn search_loop(&mut self, budget: Budget) -> SolveResult {
+    fn search_loop(&mut self, budget: Budget, mut pick: Option<PolicyPick<'_>>) -> SolveResult {
         if !self.ok {
             // The contradiction was found while loading input clauses,
             // possibly before proof logging was enabled; the empty clause is
@@ -1226,6 +1268,11 @@ impl Solver {
                 }
                 let reducible = self.db.num_learned().saturating_sub(self.num_reasons);
                 if reducible >= self.reduce_limit {
+                    if let Some(pick) = pick.take() {
+                        let policy = pick();
+                        self.config.policy = policy;
+                        self.policy = policy.instantiate();
+                    }
                     self.reduce_db();
                 }
                 match self.decide() {
@@ -1390,6 +1437,11 @@ pub enum Checkpoint {
     /// An inprocessing round (complete or budget-aborted) just finished.
     PostInprocess,
 }
+
+/// The pending policy pick of a
+/// [`solve_with_policy_pick`](Solver::solve_with_policy_pick) call; it
+/// lives only for that call.
+type PolicyPick<'a> = Box<dyn FnOnce() -> PolicyKind + 'a>;
 
 /// Outcome of one assumption-establishment step.
 enum AssumptionStep {
@@ -1589,6 +1641,57 @@ mod tests {
         assert!(r.is_sat());
         let st = *s.stats();
         assert!(st.decisions + st.propagations > 0);
+    }
+
+    #[test]
+    fn policy_pick_runs_once_at_the_first_reduction() {
+        let php = crate::preprocess::tests_support::php(7, 6);
+        for policy in [PolicyKind::Default, PolicyKind::PropFreq] {
+            let mut eager = Solver::new(&php, SolverConfig::with_policy(policy));
+            assert!(eager.solve().is_unsat());
+            let mut lazy = Solver::from_cnf(&php);
+            lazy.set_telemetry(SolverTelemetry::new("php-7-6"));
+            let mut calls = 0;
+            let result = lazy.solve_with_policy_pick(Budget::unlimited(), || {
+                calls += 1;
+                policy
+            });
+            assert!(result.is_unsat());
+            assert_eq!(calls, 1, "{policy}: one pick per solve");
+            assert!(lazy.stats().reductions > 0);
+            assert_eq!(lazy.stats(), eager.stats(), "{policy}: same search");
+            assert_eq!(lazy.config.policy, policy);
+            let record = lazy.take_telemetry().and_then(SolverTelemetry::into_record);
+            assert_eq!(record.map(|r| r.policy), Some(eager.policy_name().into()));
+        }
+
+        // A solve that never reduces never picks.
+        let f = cnf_of(&[&[1, 2], &[-2, 3], &[-3, -1]]);
+        let mut short = Solver::from_cnf(&f);
+        let mut calls = 0;
+        let result = short.solve_with_policy_pick(Budget::unlimited(), || {
+            calls += 1;
+            PolicyKind::PropFreq
+        });
+        assert!(result.is_sat());
+        assert_eq!((calls, short.stats().reductions), (0, 0));
+        assert_eq!(short.policy_name(), "default");
+    }
+
+    #[test]
+    fn policy_pick_is_refused_after_a_reduction() {
+        let php = crate::preprocess::tests_support::php(7, 6);
+        let mut s = Solver::from_cnf(&php);
+        assert!(s.solve_with_budget(Budget::conflicts(500)).is_unknown());
+        assert!(s.stats().reductions > 0);
+        let mut calls = 0;
+        let result = s.solve_with_policy_pick(Budget::unlimited(), || {
+            calls += 1;
+            PolicyKind::PropFreq
+        });
+        assert!(result.is_unsat());
+        assert_eq!(calls, 0);
+        assert_eq!(s.policy_name(), "default");
     }
 
     #[test]

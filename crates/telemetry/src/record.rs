@@ -36,7 +36,8 @@ pub struct RunRecord {
     pub result: String,
     /// Wall-clock seconds spent solving.
     pub solve_time_s: f64,
-    /// Wall-clock seconds of model inference before solving, if any.
+    /// Wall-clock seconds of model inference before or during solving, if
+    /// any; not counted in `solve_time_s`.
     pub inference_time_s: Option<f64>,
     /// Peak number of live learned clauses observed.
     pub peak_learned_clauses: u64,

@@ -7,8 +7,10 @@
 
 #![cfg(feature = "faults")]
 
+use neuroselect::sat_solver::{check_proof, Solver, SolverConfig};
 use neuroselect::{
-    neuro, Budget, NeuroSelectClassifier, NeuroSelectSolver, PolicyKind, PolicySource,
+    neuro, static_heuristic_policy, Budget, DegradeReason, NeuroSelectClassifier,
+    NeuroSelectSolver, PolicyKind, PolicySource,
 };
 use std::time::{Duration, Instant};
 
@@ -91,6 +93,68 @@ fn inference_panic_falls_back_to_the_heuristic() {
         assert_solves_correctly(&s, seed);
     }
     assert!(scope.fired(faults::site::INFERENCE_PANIC) >= 3);
+}
+
+#[test]
+fn inference_panic_at_the_first_reduction_falls_back_to_the_heuristic() {
+    let scope = faults::install("inference-panic(times=10)".parse().expect("plan"));
+    let s = tiny_solver();
+    // A solve that ends before its first reduction never runs inference,
+    // so the fault cannot fire.
+    let short = neuroselect::sat_gen::planted_ksat(40, 160, 3, 1).0;
+    let out = s.solve_recorded(&short, Budget::unlimited(), "short", None);
+    assert!(!out.policy_needed);
+    assert_eq!(out.source, PolicySource::Model);
+    assert_eq!(scope.fired(faults::site::INFERENCE_PANIC), 0);
+
+    // php(7,6) reduces: inference runs once, at the first reduction, and
+    // panics there.
+    let php = neuroselect::sat_gen::pigeonhole(7, 6);
+    let out = s.solve_recorded(&php, Budget::unlimited(), "php-7-6", None);
+    assert_eq!(scope.fired(faults::site::INFERENCE_PANIC), 1);
+    assert!(out.policy_needed);
+    assert_eq!(out.source, PolicySource::Heuristic);
+    assert_eq!(out.chosen, static_heuristic_policy(&php));
+    let kinds: Vec<&str> = out.degradations.iter().map(DegradeReason::kind).collect();
+    assert_eq!(kinds, ["inference-panic"]);
+    assert_eq!(out.record.degradations.len(), 1);
+    assert_eq!(out.record.degradations[0].kind, "inference-panic");
+
+    // The verdict verifies: a solver built with the heuristic's policy
+    // takes the same search, and its DRAT proof checks.
+    assert!(out.result.is_unsat());
+    let mut reference = Solver::new(&php, SolverConfig::with_policy(out.chosen));
+    reference.enable_proof();
+    assert!(reference.solve().is_unsat());
+    assert_eq!(*reference.stats(), out.stats);
+    let proof = reference.take_proof().expect("proof logging was enabled");
+    assert_eq!(check_proof(&php, &proof), Ok(()));
+}
+
+#[test]
+fn sticky_model_fault_is_reported_on_a_solve_that_never_reduces() {
+    let mut s = tiny_solver();
+    let _ = s.load_weights(std::path::Path::new("/nonexistent/weights.params"));
+    assert!(s.model_fault().is_some());
+    // Ratio 4.0: the heuristic picks prop-freq, unlike the default a lazy
+    // pick would start from.
+    let f = neuroselect::sat_gen::planted_ksat(40, 160, 3, 1).0;
+    let out = s.solve_recorded(&f, Budget::unlimited(), "short", None);
+    assert!(!out.result.is_unknown());
+    assert_eq!(out.stats.reductions, 0);
+    assert!(!out.policy_needed);
+    assert_eq!(out.source, PolicySource::Heuristic);
+    assert_eq!(out.chosen, PolicyKind::PropFreq);
+    assert_eq!(out.record.policy, "prop-freq");
+    assert_eq!(out.record.degradations.len(), 1);
+    assert_eq!(out.record.degradations[0].kind, "model-load-error");
+    assert_eq!(
+        out.record
+            .extra
+            .get("policy_source")
+            .and_then(|j| j.as_str()),
+        Some("heuristic")
+    );
 }
 
 #[test]

@@ -4,12 +4,13 @@
 
 use neuro::{load_params, save_params, NeuroSelectConfig};
 use neuroselect::cnf::{verify_model, Cnf};
-use neuroselect::sat_gen::{competition_batch, DatasetConfig};
+use neuroselect::sat_gen::{competition_batch, pigeonhole, DatasetConfig};
 use neuroselect::sat_solver::{check_proof, Checkpoint, Solver};
 use neuroselect::{
     evaluate, label_batch, train, Budget, Classifier, LabelingConfig, NeuroSelectClassifier,
     NeuroSelectSolver, SolveResult, TrainConfig,
 };
+use std::time::{Duration, Instant};
 
 /// Certifies a pipeline verdict against the formula it came from: SAT
 /// models are replayed, UNSAT is re-derived with proof logging and the
@@ -140,14 +141,25 @@ fn selection_respects_label_when_overfit() {
 
 #[test]
 fn inference_cost_is_recorded() {
-    let data_cfg = DatasetConfig::tiny();
-    let f = competition_batch("i", &data_cfg, 3).instances[0]
-        .cnf
-        .clone();
+    // Inference runs when the first clause-database reduction is due, so
+    // it costs time exactly on the solves that reduce: php(6,5) does,
+    // php(3,2) ends before its first reduction.
     let solver = NeuroSelectSolver::new(NeuroSelectClassifier::new(tiny_model(), 1e-3));
-    let out = solver.solve(&f, Budget::propagations(50_000_000));
-    // inference happened (graph build + forward pass take nonzero time)
-    assert!(out.inference_time.as_nanos() > 0);
-    assert!(out.total_time() >= out.solve_time);
-    certify(&f, &out.result, "inference-cost instance");
+    let mut reduced = Vec::new();
+    for (name, f) in [("php-6-5", pigeonhole(6, 5)), ("php-3-2", pigeonhole(3, 2))] {
+        let start = Instant::now();
+        let out = solver.solve(&f, Budget::propagations(50_000_000));
+        let wall = start.elapsed();
+        let reduces = out.stats.reductions > 0;
+        reduced.push(reduces);
+        assert_eq!(out.inference_time > Duration::ZERO, reduces, "{name}");
+        assert_eq!(out.record.inference_time_s.is_some(), reduces, "{name}");
+        assert_eq!(out.policy_needed, reduces, "{name}");
+        // Inference inside the search is not also counted as solving.
+        assert!(out.total_time() <= wall, "{name}");
+        let recorded = out.record.solve_time_s + out.record.inference_time_s.unwrap_or(0.0);
+        assert!(recorded <= wall.as_secs_f64(), "{name}");
+        certify(&f, &out.result, name);
+    }
+    assert_eq!(reduced, [true, false], "one formula of each kind");
 }
