@@ -28,14 +28,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod aig;
 mod bmc;
 mod circuit;
 mod miter;
 mod random;
 mod tseitin;
 
-pub use aig::{parse_aiger, strash, to_aig, write_aiger, ParseAigerError};
 pub use bmc::{unroll, IncrementalUnroll, SequentialCircuit};
 pub use circuit::{Circuit, Gate, NodeId};
 pub use miter::miter;

@@ -14,6 +14,7 @@
 //! The audit is O(database size) and intended for testing, fuzzing, and
 //! debugging — not for production solving.
 
+use crate::clause_db::ClauseRef;
 use crate::solver::{Checkpoint, Solver};
 use crate::varmap::{at, VarMap};
 use crate::LBool;
@@ -101,6 +102,9 @@ pub(crate) fn run_checkpoint(solver: &Solver, checkpoint: Checkpoint) {
 struct Audit<'a> {
     s: &'a Solver,
     checkpoint: Checkpoint,
+    /// Every live clause, in arena order (so sorted): a watch or a reason
+    /// is valid only if it is one of these offsets.
+    live: Vec<ClauseRef>,
 }
 
 impl Audit<'_> {
@@ -114,8 +118,9 @@ impl Audit<'_> {
 
     /// Trail shape: `trail_lim` monotone and in bounds, `qhead` in bounds,
     /// every trail literal true, levels matching the `trail_lim` partition,
-    /// no variable assigned twice, exactly the trail's variables assigned,
-    /// and the cached reason count equal to a recount.
+    /// no variable assigned twice, the two polarities of every variable
+    /// complementary, exactly the trail's variables assigned, and the
+    /// cached reason count equal to a recount.
     fn trail(&self) -> Result<(), CheckError> {
         let s = self.s;
         let mut prev = 0usize;
@@ -167,7 +172,21 @@ impl Audit<'_> {
                 );
             }
         }
-        let assigned = s.assigns.iter().filter(|a| a.is_assigned()).count();
+        for v in (0..s.num_vars).map(Var::new) {
+            let (pos, neg) = (s.value(v.positive()), s.value(v.negative()));
+            if pos != !neg {
+                return self.fail(
+                    "values-complementary",
+                    format!(
+                        "variable {} has value {pos:?} but its negation has {neg:?}",
+                        v.index()
+                    ),
+                );
+            }
+        }
+        let assigned = (0..s.num_vars)
+            .filter(|&v| s.var_value(Var::new(v)).is_assigned())
+            .count();
         if assigned != s.trail.len() {
             return self.fail(
                 "assigns-match-trail",
@@ -195,8 +214,9 @@ impl Audit<'_> {
     }
 
     /// Reason graph: propagated literals sit at position 0 of a live reason
-    /// clause whose remaining literals are false, assigned earlier on the
-    /// trail, at no higher level. Unassigned variables carry no reason.
+    /// clause (the offset of a live header) whose remaining literals are
+    /// false, assigned earlier on the trail, at no higher level.
+    /// Unassigned variables carry no reason.
     fn reasons(&self) -> Result<(), CheckError> {
         let s = self.s;
         let mut position = VarMap::new(s.num_vars, usize::MAX);
@@ -204,7 +224,7 @@ impl Audit<'_> {
             position.set(l.var(), i);
         }
         for v in (0..s.num_vars).map(Var::new) {
-            if !s.assigns.get(v).is_assigned() {
+            if !s.var_value(v).is_assigned() {
                 if s.reason.get(v).is_some() {
                     return self.fail(
                         "reason-cleared-on-unassign",
@@ -214,14 +234,17 @@ impl Audit<'_> {
                 continue;
             }
             let Some(r) = s.reason.get(v) else { continue };
-            if !s.db.is_live(r) {
+            if self.live.binary_search(&r).is_err() {
                 return self.fail(
                     "reason-clause-live",
-                    format!("reason of variable {} is a deleted clause {r:?}", v.index()),
+                    format!(
+                        "reason of variable {} is {r:?}, not a live clause",
+                        v.index()
+                    ),
                 );
             }
-            let c = s.db.clause(r);
-            let l0 = c.lit(0);
+            let c = s.db.lits(r);
+            let l0 = at(c, 0);
             if l0.var() != v || s.value(l0) != LBool::True {
                 return self.fail(
                     "reason-asserts-first-literal",
@@ -231,8 +254,7 @@ impl Audit<'_> {
                     ),
                 );
             }
-            for k in 1..c.len() {
-                let lk = c.lit(k);
+            for &lk in c.iter().skip(1) {
                 if s.value(lk) != LBool::False {
                     return self.fail(
                         "reason-antecedents-false",
@@ -277,36 +299,36 @@ impl Audit<'_> {
     }
 
     /// Watched-literal integrity: every watch entry references a live
-    /// clause through one of its first two literals with an in-clause
-    /// blocker, and every live clause is watched exactly through both.
-    /// At propagation fixpoint additionally: every live clause is satisfied
-    /// or has two non-false watches (so no unit or falsified clause hides
-    /// from BCP).
+    /// clause (the offset of a live header) through one of its first two
+    /// literals with an in-clause blocker, and every live clause is watched
+    /// exactly through both. At propagation fixpoint additionally: every
+    /// live clause is satisfied or has two non-false watches (so no unit or
+    /// falsified clause hides from BCP).
     fn watches(&self) -> Result<(), CheckError> {
         let s = self.s;
-        let slots =
-            s.db.iter_refs()
-                .map(|c| c.index())
-                .max()
-                .map_or(0, |m| m + 1);
-        let mut watchers: Vec<Vec<Lit>> = vec![Vec::new(); slots];
+        // Watchers per live clause, keyed by the clause's position in
+        // `live`: sized by the clause count, not by the arena.
+        let mut watchers: Vec<Vec<Lit>> = vec![Vec::new(); self.live.len()];
         for (key, list) in s.watches.iter() {
             let watched = !key;
             for w in list {
-                if !s.db.is_live(w.cref) {
+                let Ok(slot) = self.live.binary_search(&w.cref) else {
                     return self.fail(
                         "watch-clause-live",
-                        format!("watch list of {key} references deleted clause {:?}", w.cref),
+                        format!(
+                            "watch list of {key} references {:?}, not a live clause",
+                            w.cref
+                        ),
                     );
-                }
-                let c = s.db.clause(w.cref);
+                };
+                let c = s.db.lits(w.cref);
                 if c.len() < 2 {
                     return self.fail(
                         "watched-clause-len",
                         format!("stored clause {:?} has {} literals", w.cref, c.len()),
                     );
                 }
-                if c.lit(0) != watched && c.lit(1) != watched {
+                if at(c, 0) != watched && at(c, 1) != watched {
                     return self.fail(
                         "watch-positions",
                         format!(
@@ -315,24 +337,22 @@ impl Audit<'_> {
                         ),
                     );
                 }
-                if !c.lits().contains(&w.blocker) {
+                if !c.contains(&w.blocker) {
                     return self.fail(
                         "watch-blocker-in-clause",
                         format!("blocker {} of {:?} is not in the clause", w.blocker, w.cref),
                     );
                 }
-                if let Some(ws) = watchers.get_mut(w.cref.index()) {
+                if let Some(ws) = watchers.get_mut(slot) {
                     ws.push(watched);
                 }
             }
         }
-        for cref in s.db.iter_refs() {
-            let c = s.db.clause(cref);
-            let mut expected = [c.lit(0), c.lit(1)];
+        for (&cref, got) in self.live.iter().zip(&mut watchers) {
+            let mut expected = [s.db.lit(cref, 0), s.db.lit(cref, 1)];
             expected.sort_unstable_by_key(|l| l.code());
-            let mut got = watchers.get(cref.index()).cloned().unwrap_or_default();
             got.sort_unstable_by_key(|l| l.code());
-            if got != expected {
+            if *got != expected {
                 return self.fail(
                     "clause-watched-twice",
                     format!("clause {cref:?} watched through {got:?}, expected {expected:?}"),
@@ -340,19 +360,18 @@ impl Audit<'_> {
             }
         }
         if s.qhead == s.trail.len() {
-            for cref in s.db.iter_refs() {
-                let c = s.db.clause(cref);
-                let satisfied = c.lits().iter().any(|&l| s.value(l) == LBool::True);
+            for &cref in &self.live {
+                let c = s.db.lits(cref);
+                let satisfied = c.iter().any(|&l| s.value(l) == LBool::True);
                 if satisfied {
                     continue;
                 }
-                for k in 0..2 {
-                    if s.value(c.lit(k)) == LBool::False {
+                for &l in c.iter().take(2) {
+                    if s.value(l) == LBool::False {
                         return self.fail(
                             "watches-non-false-at-fixpoint",
                             format!(
-                                "unsatisfied clause {cref:?} has false watch {} at BCP fixpoint",
-                                c.lit(k)
+                                "unsatisfied clause {cref:?} has false watch {l} at BCP fixpoint"
                             ),
                         );
                     }
@@ -378,7 +397,7 @@ impl Audit<'_> {
         for v in (0..s.num_vars).map(Var::new) {
             // Variables eliminated by inprocessing are dropped from the
             // heap at decision time and never re-inserted.
-            if !s.assigns.get(v).is_assigned() && !s.heap.contains(v) && !s.var_is_eliminated(v) {
+            if !s.var_value(v).is_assigned() && !s.heap.contains(v) && !s.var_is_eliminated(v) {
                 return self.fail(
                     "heap-holds-unassigned",
                     format!("unassigned variable {} missing from the heap", v.index()),
@@ -433,15 +452,16 @@ impl Audit<'_> {
         Ok(())
     }
 
-    /// Clause-database bookkeeping: cached clause/literal counts agree with
-    /// a full scan, stored learned clauses carry a plausible glue, and
-    /// clauses imported from other portfolio workers are audited like
-    /// locally learned ones (imported ⊆ learned, cached count matches).
+    /// Clause-database bookkeeping: cached clause/literal/garbage counts
+    /// agree with a full scan of the arena, stored learned clauses carry a
+    /// plausible glue, and clauses imported from other portfolio workers
+    /// are audited like locally learned ones (imported ⊆ learned, cached
+    /// count matches).
     fn clause_db(&self) -> Result<(), CheckError> {
         let s = self.s;
         let learned: Vec<_> = s.db.iter_learned().collect();
-        let live = s.db.iter_refs().count();
-        let lits: usize = learned.iter().map(|&c| s.db.clause(c).len()).sum();
+        let live = self.live.len();
+        let lits: usize = learned.iter().map(|&c| s.db.len(c)).sum();
         if learned.len() != s.db.num_learned()
             || live - learned.len() != s.db.num_original()
             || lits != s.db.lits_in_learned()
@@ -458,27 +478,36 @@ impl Audit<'_> {
                 ),
             );
         }
+        let garbage: usize =
+            s.db.headers()
+                .filter(|&c| !s.db.is_live(c))
+                .map(|c| s.db.words(c))
+                .sum();
+        if garbage != s.db.garbage_words() {
+            return self.fail(
+                "db-garbage-count",
+                format!(
+                    "cached {} garbage words, scan gives {garbage}",
+                    s.db.garbage_words()
+                ),
+            );
+        }
         for &cref in &learned {
-            let c = s.db.clause(cref);
-            if c.glue == 0 || c.glue as usize > c.len() {
+            let (glue, len) = (s.db.glue(cref), s.db.len(cref));
+            if glue == 0 || glue as usize > len {
                 return self.fail(
                     "learned-glue-range",
-                    format!(
-                        "learned clause {cref:?} of length {} has glue {}",
-                        c.len(),
-                        c.glue
-                    ),
+                    format!("learned clause {cref:?} of length {len} has glue {glue}"),
                 );
             }
         }
         let mut imported = 0usize;
-        for cref in s.db.iter_refs() {
-            let c = s.db.clause(cref);
-            if !c.imported {
+        for &cref in &self.live {
+            if !s.db.is_imported(cref) {
                 continue;
             }
             imported += 1;
-            if !c.learned {
+            if !s.db.is_learned(cref) {
                 return self.fail(
                     "imported-clauses-learned",
                     format!("imported clause {cref:?} is not marked learned"),
@@ -507,8 +536,8 @@ impl Audit<'_> {
         let Some(eng) = &s.inprocess else {
             return Ok(());
         };
-        for cref in s.db.iter_refs() {
-            for &l in s.db.clause(cref).lits() {
+        for &cref in &self.live {
+            for &l in s.db.lits(cref) {
                 if eng.is_eliminated(l.var()) {
                     return self.fail(
                         "inprocess-eliminated-unreferenced",
@@ -521,7 +550,7 @@ impl Audit<'_> {
             }
         }
         for (pivot, _) in eng.reconstruction_steps() {
-            if s.assigns.get(pivot.var()).is_assigned() {
+            if s.var_value(pivot.var()).is_assigned() {
                 return self.fail(
                     "inprocess-eliminated-unassigned",
                     format!(
@@ -552,6 +581,7 @@ impl Solver {
         let audit = Audit {
             s: self,
             checkpoint,
+            live: self.db.iter_refs().collect(),
         };
         audit.trail()?;
         audit.reasons()?;
@@ -612,7 +642,7 @@ mod tests {
         // Drop one watch of the first live clause: BCP would now miss
         // assignments through that literal.
         let cref = s.db.iter_refs().next().expect("live clause");
-        let l0 = s.db.clause(cref).lit(0);
+        let l0 = s.db.lit(cref, 0);
         let ws = s.watches.get_mut(!l0);
         let pos = ws
             .iter()
@@ -629,8 +659,7 @@ mod tests {
     fn watch_on_unwatched_literal_is_caught() {
         let mut s = solved_solver();
         let cref = s.db.iter_refs().next().expect("live clause");
-        let c = s.db.clause(cref);
-        let (l0, last) = (c.lit(0), c.lit(c.len() - 1));
+        let (l0, last) = (s.db.lit(cref, 0), s.db.lit(cref, s.db.len(cref) - 1));
         // Move the watch from lits[0] to a non-watched position.
         let ws = s.watches.get_mut(!l0);
         let pos = ws
@@ -654,14 +683,44 @@ mod tests {
         let mut s = solved_solver();
         let free = (0..s.num_vars)
             .map(cnf::Var::new)
-            .find(|&v| !s.assigns.get(v).is_assigned());
+            .find(|&v| !s.var_value(v).is_assigned());
         if let Some(v) = free {
-            s.assigns.set(v, crate::LBool::True);
+            s.values.set(v.positive(), crate::LBool::True);
+            s.values.set(v.negative(), crate::LBool::False);
             let err = s
                 .audit_invariants(Checkpoint::PostPropagate)
                 .expect_err("off-trail assignment must be detected");
             assert_eq!(err.invariant, "assigns-match-trail");
         }
+    }
+
+    #[test]
+    fn one_sided_assignment_is_caught() {
+        let mut s = solved_solver();
+        let v = (0..s.num_vars)
+            .map(cnf::Var::new)
+            .find(|&v| !s.var_value(v).is_assigned())
+            .expect("a free variable after solving");
+        // Assign only the positive literal: the two polarities of the
+        // variable no longer agree.
+        s.values.set(v.positive(), crate::LBool::True);
+        let err = s
+            .audit_invariants(Checkpoint::PostPropagate)
+            .expect_err("a one-sided assignment must be detected");
+        assert_eq!(err.invariant, "values-complementary");
+    }
+
+    #[test]
+    fn watch_on_deleted_clause_is_caught() {
+        // Nothing is assigned at construction, so no clause is a reason.
+        let f = cnf::parse_dimacs_str("p cnf 3 2\n1 2 0\n-2 3 0\n").expect("valid dimacs");
+        let mut s = Solver::from_cnf(&f);
+        let cref = s.db.iter_refs().next().expect("live clause");
+        s.db.remove(cref);
+        let err = s
+            .audit_invariants(Checkpoint::PostReduce)
+            .expect_err("a watch on a deleted clause must be detected");
+        assert_eq!(err.invariant, "watch-clause-live");
     }
 
     #[test]

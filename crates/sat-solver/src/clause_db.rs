@@ -1,20 +1,57 @@
-//! Learned/original clause storage for the CDCL solver.
+//! Learned/original clause storage for the CDCL solver: one flat arena.
 //!
-//! Clauses live in a slab indexed by [`ClauseRef`]. Deleted clauses are
-//! marked garbage and their slots recycled through a free list, so
-//! `ClauseRef`s held by watches and reasons stay valid until the owner drops
-//! them (the solver detaches watches and checks reasons before deletion).
+//! # Layout
+//!
+//! Every stored clause lives inline in a single `Vec<Lit>`: a three-word
+//! header followed by the clause's literals. A [`ClauseRef`] is the offset
+//! of the header.
+//!
+//! ```text
+//! cref ─► | len | glue << 4 | flags | id | lit 0 | lit 1 | … | lit len-1 |
+//! ```
+//!
+//! The header words are stored as `Lit` codes behind two private helpers
+//! (`header` / `set_header`), so the arena stays one plain `Vec<Lit>` and
+//! [`ClauseDb::lits`] is a slice of it. Only this module knows the header
+//! format; callers use the accessors (`lits`, `lit`, `len`, `glue`, the
+//! flag getters, `set_protected`, `bump_activity`). The `f64` activities
+//! live in a side table indexed by the clause id.
+//!
+//! # Deletion and compaction
+//!
+//! [`ClauseDb::remove`] only marks a clause garbage: its words stay in the
+//! arena, and a stale `ClauseRef` to it reads as dead instead of aliasing
+//! another clause. The solver compacts at the end of a clause-database
+//! reduction, once garbage exceeds half of the arena:
+//! [`ClauseDb::collect_garbage`] moves the live clauses down in order and
+//! returns the [`Relocation`] the solver applies to every watch and every
+//! trail reason.
+//!
+//! Watches and reasons are the only structures that hold a `ClauseRef`
+//! across a reduction. Inprocessing's occurrence and candidate lists live
+//! for one round only, and a round never reduces.
+//!
+//! # Why each clause has an id
+//!
+//! `reduce_db` sorts its candidates by `(score, id)`. Both deletion
+//! policies score glue/size keys, so ties are common, and the tie order
+//! decides which clauses are deleted. `add` takes the most recently freed
+//! id, or a fresh one when none is free. That is the tie order of the
+//! search trajectory `BENCH_solver.json` pins, and it does not depend on
+//! where the arena keeps a clause. Ordering ties by arena offset (that is,
+//! by age) would delete other clauses and change the trajectory.
 
 use crate::varmap::at;
 use cnf::Lit;
 use std::fmt;
 
-/// A stable handle to a clause inside a [`ClauseDb`].
+/// A handle to a clause inside a [`ClauseDb`]: the arena offset of its
+/// header. Valid until the next [`ClauseDb::collect_garbage`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClauseRef(u32);
 
 impl ClauseRef {
-    /// The raw slab index.
+    /// The raw arena offset.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -27,63 +64,61 @@ impl fmt::Debug for ClauseRef {
     }
 }
 
-/// A stored clause with the metadata clause-deletion policies consume.
-#[derive(Clone, Debug)]
-pub struct StoredClause {
-    lits: Vec<Lit>,
-    /// Literal block distance at learn time, updated downward when revisited.
-    pub glue: u32,
-    /// Bumped whenever the clause participates in conflict analysis.
-    pub activity: f64,
-    /// Whether this clause was learned (original clauses are never deleted).
-    pub learned: bool,
-    /// Whether the clause was imported from another portfolio worker.
-    /// Imported clauses are always `learned` and go through the same
-    /// reduction machinery as locally learned ones.
-    pub imported: bool,
-    /// Protected clauses survive the next reduction (recently used).
-    pub protected: bool,
-    garbage: bool,
+/// Header words per clause.
+const HEADER_WORDS: usize = 3;
+/// Header word: number of literals.
+const LEN: usize = 0;
+/// Header word: `glue << FLAG_BITS | flags`.
+const META: usize = 1;
+/// Header word: the tie-break id (also the activity-table index).
+const ID: usize = 2;
+
+const FLAG_BITS: u32 = 4;
+/// Learned (original clauses are never deleted by reduction).
+const LEARNED: u32 = 1;
+/// Imported from another portfolio worker (always also learned).
+const IMPORTED: u32 = 2;
+/// Survives the next reduction (recently used in conflict analysis).
+const PROTECTED: u32 = 4;
+/// Deleted; the words stay in the arena until compaction.
+const GARBAGE: u32 = 8;
+
+/// Where compaction moved each live clause, for rewriting the references
+/// held outside the database (see [`ClauseDb::collect_garbage`]).
+#[derive(Debug)]
+pub(crate) struct Relocation {
+    /// `(old, new)` offsets of every live clause, in arena order (so sorted
+    /// by both).
+    moves: Vec<(ClauseRef, ClauseRef)>,
 }
 
-impl StoredClause {
-    /// The clause's literals. The first two are the watched literals.
-    #[inline]
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// The literal at position `k` (bounds-audited).
-    #[inline]
-    pub fn lit(&self, k: usize) -> Lit {
-        at(&self.lits, k)
-    }
-
-    /// Swaps the literals at positions `a` and `b` (watch reordering).
-    #[inline]
-    pub fn swap_lits(&mut self, a: usize, b: usize) {
-        self.lits.swap(a, b);
-    }
-
-    /// Number of literals.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.lits.len()
+impl Relocation {
+    /// The new handle of the live clause that was at `old`.
+    pub(crate) fn apply(&self, old: ClauseRef) -> ClauseRef {
+        match self.moves.binary_search_by_key(&old, |&(from, _)| from) {
+            Ok(i) => at(&self.moves, i).1,
+            Err(_) => {
+                debug_assert!(false, "{old:?} was not a live clause");
+                old
+            }
+        }
     }
 }
 
-/// Slab of clauses with recycling of deleted slots.
+/// Arena of clauses (see the module docs for the layout).
 #[derive(Default)]
 pub struct ClauseDb {
-    clauses: Vec<StoredClause>,
-    free: Vec<u32>,
+    arena: Vec<Lit>,
+    /// Activity per clause id.
+    activity: Vec<f64>,
+    /// Ids of deleted clauses, reused last-in first-out.
+    free_ids: Vec<u32>,
+    /// Arena words (headers included) held by garbage clauses.
+    garbage: usize,
     num_learned: usize,
     num_original: usize,
     num_imported: usize,
     lits_in_learned: usize,
-    /// Total literal occurrences across *all* live clauses, maintained so
-    /// [`ClauseDb::memory_bytes`] is O(1).
-    live_lits: usize,
 }
 
 impl ClauseDb {
@@ -98,20 +133,24 @@ impl ClauseDb {
     ///
     /// Panics in debug builds if `lits` has fewer than two literals; unit
     /// and empty clauses are handled on the trail, not stored.
-    pub fn add(&mut self, lits: Vec<Lit>, learned: bool, glue: u32) -> ClauseRef {
+    pub fn add(&mut self, lits: &[Lit], learned: bool, glue: u32) -> ClauseRef {
         self.add_full(lits, learned, false, glue)
     }
 
     /// Inserts a clause learned by another portfolio worker. Imported
     /// clauses are counted as learned *and* tracked separately so the
     /// invariant auditor can cross-check the exchange bookkeeping.
-    pub fn add_imported(&mut self, lits: Vec<Lit>, glue: u32) -> ClauseRef {
+    pub fn add_imported(&mut self, lits: &[Lit], glue: u32) -> ClauseRef {
         self.add_full(lits, true, true, glue)
     }
 
-    fn add_full(&mut self, lits: Vec<Lit>, learned: bool, imported: bool, glue: u32) -> ClauseRef {
+    fn add_full(&mut self, lits: &[Lit], learned: bool, imported: bool, glue: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "stored clauses must have >= 2 literals");
         debug_assert!(learned || !imported, "imported clauses must be learned");
+        debug_assert!(
+            glue < 1 << (32 - FLAG_BITS),
+            "glue {glue} overflows the header"
+        );
         if learned {
             self.num_learned += 1;
             self.lits_in_learned += lits.len();
@@ -121,89 +160,175 @@ impl ClauseDb {
         if imported {
             self.num_imported += 1;
         }
-        self.live_lits += lits.len();
-        let clause = StoredClause {
-            lits,
-            glue,
-            activity: 0.0,
-            learned,
-            imported,
-            protected: false,
-            garbage: false,
-        };
-        match self.free.pop() {
-            Some(slot) => {
-                let cref = ClauseRef(slot);
-                *self.slot_mut(cref) = clause;
-                cref
+        let id = match self.free_ids.pop() {
+            Some(id) => {
+                if let Some(a) = self.activity.get_mut(id as usize) {
+                    *a = 0.0;
+                }
+                id
             }
             None => {
-                self.clauses.push(clause);
-                ClauseRef(self.clauses.len() as u32 - 1)
+                self.activity.push(0.0);
+                self.activity.len() as u32 - 1
+            }
+        };
+        let flags = if learned { LEARNED } else { 0 } | if imported { IMPORTED } else { 0 };
+        let cref = ClauseRef(self.arena.len() as u32);
+        self.arena
+            .extend([lits.len() as u32, glue << FLAG_BITS | flags, id].map(Lit::from_code));
+        self.arena.extend_from_slice(lits);
+        cref
+    }
+
+    /// Header word `word` of `cref`.
+    #[inline]
+    fn header(&self, cref: ClauseRef, word: usize) -> u32 {
+        at(&self.arena, cref.index() + word).code()
+    }
+
+    /// Overwrites header word `word` of `cref`.
+    #[inline]
+    fn set_header(&mut self, cref: ClauseRef, word: usize, value: u32) {
+        match self.arena.get_mut(cref.index() + word) {
+            Some(w) => *w = Lit::from_code(value),
+            None => debug_assert!(false, "dangling {cref:?}"),
+        }
+    }
+
+    #[inline]
+    fn flags(&self, cref: ClauseRef) -> u32 {
+        self.header(cref, META) & ((1 << FLAG_BITS) - 1)
+    }
+
+    #[inline]
+    fn set_flag(&mut self, cref: ClauseRef, flag: u32, on: bool) {
+        let meta = self.header(cref, META);
+        self.set_header(cref, META, if on { meta | flag } else { meta & !flag });
+    }
+
+    /// The clause's literals. The first two are the watched literals.
+    #[inline]
+    pub fn lits(&self, cref: ClauseRef) -> &[Lit] {
+        let start = cref.index() + HEADER_WORDS;
+        let end = start + self.len(cref);
+        debug_assert!(end <= self.arena.len(), "dangling {cref:?}");
+        &self.arena[start..end] // xtask: allow(no-index) audited arena access
+    }
+
+    /// Mutable counterpart of [`ClauseDb::lits`], for reordering the
+    /// watched literals.
+    #[inline]
+    pub fn lits_mut(&mut self, cref: ClauseRef) -> &mut [Lit] {
+        let start = cref.index() + HEADER_WORDS;
+        let end = start + self.len(cref);
+        debug_assert!(end <= self.arena.len(), "dangling {cref:?}");
+        &mut self.arena[start..end] // xtask: allow(no-index) audited arena access
+    }
+
+    /// The literal at position `k` (bounds-audited).
+    #[inline]
+    pub fn lit(&self, cref: ClauseRef, k: usize) -> Lit {
+        debug_assert!(k < self.len(cref), "literal {k} of {cref:?} out of bounds");
+        at(&self.arena, cref.index() + HEADER_WORDS + k)
+    }
+
+    /// Number of literals.
+    #[inline]
+    pub fn len(&self, cref: ClauseRef) -> usize {
+        self.header(cref, LEN) as usize
+    }
+
+    /// Arena words the clause occupies, header included.
+    #[inline]
+    pub(crate) fn words(&self, cref: ClauseRef) -> usize {
+        HEADER_WORDS + self.len(cref)
+    }
+
+    /// Literal block distance at learn time (0 for original clauses).
+    #[inline]
+    pub fn glue(&self, cref: ClauseRef) -> u32 {
+        self.header(cref, META) >> FLAG_BITS
+    }
+
+    /// Whether the clause was learned (original clauses are never deleted
+    /// by reduction).
+    #[inline]
+    pub fn is_learned(&self, cref: ClauseRef) -> bool {
+        self.flags(cref) & LEARNED != 0
+    }
+
+    /// Whether the clause was imported from another portfolio worker.
+    /// Imported clauses are always learned and go through the same
+    /// reduction machinery as locally learned ones.
+    #[inline]
+    pub fn is_imported(&self, cref: ClauseRef) -> bool {
+        self.flags(cref) & IMPORTED != 0
+    }
+
+    /// Whether the clause survives the next reduction (recently used).
+    #[inline]
+    pub fn is_protected(&self, cref: ClauseRef) -> bool {
+        self.flags(cref) & PROTECTED != 0
+    }
+
+    /// Sets or clears the protection flag.
+    #[inline]
+    pub fn set_protected(&mut self, cref: ClauseRef, on: bool) {
+        self.set_flag(cref, PROTECTED, on);
+    }
+
+    /// The tie-break id that orders equal reduction scores (see the
+    /// module docs).
+    #[inline]
+    pub fn id(&self, cref: ClauseRef) -> u32 {
+        self.header(cref, ID)
+    }
+
+    /// Bumped whenever the clause participates in conflict analysis.
+    #[inline]
+    pub fn activity(&self, cref: ClauseRef) -> f64 {
+        at(&self.activity, self.id(cref) as usize)
+    }
+
+    /// Adds `inc` to the clause's activity and returns the new value.
+    #[inline]
+    pub fn bump_activity(&mut self, cref: ClauseRef, inc: f64) -> f64 {
+        let id = self.id(cref) as usize;
+        match self.activity.get_mut(id) {
+            Some(a) => {
+                *a += inc;
+                *a
+            }
+            None => {
+                debug_assert!(false, "{cref:?} has no activity slot");
+                0.0
             }
         }
     }
 
-    /// The slab slot behind `cref`: the single audited indexing site of
-    /// this module (`ClauseRef`s are only minted by [`ClauseDb::add`]).
-    #[inline]
-    fn slot(&self, cref: ClauseRef) -> &StoredClause {
-        debug_assert!(cref.index() < self.clauses.len(), "dangling {cref:?}");
-        &self.clauses[cref.index()] // xtask: allow(no-index) audited slab access
-    }
-
-    /// Mutable counterpart of [`ClauseDb::slot`].
-    #[inline]
-    fn slot_mut(&mut self, cref: ClauseRef) -> &mut StoredClause {
-        debug_assert!(cref.index() < self.clauses.len(), "dangling {cref:?}");
-        &mut self.clauses[cref.index()] // xtask: allow(no-index) audited slab access
-    }
-
-    /// Accesses a live clause.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cref` refers to a deleted clause (debug builds).
-    #[inline]
-    pub fn clause(&self, cref: ClauseRef) -> &StoredClause {
-        let c = self.slot(cref);
-        debug_assert!(!c.garbage, "access to deleted clause {cref:?}");
-        c
-    }
-
-    /// Mutable access to a live clause.
-    #[inline]
-    pub fn clause_mut(&mut self, cref: ClauseRef) -> &mut StoredClause {
-        let c = self.slot_mut(cref);
-        debug_assert!(!c.garbage, "access to deleted clause {cref:?}");
-        c
-    }
-
-    /// Marks a clause deleted and recycles its slot.
+    /// Marks a clause deleted. Its words stay in the arena (as garbage)
+    /// until [`ClauseDb::collect_garbage`]; its id is free for reuse.
     pub fn remove(&mut self, cref: ClauseRef) {
-        let (learned, imported, len) = {
-            let c = self.slot_mut(cref);
-            debug_assert!(!c.garbage, "double delete of {cref:?}");
-            c.garbage = true;
-            (c.learned, c.imported, std::mem::take(&mut c.lits).len())
-        };
-        if learned {
+        debug_assert!(self.is_live(cref), "double delete of {cref:?}");
+        let len = self.len(cref);
+        if self.is_learned(cref) {
             self.num_learned -= 1;
             self.lits_in_learned -= len;
         } else {
             self.num_original -= 1;
         }
-        if imported {
+        if self.is_imported(cref) {
             self.num_imported -= 1;
         }
-        self.live_lits -= len;
-        self.free.push(cref.index() as u32);
+        self.set_flag(cref, GARBAGE, true);
+        self.garbage += self.words(cref);
+        self.free_ids.push(self.id(cref));
     }
 
     /// Whether the handle refers to a live clause.
     #[inline]
     pub fn is_live(&self, cref: ClauseRef) -> bool {
-        !self.slot(cref).garbage
+        self.flags(cref) & GARBAGE == 0
     }
 
     /// Number of live learned clauses.
@@ -230,46 +355,80 @@ impl ClauseDb {
         self.lits_in_learned
     }
 
+    /// Arena words (headers included) held by deleted clauses that were
+    /// not compacted away yet.
+    #[inline]
+    pub(crate) fn garbage_words(&self) -> usize {
+        self.garbage
+    }
+
     /// Approximate heap footprint of the database in bytes, computed in
-    /// O(1) from maintained counters: the slab's slot array (capacity,
-    /// since the allocation persists across deletions), the literal
-    /// storage of live clauses, and the free list. Per-clause `Vec`
-    /// over-allocation is not tracked — clause literal vectors are built
-    /// exactly-sized — so this is a slight underestimate, which is the
-    /// right direction for a *cooperative* memory ceiling.
+    /// O(1): the arena words in use (garbage counts until it is
+    /// compacted), the activity table, and the free-id list. Spare `Vec`
+    /// capacity is not counted, so this is a slight underestimate, which
+    /// is the right direction for a *cooperative* memory ceiling.
     #[inline]
     pub fn memory_bytes(&self) -> u64 {
-        let slab = self.clauses.capacity() * std::mem::size_of::<StoredClause>();
-        let lits = self.live_lits * std::mem::size_of::<Lit>();
-        let free = self.free.capacity() * std::mem::size_of::<u32>();
-        (slab + lits + free) as u64
+        let arena = self.arena.len() * std::mem::size_of::<Lit>();
+        let activity = self.activity.len() * std::mem::size_of::<f64>();
+        let free = self.free_ids.len() * std::mem::size_of::<u32>();
+        (arena + activity + free) as u64
     }
 
-    /// Iterates over handles of all live clauses.
+    /// Handles of every clause in the arena, garbage included, in arena
+    /// order.
+    pub(crate) fn headers(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        let first = (!self.arena.is_empty()).then_some(ClauseRef(0));
+        std::iter::successors(first, move |&c| {
+            let next = c.index() + self.words(c);
+            (next < self.arena.len()).then_some(ClauseRef(next as u32))
+        })
+    }
+
+    /// Iterates over handles of all live clauses, in arena order.
     pub fn iter_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.garbage)
-            .map(|(i, _)| ClauseRef(i as u32))
+        self.headers().filter(|&c| self.is_live(c))
     }
 
-    /// Iterates over handles of live learned clauses.
+    /// Iterates over handles of live learned clauses, in arena order.
     pub fn iter_learned(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.garbage && c.learned)
-            .map(|(i, _)| ClauseRef(i as u32))
+        self.iter_refs().filter(|&c| self.is_learned(c))
     }
 
-    /// Rescales all clause activities by `factor` (activity overflow guard).
+    /// Rescales all clause activities by `factor` (activity overflow
+    /// guard). Free ids are rescaled too; `add` resets them on reuse.
     pub fn rescale_activity(&mut self, factor: f64) {
-        for c in &mut self.clauses {
-            if !c.garbage {
-                c.activity *= factor;
-            }
+        for a in &mut self.activity {
+            *a *= factor;
         }
+    }
+
+    /// Whether garbage holds more than half of the arena, the point at
+    /// which the solver compacts after a reduction.
+    #[inline]
+    pub(crate) fn compaction_due(&self) -> bool {
+        2 * self.garbage > self.arena.len()
+    }
+
+    /// Compacts the arena: moves every live clause down over the garbage,
+    /// keeping their order, and returns where each one went. Every
+    /// `ClauseRef` held outside the database must be rewritten through the
+    /// returned [`Relocation`]; ids and activities are unchanged.
+    pub(crate) fn collect_garbage(&mut self) -> Relocation {
+        let live: Vec<ClauseRef> = self.iter_refs().collect();
+        let mut moves = Vec::with_capacity(live.len());
+        let mut write = 0;
+        for cref in live {
+            // `write` never passes `cref`: the clauses before it only shrink.
+            let words = self.words(cref);
+            self.arena
+                .copy_within(cref.index()..cref.index() + words, write);
+            moves.push((cref, ClauseRef(write as u32)));
+            write += words;
+        }
+        self.arena.truncate(write);
+        self.garbage = 0;
+        Relocation { moves }
     }
 }
 
@@ -277,10 +436,8 @@ impl fmt::Debug for ClauseDb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ClauseDb({} original, {} learned, {} free slots)",
-            self.num_original,
-            self.num_learned,
-            self.free.len()
+            "ClauseDb({} original, {} learned, {} garbage words)",
+            self.num_original, self.num_learned, self.garbage
         )
     }
 }
@@ -296,29 +453,44 @@ mod tests {
     #[test]
     fn add_and_access() {
         let mut db = ClauseDb::new();
-        let c = db.add(lits(&[1, -2, 3]), false, 0);
-        assert_eq!(db.clause(c).len(), 3);
+        let c = db.add(&lits(&[1, -2, 3]), false, 0);
+        assert_eq!(db.len(c), 3);
+        assert_eq!(db.lits(c), lits(&[1, -2, 3]));
+        assert_eq!(db.lit(c, 1), Lit::from_dimacs(-2));
         assert_eq!(db.num_original(), 1);
         assert_eq!(db.num_learned(), 0);
     }
 
+    /// The recycled slot is the clause id (and its activity entry): freed
+    /// ids are reused last-in first-out, the order reductions rely on.
     #[test]
     fn remove_recycles_slot() {
         let mut db = ClauseDb::new();
-        let a = db.add(lits(&[1, 2]), true, 2);
+        let a = db.add(&lits(&[1, 2]), true, 2);
+        let b = db.add(&lits(&[3, 4]), true, 2);
+        db.bump_activity(a, 5.0);
         db.remove(a);
-        assert!(!db.is_live(a));
+        db.remove(b);
+        assert!(!db.is_live(a) && !db.is_live(b));
         assert_eq!(db.num_learned(), 0);
-        let b = db.add(lits(&[3, 4]), true, 1);
-        assert_eq!(a.index(), b.index(), "slot should be recycled");
-        assert!(db.is_live(b));
+        // The last id freed is the first reused, and its activity restarts.
+        let c = db.add(&lits(&[5, 6]), true, 1);
+        let d = db.add(&lits(&[7, 8]), true, 1);
+        assert_eq!((db.id(c), db.id(d)), (db.id(b), db.id(a)));
+        assert_eq!(db.activity(d), 0.0);
+        // A fresh id only once the free ones are used up.
+        let e = db.add(&lits(&[1, 3]), true, 1);
+        assert_eq!(db.id(e), 2);
+        // Storage is not reused: the stale handles still read as dead.
+        assert!(!db.is_live(a) && !db.is_live(b));
+        assert!(db.is_live(c) && db.is_live(d));
     }
 
     #[test]
     fn learned_literal_accounting() {
         let mut db = ClauseDb::new();
-        let a = db.add(lits(&[1, 2, 3]), true, 2);
-        let _b = db.add(lits(&[1, 2]), true, 2);
+        let a = db.add(&lits(&[1, 2, 3]), true, 2);
+        let _b = db.add(&lits(&[1, 2]), true, 2);
         assert_eq!(db.lits_in_learned(), 5);
         db.remove(a);
         assert_eq!(db.lits_in_learned(), 2);
@@ -327,13 +499,14 @@ mod tests {
     #[test]
     fn iter_learned_skips_garbage_and_original() {
         let mut db = ClauseDb::new();
-        let _o = db.add(lits(&[1, 2]), false, 0);
-        let l1 = db.add(lits(&[3, 4]), true, 2);
-        let l2 = db.add(lits(&[5, 6]), true, 2);
+        let _o = db.add(&lits(&[1, 2]), false, 0);
+        let l1 = db.add(&lits(&[3, 4]), true, 2);
+        let l2 = db.add(&lits(&[5, 6]), true, 2);
         db.remove(l1);
         let learned: Vec<_> = db.iter_learned().collect();
         assert_eq!(learned, vec![l2]);
         assert_eq!(db.iter_refs().count(), 2);
+        assert_eq!(db.headers().count(), 3);
     }
 
     #[test]
@@ -341,17 +514,20 @@ mod tests {
         let mut db = ClauseDb::new();
         let empty = db.memory_bytes();
         let refs: Vec<ClauseRef> = (0..100)
-            .map(|i| db.add(lits(&[i + 1, i + 2, -(i + 3)]), true, 2))
+            .map(|i| db.add(&lits(&[i + 1, i + 2, -(i + 3)]), true, 2))
             .collect();
         let full = db.memory_bytes();
         assert!(full > empty);
         for r in refs {
             db.remove(r);
         }
-        // Live-literal bytes are released (the dominant term for many
-        // clauses); slab and free-list capacity persist by design.
+        // Garbage keeps its arena words until compaction releases them;
+        // the activity table and the free ids persist by design.
+        assert!(db.memory_bytes() >= full);
+        assert!(db.compaction_due());
+        db.collect_garbage();
         assert!(db.memory_bytes() < full);
-        assert!(db.memory_bytes() > 0, "slab capacity is still accounted");
+        assert!(db.memory_bytes() > 0, "activity slots are still accounted");
     }
 
     // The check is a `debug_assert!`, so it only exists with debug
@@ -360,19 +536,68 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = ">= 2")]
     fn rejects_unit_clause() {
-        ClauseDb::new().add(lits(&[1]), false, 0);
+        ClauseDb::new().add(&lits(&[1]), false, 0);
     }
 
     #[test]
     fn imported_accounting() {
         let mut db = ClauseDb::new();
-        let a = db.add_imported(lits(&[1, 2, 3]), 2);
-        let _b = db.add(lits(&[4, 5]), true, 1);
-        assert!(db.clause(a).imported && db.clause(a).learned);
+        let a = db.add_imported(&lits(&[1, 2, 3]), 2);
+        let _b = db.add(&lits(&[4, 5]), true, 1);
+        assert!(db.is_imported(a) && db.is_learned(a));
         assert_eq!(db.num_imported(), 1);
         assert_eq!(db.num_learned(), 2);
         db.remove(a);
         assert_eq!(db.num_imported(), 0);
         assert_eq!(db.num_learned(), 1);
+    }
+
+    #[test]
+    fn collect_garbage_relocates_live_clauses() {
+        let mut db = ClauseDb::new();
+        let specs: [(&[i32], bool, u32); 5] = [
+            (&[1, 2, 3], false, 0),
+            (&[-1, 4], true, 2),
+            (&[2, -3, 5, 6], true, 3),
+            (&[-4, -5], true, 1),
+            (&[3, -6, 7], true, 2),
+        ];
+        let refs: Vec<ClauseRef> = specs
+            .iter()
+            .map(|&(ds, learned, glue)| db.add(&lits(ds), learned, glue))
+            .collect();
+        db.set_protected(refs[2], true);
+        db.bump_activity(refs[4], 3.5);
+        let imported = db.add_imported(&lits(&[5, -7]), 2);
+        db.remove(refs[1]);
+        db.remove(refs[3]);
+        let snapshot = |db: &ClauseDb, c: ClauseRef| {
+            (
+                db.lits(c).to_vec(),
+                db.glue(c),
+                db.is_learned(c),
+                db.is_imported(c),
+                db.is_protected(c),
+                db.id(c),
+                db.activity(c),
+            )
+        };
+        let live: Vec<ClauseRef> = db.iter_refs().collect();
+        assert_eq!(live, vec![refs[0], refs[2], refs[4], imported]);
+        let before: Vec<_> = live.iter().map(|&c| snapshot(&db, c)).collect();
+        assert!(db.garbage_words() > 0);
+
+        let moved = db.collect_garbage();
+        assert_eq!(db.garbage_words(), 0);
+        assert_eq!(db.headers().count(), live.len(), "no garbage left");
+        let after: Vec<ClauseRef> = live.iter().map(|&c| moved.apply(c)).collect();
+        assert_eq!(db.iter_refs().collect::<Vec<_>>(), after, "order kept");
+        let snapshots: Vec<_> = after.iter().map(|&c| snapshot(&db, c)).collect();
+        assert_eq!(snapshots, before);
+        assert_eq!(
+            (db.num_original(), db.num_learned(), db.num_imported()),
+            (1, 3, 1)
+        );
+        assert_eq!(db.lits_in_learned(), 4 + 3 + 2);
     }
 }

@@ -18,7 +18,10 @@
 //! round touches everything). Occurrence lists over the live clause
 //! database are rebuilt per round — they index `ClauseRef`s lazily, so a
 //! clause deleted mid-round is filtered by a liveness check on read
-//! rather than eagerly unlinked.
+//! rather than eagerly unlinked. A deleted clause stays in the clause
+//! arena as garbage until a reduction compacts it, and no round spans a
+//! reduction, so a stale ref reads as dead instead of aliasing a clause
+//! added later in the round.
 //!
 //! # DRAT soundness
 //!
@@ -563,7 +566,7 @@ impl Solver {
     /// only — shared logs are append-only), watch detach, database drop.
     fn ip_delete_clause(&mut self, cref: ClauseRef) {
         if let Some(p) = &mut self.proof {
-            p.delete(self.db.clause(cref).lits());
+            p.delete(self.db.lits(cref));
         }
         self.detach(cref);
         self.db.remove(cref);
@@ -600,7 +603,7 @@ impl Solver {
             if !self.db.is_live(cref) {
                 continue; // deleted by an earlier unit cascade
             }
-            let lits: Vec<Lit> = self.db.clause(cref).lits().to_vec();
+            let lits: Vec<Lit> = self.db.lits(cref).to_vec();
             if lits.iter().any(|&l| self.value(l) == LBool::True) {
                 // Permanently satisfied at the root; drop it outright.
                 self.ip_delete_clause(cref);
@@ -643,8 +646,8 @@ impl Solver {
             return IpStatus::Done;
         }
         kept.retain(|&l| self.value(l) != LBool::False);
-        let was_learned = self.db.clause(old).learned;
-        let old_glue = self.db.clause(old).glue;
+        let was_learned = self.db.is_learned(old);
+        let old_glue = self.db.glue(old);
         match *kept.as_slice() {
             [] => self.ip_refute(),
             [unit] => {
@@ -669,7 +672,7 @@ impl Solver {
                 };
                 self.ip_log_add(&kept, glue.max(1));
                 self.ip_delete_clause(old);
-                let cref = self.db.add(kept.clone(), was_learned, glue);
+                let cref = self.db.add(&kept, was_learned, glue);
                 self.attach(cref);
                 occ.push(&kept, cref);
                 eng.touch_lits(&kept);
@@ -708,13 +711,13 @@ impl Solver {
             if !self.db.is_live(cref) {
                 continue;
             }
-            let lits: Vec<Lit> = self.db.clause(cref).lits().to_vec();
+            let lits: Vec<Lit> = self.db.lits(cref).to_vec();
             if lits.iter().any(|&l| self.value(l) != LBool::Undef) {
                 // A unit cascade reshaped this clause since indexing; it
                 // is re-examined next round (its variables are touched).
                 continue;
             }
-            let learned = self.db.clause(cref).learned;
+            let learned = self.db.is_learned(cref);
             // Forward subsumption through the rarest literal's list,
             // capped so one pathologically frequent literal cannot eat
             // the round.
@@ -731,14 +734,14 @@ impl Solver {
                 if other == cref || !self.db.is_live(other) {
                     continue;
                 }
-                let d = self.db.clause(other);
                 // Deleting an irredundant clause is only sound when the
                 // subsumer is irredundant too (a learned subsumer may be
                 // deleted later by reduction, weakening the formula).
-                if learned && !d.learned {
+                if learned && !self.db.is_learned(other) {
                     continue;
                 }
-                if lits.len() <= d.len() && lits.iter().all(|l| d.lits().contains(l)) {
+                let d = self.db.lits(other);
+                if lits.len() <= d.len() && lits.iter().all(|l| d.contains(l)) {
                     self.ip_delete_clause(other);
                     eng.stats.subsumed += 1;
                 }
@@ -756,14 +759,14 @@ impl Solver {
                     if other == cref || !self.db.is_live(other) {
                         continue;
                     }
-                    let d = self.db.clause(other);
-                    if lits.len() > d.len() || !d.lits().contains(&!l) {
+                    let d = self.db.lits(other);
+                    if lits.len() > d.len() || !d.contains(&!l) {
                         continue;
                     }
-                    if !lits.iter().all(|&x| x == l || d.lits().contains(&x)) {
+                    if !lits.iter().all(|&x| x == l || d.contains(&x)) {
                         continue;
                     }
-                    let kept: Vec<Lit> = d.lits().iter().copied().filter(|&x| x != !l).collect();
+                    let kept: Vec<Lit> = d.iter().copied().filter(|&x| x != !l).collect();
                     if self.ip_commit_strengthened(eng, occ, other, kept) == IpStatus::Unsat {
                         return IpStatus::Unsat;
                     }
@@ -802,7 +805,7 @@ impl Solver {
             let v = Var::new((start + i) % self.num_vars);
             if !(full || touched.get(v))
                 || eng.is_eliminated(v)
-                || self.assigns.get(v).is_assigned()
+                || self.var_value(v).is_assigned()
                 || self.frozen.get(v)
                 || self.assumptions.iter().any(|a| a.var() == v)
             {
@@ -815,9 +818,7 @@ impl Solver {
             let collect = |s: &Solver, lit: Lit, occ: &Occurrences| -> Vec<ClauseRef> {
                 let mut refs: Vec<ClauseRef> = Vec::new();
                 for cref in occ.refs(lit) {
-                    if s.db.is_live(cref)
-                        && s.db.clause(cref).lits().contains(&lit)
-                        && !refs.contains(&cref)
+                    if s.db.is_live(cref) && s.db.lits(cref).contains(&lit) && !refs.contains(&cref)
                     {
                         refs.push(cref);
                     }
@@ -832,12 +833,12 @@ impl Solver {
             let pos_orig: Vec<ClauseRef> = pos
                 .iter()
                 .copied()
-                .filter(|&c| !self.db.clause(c).learned)
+                .filter(|&c| !self.db.is_learned(c))
                 .collect();
             let neg_orig: Vec<ClauseRef> = neg
                 .iter()
                 .copied()
-                .filter(|&c| !self.db.clause(c).learned)
+                .filter(|&c| !self.db.is_learned(c))
                 .collect();
             if pos_orig.len() > BVE_OCC_LIMIT || neg_orig.len() > BVE_OCC_LIMIT {
                 continue;
@@ -878,7 +879,7 @@ impl Solver {
             let saved: Vec<Vec<Lit>> = pos_orig
                 .iter()
                 .chain(&neg_orig)
-                .map(|&c| self.db.clause(c).lits().to_vec())
+                .map(|&c| self.db.lits(c).to_vec())
                 .collect();
             for r in &resolvents {
                 self.ip_log_add(r, r.len() as u32);
@@ -898,7 +899,7 @@ impl Solver {
                     [] => unreachable!("empty resolvents refute above"),
                     [unit] => units.push(unit),
                     _ => {
-                        let cref = self.db.add(r.clone(), false, 0);
+                        let cref = self.db.add(&r, false, 0);
                         self.attach(cref);
                         occ.push(&r, cref);
                         eng.touch_lits(&r);
@@ -929,9 +930,7 @@ impl Solver {
     /// or root-satisfied.
     fn ip_resolve(&self, a: ClauseRef, b: ClauseRef, pivot: Lit) -> Option<Vec<Lit>> {
         let mut out: Vec<Lit> = Vec::new();
-        let ca = self.db.clause(a);
-        let cb = self.db.clause(b);
-        for &l in ca.lits().iter().chain(cb.lits()) {
+        for &l in self.db.lits(a).iter().chain(self.db.lits(b)) {
             if l.var() == pivot.var() {
                 continue;
             }
@@ -960,26 +959,22 @@ impl Solver {
         occ: &mut Occurrences,
         budget: &mut RoundBudget,
     ) -> IpStatus {
-        let mut cands: Vec<(u32, usize, ClauseRef)> = self
+        // Ties are broken by clause id, like `reduce_db`'s, so the order
+        // does not depend on where the arena keeps a clause.
+        let mut cands: Vec<(u32, usize, u32, ClauseRef)> = self
             .db
             .iter_learned()
-            .filter(|&c| {
-                let cl = self.db.clause(c);
-                cl.glue <= VIVIFY_GLUE_LIMIT && cl.len() >= 3
-            })
-            .map(|c| {
-                let cl = self.db.clause(c);
-                (cl.glue, cl.len(), c)
-            })
+            .filter(|&c| self.db.glue(c) <= VIVIFY_GLUE_LIMIT && self.db.len(c) >= 3)
+            .map(|c| (self.db.glue(c), self.db.len(c), self.db.id(c), c))
             .collect();
         cands.sort_unstable();
         cands.truncate(VIVIFY_CLAUSE_LIMIT);
-        for (_, _, cref) in cands {
+        for (_, _, _, cref) in cands {
             if !budget.spend(64) {
                 return IpStatus::Abort;
             }
-            if !self.db.is_live(cref) || !self.db.clause(cref).learned {
-                continue; // slot reused since candidate collection
+            if !self.db.is_live(cref) {
+                continue; // deleted since candidate collection
             }
             match self.ip_vivify_one(eng, occ, cref, budget) {
                 IpStatus::Unsat => return IpStatus::Unsat,
@@ -998,8 +993,8 @@ impl Solver {
         budget: &mut RoundBudget,
     ) -> IpStatus {
         debug_assert_eq!(self.decision_level(), 0);
-        let lits: Vec<Lit> = self.db.clause(cref).lits().to_vec();
-        let glue = self.db.clause(cref).glue;
+        let lits: Vec<Lit> = self.db.lits(cref).to_vec();
+        let glue = self.db.glue(cref);
         // Detach first so the clause cannot propagate against itself
         // while its own literals are probed.
         self.detach(cref);
@@ -1089,7 +1084,7 @@ impl Solver {
                     p.delete(&lits);
                 }
                 self.db.remove(cref);
-                let new_ref = self.db.add(kept.clone(), true, new_glue);
+                let new_ref = self.db.add(&kept, true, new_glue);
                 self.attach(new_ref);
                 occ.push(&kept, new_ref);
                 eng.touch_lits(&kept);

@@ -12,7 +12,7 @@
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
 //! for serde's `Serialize`/`Deserialize`).
 
-use crate::clause_db::StoredClause;
+use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::{DbStats, InprocessStats, PolicyKind, SolveResult, SolverStats};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
@@ -294,17 +294,17 @@ impl Recorder {
         }
     }
 
-    /// `clause` took part in conflict analysis. For a clause imported from
-    /// another worker, the `import-use` instant after this lane's
-    /// `clause-import` gives the import-to-use latency.
+    /// Clause `cref` of `db` took part in conflict analysis. For a clause
+    /// imported from another worker, the `import-use` instant after this
+    /// lane's `clause-import` gives the import-to-use latency.
     #[inline]
-    pub(crate) fn clause_used(&self, clause: &StoredClause) {
+    pub(crate) fn clause_used(&self, db: &ClauseDb, cref: ClauseRef) {
         #[cfg(feature = "trace")]
-        if clause.imported {
-            telemetry::trace::instant_with("import-use", &[("glue", u64::from(clause.glue))]);
+        if db.is_imported(cref) {
+            telemetry::trace::instant_with("import-use", &[("glue", u64::from(db.glue(cref)))]);
         }
         #[cfg(not(feature = "trace"))]
-        let _ = clause;
+        let _ = (db, cref);
     }
 
     /// A conflict was analyzed into a learned clause of `len` literals.

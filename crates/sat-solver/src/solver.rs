@@ -72,10 +72,13 @@ pub(crate) struct Watch {
 pub struct Solver {
     pub(crate) num_vars: u32,
     pub(crate) db: ClauseDb,
-    /// `watches.get(l)` holds clauses with `!l` among their first two
-    /// literals.
+    /// The watch list of `l` holds clauses with `!l` among their first
+    /// two literals.
     pub(crate) watches: LitMap<Vec<Watch>>,
-    pub(crate) assigns: VarMap<LBool>,
+    /// The value of every literal: `assign` writes both polarities and
+    /// `backtrack` clears both, so `value(l)` is a single load. A
+    /// variable's value is its positive literal's entry.
+    pub(crate) values: LitMap<LBool>,
     pub(crate) level: VarMap<u32>,
     pub(crate) reason: VarMap<Option<ClauseRef>>,
     /// How many trail literals have a reason clause. The reducible-clause
@@ -150,7 +153,7 @@ impl Solver {
             num_vars: n,
             db: ClauseDb::new(),
             watches: LitMap::new(n, Vec::new()),
-            assigns: VarMap::new(n, LBool::Undef),
+            values: LitMap::new(n, LBool::Undef),
             level: VarMap::new(n, 0),
             reason: VarMap::new(n, None),
             num_reasons: 0,
@@ -299,7 +302,7 @@ impl Solver {
     /// database plus per-variable state and watch lists. O(1), computed
     /// from maintained counters; used by [`Budget::max_memory_bytes`].
     pub fn approx_memory_bytes(&self) -> u64 {
-        // Per-variable state: assigns + level + reason + activity + phase
+        // Per-variable state: values + level + reason + activity + phase
         // + seen + heap slot + VMTF node + two frequency counters, plus
         // two watch-list headers per variable. ~128 bytes covers it.
         const PER_VAR: u64 = 128;
@@ -413,7 +416,7 @@ impl Solver {
         let mut glue_histogram = [0usize; 8];
         let last_bucket = glue_histogram.len() - 1;
         for cref in self.db.iter_learned() {
-            let g = self.db.clause(cref).glue as usize;
+            let g = self.db.glue(cref) as usize;
             if let Some(bucket) = glue_histogram.get_mut(g.min(last_bucket)) {
                 *bucket += 1;
             }
@@ -473,7 +476,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.add(c, false, 0);
+                let cref = self.db.add(&c, false, 0);
                 self.attach(cref);
                 true
             }
@@ -554,7 +557,7 @@ impl Solver {
                 // Clamp the producer-side glue into the auditor's valid
                 // range: narrowing may have shortened the clause below it.
                 let glue = glue.clamp(1, c.len() as u32);
-                let cref = self.db.add_imported(c, glue);
+                let cref = self.db.add_imported(&c, glue);
                 self.attach(cref);
             }
         }
@@ -562,7 +565,13 @@ impl Solver {
 
     #[inline]
     pub(crate) fn value(&self, l: Lit) -> LBool {
-        self.assigns.get(l.var()).xor(l.is_negated())
+        self.values.get(l)
+    }
+
+    /// The value of variable `v` (its positive literal's).
+    #[inline]
+    pub(crate) fn var_value(&self, v: Var) -> LBool {
+        self.values.get(v.positive())
     }
 
     #[inline]
@@ -572,10 +581,9 @@ impl Solver {
 
     /// Attaches watches for the first two literals of the clause.
     pub(crate) fn attach(&mut self, cref: ClauseRef) {
-        let c = self.db.clause(cref);
-        debug_assert!(c.len() >= 2);
-        let l0 = c.lit(0);
-        let l1 = c.lit(1);
+        debug_assert!(self.db.len(cref) >= 2);
+        let l0 = self.db.lit(cref, 0);
+        let l1 = self.db.lit(cref, 1);
         self.watches.get_mut(!l0).push(Watch { cref, blocker: l1 });
         self.watches.get_mut(!l1).push(Watch { cref, blocker: l0 });
     }
@@ -583,9 +591,8 @@ impl Solver {
     /// Detaches both watches of the clause.
     pub(crate) fn detach(&mut self, cref: ClauseRef) {
         debug_assert!(self.db.is_live(cref), "detach of a deleted clause");
-        let c = self.db.clause(cref);
-        let l0 = c.lit(0);
-        let l1 = c.lit(1);
+        let l0 = self.db.lit(cref, 0);
+        let l1 = self.db.lit(cref, 1);
         for l in [l0, l1] {
             let ws = self.watches.get_mut(!l);
             if let Some(pos) = ws.iter().position(|w| w.cref == cref) {
@@ -601,7 +608,8 @@ impl Solver {
     pub(crate) fn assign(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value(l), LBool::Undef);
         let v = l.var();
-        self.assigns.set(v, LBool::from(l.is_positive()));
+        self.values.set(l, LBool::True);
+        self.values.set(!l, LBool::False);
         self.level.set(v, self.decision_level());
         self.reason.set(v, reason);
         // xtask: allow(hot-path-purity) amortized: the trail retains its capacity across backtracks
@@ -620,6 +628,7 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = at(&self.trail, self.qhead);
             self.qhead += 1;
+            let false_lit = !p;
             // Take `p`'s watch list out so the rest of `self` stays freely
             // borrowable; propagation never pushes onto this same list
             // (the replacement watch literal is non-false, `!p` is false).
@@ -628,21 +637,20 @@ impl Solver {
             let mut i = 0;
             'watches: while i < ws.len() {
                 let Watch { cref, blocker } = at(&ws, i);
-                if self.value(blocker) == LBool::True {
+                if self.values.get(blocker) == LBool::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = !p;
-                {
-                    let c = self.db.clause_mut(cref);
-                    // Ensure the false literal is at position 1.
-                    if c.lit(0) == false_lit {
-                        c.swap_lits(0, 1);
-                    }
-                    debug_assert_eq!(c.lit(1), false_lit);
+                // One borrow of the clause's literals per visit; `values`
+                // and `watches` are other fields, so they stay usable.
+                let lits = self.db.lits_mut(cref);
+                // Ensure the false literal is at position 1.
+                if at(lits, 0) == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.db.clause(cref).lit(0);
-                if first != blocker && self.value(first) == LBool::True {
+                debug_assert_eq!(at(lits, 1), false_lit);
+                let first = at(lits, 0);
+                if first != blocker && self.values.get(first) == LBool::True {
                     // Clause already satisfied; refresh blocker.
                     if let Some(w) = ws.get_mut(i) {
                         w.blocker = first;
@@ -651,11 +659,10 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.clause(cref).len();
-                for k in 2..len {
-                    let lk = self.db.clause(cref).lit(k);
-                    if self.value(lk) != LBool::False {
-                        self.db.clause_mut(cref).swap_lits(1, k);
+                for k in 2..lits.len() {
+                    let lk = at(lits, k);
+                    if self.values.get(lk) != LBool::False {
+                        lits.swap(1, k);
                         ws.swap_remove(i);
                         // xtask: allow(hot-path-purity) amortized: watch lists retain capacity; relocation is a swap between them
                         self.watches.get_mut(!lk).push(Watch {
@@ -666,7 +673,7 @@ impl Solver {
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                if self.value(first) == LBool::False {
+                if self.values.get(first) == LBool::False {
                     conflict = Some(cref); // conflict; qhead stays put
                     break;
                 }
@@ -695,13 +702,13 @@ impl Solver {
 
         let uip = loop {
             self.bump_clause(cref);
-            self.rec.clause_used(self.db.clause(cref));
+            self.rec.clause_used(&self.db, cref);
             // Iterate the clause's literals; skip the resolved literal,
             // which sits at position 0 of its reason clause.
-            let clen = self.db.clause(cref).len();
+            let clen = self.db.len(cref);
             let start = usize::from(resolved.is_some());
             for k in start..clen {
-                let q = self.db.clause(cref).lit(k);
+                let q = self.db.lit(cref, k);
                 let v = q.var();
                 if !self.seen.get(v) && self.level.get(v) > 0 {
                     self.seen.set(v, true);
@@ -738,7 +745,7 @@ impl Solver {
             // walk above skips already-processed literals, but we must make
             // sure the reason clause iteration skips q itself: reason[q][0]
             // is q by the assertion invariant of `assign`.
-            debug_assert_eq!(self.db.clause(cref).lit(0), q);
+            debug_assert_eq!(self.db.lit(cref, 0), q);
             resolved = Some(q);
         };
         if let Some(slot) = learned.first_mut() {
@@ -820,9 +827,9 @@ impl Solver {
                 redundant = false;
                 break;
             };
-            let rlen = self.db.clause(r).len();
+            let rlen = self.db.len(r);
             for k in 1..rlen {
-                let a = self.db.clause(r).lit(k);
+                let a = self.db.lit(r, k);
                 let v = a.var();
                 if self.seen.get(v) || self.level.get(v) == 0 {
                     continue;
@@ -872,13 +879,12 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = self.db.clause_mut(cref);
-        if !c.learned {
+        if !self.db.is_learned(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        c.protected = true;
-        if c.activity > 1e20 {
+        let activity = self.db.bump_activity(cref, self.cla_inc);
+        self.db.set_protected(cref, true);
+        if activity > 1e20 {
             self.db.rescale_activity(1e-20);
             self.cla_inc *= 1e-20;
         }
@@ -899,7 +905,8 @@ impl Solver {
             let l = at(&self.trail, idx);
             let v = l.var();
             self.saved_phase.set(v, l.is_positive());
-            self.assigns.set(v, LBool::Undef);
+            self.values.set(l, LBool::Undef);
+            self.values.set(!l, LBool::Undef);
             if self.reason.get(v).is_some() {
                 self.num_reasons -= 1;
             }
@@ -918,7 +925,7 @@ impl Solver {
             Branching::Evsids => {
                 let mut picked = None;
                 while let Some(v) = self.heap.pop(&self.activity) {
-                    if !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v) {
+                    if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
                         picked = Some(v);
                         break;
                     }
@@ -926,10 +933,11 @@ impl Solver {
                 picked
             }
             Branching::Vmtf => {
-                let assigns = &self.assigns;
+                let values = &self.values;
                 let inprocess = self.inprocess.as_deref();
                 self.vmtf.next_unassigned(|v| {
-                    !assigns.get(v).is_assigned() && !inprocess.is_some_and(|e| e.is_eliminated(v))
+                    !values.get(v.positive()).is_assigned()
+                        && !inprocess.is_some_and(|e| e.is_eliminated(v))
                 })
             }
             Branching::Random => self.pick_random_unassigned(),
@@ -951,13 +959,13 @@ impl Solver {
             self.rng_state ^= self.rng_state >> 27;
             let r = (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32;
             let v = Var::new(r % self.num_vars);
-            if !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v) {
+            if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
                 return Some(v);
             }
         }
         (0..self.num_vars)
             .map(Var::new)
-            .find(|&v| !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v))
+            .find(|&v| !self.var_value(v).is_assigned() && !self.var_is_eliminated(v))
     }
 
     /// Deletes low-scoring reducible learned clauses (the REDUCE step whose
@@ -966,27 +974,29 @@ impl Solver {
         let reducing = self.rec.begin(Phase::Reduce);
         self.stats.reductions += 1;
         let scoring = self.rec.trace_span("reduce-score");
-        let mut candidates: Vec<(u64, ClauseRef)> = Vec::new();
-        for cref in self.db.iter_learned().collect::<Vec<_>>() {
-            let c = self.db.clause(cref);
-            if c.glue <= self.config.tier1_glue || c.protected || self.is_reason(cref) {
+        let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
+        for cref in self.db.iter_learned() {
+            let glue = self.db.glue(cref);
+            if glue <= self.config.tier1_glue || self.db.is_protected(cref) || self.is_reason(cref)
+            {
                 continue;
             }
             let score = self.policy.score(&ClauseScoreCtx {
-                lits: c.lits(),
-                glue: c.glue,
-                activity: c.activity,
+                lits: self.db.lits(cref),
+                glue,
+                activity: self.db.activity(cref),
                 freq: &self.freq,
             });
-            candidates.push((score, cref));
+            candidates.push((score, self.db.id(cref), cref));
         }
-        // Lowest scores first; ties broken by clause slot for determinism.
+        // Lowest scores first; ties broken by clause id for determinism
+        // (ids are unique, so the handle never takes part).
         candidates.sort_unstable();
         drop(scoring);
         let delete_count = (candidates.len() as f64 * self.config.reduce_fraction).floor() as usize;
-        for &(_, cref) in candidates.iter().take(delete_count) {
+        for &(_, _, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {
-                p.delete(self.db.clause(cref).lits());
+                p.delete(self.db.lits(cref));
             }
             self.detach(cref);
             self.db.remove(cref);
@@ -994,7 +1004,10 @@ impl Solver {
         }
         // Unprotect survivors so protection reflects recent use only.
         for cref in self.db.iter_learned().collect::<Vec<_>>() {
-            self.db.clause_mut(cref).protected = false;
+            self.db.set_protected(cref, false);
+        }
+        if self.db.compaction_due() {
+            self.collect_garbage();
         }
         self.freq_folded.fold(&self.freq);
         self.freq.reset();
@@ -1010,9 +1023,24 @@ impl Solver {
         self.checkpoint(Checkpoint::PostReduce);
     }
 
+    /// Compacts the clause arena and rewrites every reference into it:
+    /// the watches and the trail reasons. Nothing else holds a
+    /// `ClauseRef` across a reduction (see `clause_db.rs`).
+    fn collect_garbage(&mut self) {
+        let moved = self.db.collect_garbage();
+        for ws in self.watches.iter_mut() {
+            for w in ws {
+                w.cref = moved.apply(w.cref);
+            }
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = moved.apply(*r);
+        }
+    }
+
     /// Whether the clause is the reason of some current assignment.
     fn is_reason(&self, cref: ClauseRef) -> bool {
-        let first = self.db.clause(cref).lit(0);
+        let first = self.db.lit(cref, 0);
         self.value(first) == LBool::True && self.reason.get(first.var()) == Some(cref)
     }
 
@@ -1204,7 +1232,7 @@ impl Solver {
                         // Level-0 unit: re-propagation happens at loop top.
                     }
                     [first, ..] => {
-                        let cref = self.db.add(learned.clone(), true, glue);
+                        let cref = self.db.add(&learned, true, glue);
                         self.attach(cref);
                         self.bump_clause(cref);
                         self.assign(first, Some(cref));
@@ -1342,9 +1370,9 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let len = self.db.clause(r).len();
+                    let len = self.db.len(r);
                     for k in 1..len {
-                        let l = self.db.clause(r).lit(k);
+                        let l = self.db.lit(r, k);
                         if self.level.get(l.var()) > 0 {
                             self.seen.set(l.var(), true);
                         }
@@ -1376,8 +1404,7 @@ impl Solver {
         let mut model: Vec<bool> = (0..self.num_vars)
             .map(Var::new)
             .map(|v| {
-                self.assigns
-                    .get(v)
+                self.var_value(v)
                     .to_bool()
                     // Unconstrained variables default to the saved phase.
                     .unwrap_or(self.saved_phase.get(v))
@@ -1692,6 +1719,38 @@ mod tests {
         assert!(result.is_unsat());
         assert_eq!(calls, 0);
         assert_eq!(s.policy_name(), "default");
+    }
+
+    #[test]
+    fn compaction_keeps_the_search_and_every_invariant() {
+        // php(8,7) garbage-collects the arena several times; php(7,6)
+        // never fills half of it with garbage.
+        let php = crate::preprocess::tests_support::php(8, 7);
+        let mut plain = Solver::from_cnf(&php);
+        #[cfg(feature = "checks")]
+        plain.set_check_level(crate::CheckLevel::Off);
+        assert!(plain.solve().is_unsat());
+        // `Light` audits after every reduction, so right after every
+        // compaction: a stale watch or reason fails the solve.
+        let mut audited = Solver::from_cnf(&php);
+        #[cfg(feature = "checks")]
+        audited.set_check_level(crate::CheckLevel::Light);
+        assert!(audited.solve().is_unsat());
+        // Without a compaction every deleted clause would still sit in the
+        // arena as garbage.
+        let db = &audited.db;
+        let garbage = db.headers().filter(|&c| !db.is_live(c)).count();
+        assert!(
+            garbage < audited.stats().deleted_clauses as usize,
+            "{garbage} garbage clauses of {} deleted: never compacted",
+            audited.stats().deleted_clauses
+        );
+        assert_eq!(audited.audit_invariants(Checkpoint::PostReduce), Ok(()));
+        assert_eq!(
+            audited.stats(),
+            plain.stats(),
+            "auditing changed the search"
+        );
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl<T> VarMap<T> {
         *self.get_mut(v) = value;
     }
 
-    /// Iterates the values in variable-index order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.data.iter()
-    }
-
     /// Mutably iterates the values in variable-index order.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.data.iter_mut()
@@ -94,8 +89,9 @@ impl<T> VarMap<T> {
 
 /// Dense map from [`Lit`] to `T`, keyed by the literal's code.
 ///
-/// Used for the watch lists: `watches.get(l)` holds the watchers of `l`
-/// (clauses with `!l` among their first two literals).
+/// Used for the watch lists (`watches.get_mut(l)` holds the watchers of
+/// `l`: clauses with `!l` among their first two literals) and for the
+/// literal-indexed assignment, where `get(l)` is the value of `l`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LitMap<T> {
     data: Vec<T>,
@@ -112,13 +108,15 @@ impl<T> LitMap<T> {
         }
     }
 
-    /// A shared reference to the value at `l`.
-    #[cfg(test)]
+    /// The value at `l` (for `Copy` payloads).
     #[inline]
-    pub fn get(&self, l: Lit) -> &T {
+    pub fn get(&self, l: Lit) -> T
+    where
+        T: Copy,
+    {
         let i = l.code() as usize;
         debug_assert!(i < self.data.len(), "literal code {i} out of bounds");
-        &self.data[i] // xtask: allow(no-index) audited Lit-keyed access
+        self.data[i] // xtask: allow(no-index) audited Lit-keyed access
     }
 
     /// A mutable reference to the value at `l`.
@@ -129,12 +127,23 @@ impl<T> LitMap<T> {
         &mut self.data[i] // xtask: allow(no-index) audited Lit-keyed access
     }
 
+    /// Overwrites the value at `l`.
+    #[inline]
+    pub fn set(&mut self, l: Lit, value: T) {
+        *self.get_mut(l) = value;
+    }
+
     /// Iterates `(literal, value)` pairs in literal-code order.
     pub fn iter(&self) -> impl Iterator<Item = (Lit, &T)> {
         self.data
             .iter()
             .enumerate()
             .map(|(code, t)| (Lit::from_code(code as u32), t))
+    }
+
+    /// Mutably iterates the values in literal-code order.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.data.iter_mut()
     }
 }
 
@@ -151,7 +160,8 @@ mod tests {
         *m.get_mut(Var::new(2)) += 5;
         assert_eq!(m.get(Var::new(2)), 5);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.iter().copied().collect::<Vec<_>>(), vec![0, 7, 5]);
+        let all: Vec<u32> = (0..3).map(|v| m.get(Var::new(v))).collect();
+        assert_eq!(all, vec![0, 7, 5]);
     }
 
     #[test]
@@ -159,14 +169,20 @@ mod tests {
         let mut m = LitMap::new(2, Vec::<u8>::new());
         let l = Lit::from_dimacs(-2);
         m.get_mut(l).push(9);
-        assert_eq!(m.get(l), &vec![9]);
-        assert!(m.get(Lit::from_dimacs(2)).is_empty());
+        assert_eq!(m.get_mut(l), &vec![9]);
+        assert!(m.get_mut(Lit::from_dimacs(2)).is_empty());
         let filled: Vec<Lit> = m
             .iter()
             .filter(|(_, v)| !v.is_empty())
             .map(|(l, _)| l)
             .collect();
         assert_eq!(filled, vec![l]);
+        // Copy payloads read by value, one entry per polarity.
+        let mut values = LitMap::new(2, 0u8);
+        values.set(l, 1);
+        values.set(!l, 2);
+        assert_eq!((values.get(l), values.get(!l)), (1, 2));
+        assert_eq!(values.get(Lit::from_dimacs(1)), 0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Transitive purity roots: BCP, conflict analysis, recursive clause
 /// minimization, and the audited watch-list/assignment accessors.
-/// (`LitMap::get` is `#[cfg(test)]`-only and therefore not in the
-/// shipped graph.)
+/// (`LitMap::get`, the literal-indexed value read, is reached from
+/// `Solver::propagate`.)
 pub const HOT_PATH_ROOTS: &[&str] = &[
     "sat_solver::solver::Solver::propagate",
     "sat_solver::solver::Solver::analyze",
