@@ -106,13 +106,9 @@ fn main() {
     );
 
     // --- extension: branching heuristics ------------------------------------
-    println!("\nExtension: branching heuristics (Kissat alternates EVSIDS/VMTF)\n");
+    println!("\nExtension: branching heuristics (EVSIDS against a random baseline)\n");
     let mut rows = Vec::new();
-    for (name, branching) in [
-        ("EVSIDS", Branching::Evsids),
-        ("VMTF", Branching::Vmtf),
-        ("random", Branching::Random),
-    ] {
+    for (name, branching) in [("EVSIDS", Branching::Evsids), ("random", Branching::Random)] {
         let mut costs = Vec::new();
         for inst in &batch.instances {
             let mut s = Solver::new(

@@ -6,11 +6,11 @@
 //! trace-report --daemon TRACE.json   # rsatd worker-lane view
 //! ```
 //!
-//! The default view prints per-phase/per-worker time breakdowns, the
-//! import-to-use latency of shared clauses, and the inference-vs-solve
-//! overlap. `--daemon` reads an `rsatd --trace-out` export instead:
-//! per-worker queue-wait/solve/reply breakdowns, the admission-outcome
-//! split, and how much queue-wait accrued while workers were solving.
+//! The default view prints per-phase/per-lane time breakdowns and the
+//! inference-vs-solve overlap. `--daemon` reads an `rsatd --trace-out`
+//! export instead: per-worker queue-wait/solve/reply breakdowns, the
+//! admission-outcome split, and how much queue-wait accrued while workers
+//! were solving.
 
 use bench::trace_report::{analyze_daemon_str, analyze_str};
 use std::process::ExitCode;

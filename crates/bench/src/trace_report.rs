@@ -1,9 +1,9 @@
 //! `trace-report`: offline analyzer for Chrome trace-event files written
 //! by `rsat --trace-out` (and any other `telemetry::trace` producer).
 //!
-//! Turns the raw event stream into the three summaries every perf
-//! discussion needs: per-phase/per-worker time breakdowns, import-to-use
-//! latency for shared clauses, and the inference-vs-solve overlap.
+//! Turns the raw event stream into the two summaries every perf
+//! discussion needs: per-phase/per-lane time breakdowns and the
+//! inference-vs-solve overlap.
 //!
 //! A second analyzer, [`analyze_daemon`], reads the traces `rsatd
 //! --trace-out` exports — per-worker lanes of `queue-wait`/`solve`/`reply`
@@ -62,26 +62,6 @@ impl LaneSummary {
     }
 }
 
-/// Import-to-use latency for shared clauses, paired per lane: each
-/// `import-use` instant is matched with the latest preceding
-/// `clause-import` on the same lane. The pairing is approximate — events
-/// carry no clause identity — so it reports how quickly *recently
-/// imported* clauses start resolving conflicts, a lower bound on the true
-/// per-clause latency.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ImportUseSummary {
-    /// Total `clause-import` instants.
-    pub imports: u64,
-    /// Total `import-use` instants.
-    pub uses: u64,
-    /// Uses that had a preceding import on their lane.
-    pub matched: u64,
-    /// Mean matched latency in microseconds.
-    pub mean_us: f64,
-    /// Largest matched latency in microseconds.
-    pub max_us: f64,
-}
-
 /// How much GNN inference ran concurrently with solver search.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OverlapSummary {
@@ -98,8 +78,6 @@ pub struct OverlapSummary {
 pub struct TraceReport {
     /// Per-lane breakdowns, ordered by pid.
     pub lanes: Vec<LaneSummary>,
-    /// Shared-clause import-to-use latency.
-    pub import_use: ImportUseSummary,
     /// Inference-vs-solve concurrency.
     pub overlap: OverlapSummary,
 }
@@ -187,8 +165,6 @@ struct LaneAccum {
     spans: BTreeMap<String, (u64, f64)>,
     instants: BTreeMap<String, u64>,
     dropped: u64,
-    import_ts: Vec<f64>,
-    use_ts: Vec<f64>,
 }
 
 /// Analyzes a parsed Chrome trace-event document.
@@ -254,47 +230,20 @@ pub fn analyze(doc: &Json) -> Result<TraceReport, String> {
                 }
             }
             "i" | "I" => {
-                let ts = field("ts")?
+                field("ts")?
                     .as_f64()
                     .ok_or_else(|| format!("event {idx}: `ts` is not a number"))?;
-                match name.as_str() {
-                    "clause-import" => lane.import_ts.push(ts),
-                    "import-use" => lane.use_ts.push(ts),
-                    "trace-dropped" => {
-                        lane.dropped += ev
-                            .get("args")
-                            .and_then(|a| a.get("count"))
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0);
-                    }
-                    _ => {}
+                if name == "trace-dropped" {
+                    lane.dropped += ev
+                        .get("args")
+                        .and_then(|a| a.get("count"))
+                        .and_then(Json::as_u64)
+                        .unwrap_or(0);
                 }
                 *lane.instants.entry(name).or_insert(0) += 1;
             }
             _ => {} // B/E or other phases are not produced by our exporter
         }
-    }
-
-    let mut import_use = ImportUseSummary::default();
-    let mut latency_sum = 0.0;
-    for lane in lanes.values_mut() {
-        lane.import_ts.sort_by(f64::total_cmp);
-        lane.use_ts.sort_by(f64::total_cmp);
-        import_use.imports += lane.import_ts.len() as u64;
-        import_use.uses += lane.use_ts.len() as u64;
-        for &use_ts in &lane.use_ts {
-            // Latest import at or before the use on the same lane.
-            let n = lane.import_ts.partition_point(|&t| t <= use_ts);
-            if n > 0 {
-                let latency = use_ts - lane.import_ts[n - 1];
-                import_use.matched += 1;
-                latency_sum += latency;
-                import_use.max_us = import_use.max_us.max(latency);
-            }
-        }
-    }
-    if import_use.matched > 0 {
-        import_use.mean_us = latency_sum / import_use.matched as f64;
     }
 
     let (inference, solve) = (union(inference), union(solve));
@@ -333,11 +282,7 @@ pub fn analyze(doc: &Json) -> Result<TraceReport, String> {
         })
         .collect();
 
-    Ok(TraceReport {
-        lanes,
-        import_use,
-        overlap,
-    })
+    Ok(TraceReport { lanes, overlap })
 }
 
 /// Parses the trace text and analyzes it in one step.
@@ -518,21 +463,6 @@ impl fmt::Display for TraceReport {
         }
         writeln!(
             f,
-            "\nshared clauses: {} imported, {} used in conflict analysis",
-            self.import_use.imports, self.import_use.uses
-        )?;
-        if self.import_use.matched > 0 {
-            writeln!(
-                f,
-                "  import-to-use latency (approx, per lane): mean {:.2} ms, max {:.2} ms \
-                 over {} uses",
-                ms(self.import_use.mean_us),
-                ms(self.import_use.max_us),
-                self.import_use.matched
-            )?;
-        }
-        writeln!(
-            f,
             "\ninference vs solve: inference {:.2} ms, solve {:.2} ms, overlap {:.2} ms",
             ms(self.overlap.inference_us),
             ms(self.overlap.solve_us),
@@ -625,14 +555,13 @@ mod tests {
         };
         let worker = ThreadLog {
             pid: 1,
-            label: "worker 0 (default)".to_string(),
+            label: "solver".to_string(),
             dropped: 3,
             events: vec![
                 ev(TraceKind::Begin, "solve", 200),
-                ev(TraceKind::Instant, "clause-import", 300),
-                ev(TraceKind::Instant, "import-use", 450),
-                ev(TraceKind::Instant, "clause-import", 500),
-                ev(TraceKind::Instant, "import-use", 520),
+                ev(TraceKind::Instant, "fallback-rung", 300),
+                ev(TraceKind::Instant, "inference-panic", 450),
+                ev(TraceKind::Instant, "fallback-rung", 500),
                 ev(TraceKind::End, "solve", 1200),
             ],
         };
@@ -651,18 +580,22 @@ mod tests {
         assert!((gnn.total_us - 150.0).abs() < 1e-6);
 
         let worker = &report.lanes[1];
-        assert_eq!(worker.label, "worker 0 (default)");
+        assert_eq!(worker.label, "solver");
         assert_eq!(worker.dropped, 3);
         let solve = &worker.spans[0];
         assert_eq!((solve.name.as_str(), solve.count), ("solve", 1));
         assert!((solve.total_us - 1000.0).abs() < 1e-6);
 
-        // use@450 pairs with import@300 (150µs); use@520 with import@500
-        // (20µs): mean 85µs, max 150µs.
-        assert_eq!(report.import_use.imports, 2);
-        assert_eq!(report.import_use.matched, 2);
-        assert!((report.import_use.mean_us - 85.0).abs() < 1e-6);
-        assert!((report.import_use.max_us - 150.0).abs() < 1e-6);
+        // Instants are counted per lane, most frequent first (the
+        // exporter's `trace-dropped` marker included).
+        assert_eq!(
+            worker.instants,
+            vec![
+                ("fallback-rung".to_string(), 2),
+                ("inference-panic".to_string(), 1),
+                ("trace-dropped".to_string(), 1)
+            ]
+        );
 
         // Inference [0, 250) vs solve [200, 1200): 50µs overlap.
         assert!((report.overlap.inference_us - 250.0).abs() < 1e-6);
@@ -671,7 +604,7 @@ mod tests {
 
         let text = report.to_string();
         assert!(text.contains("lane pid 1"));
-        assert!(text.contains("import-to-use latency"));
+        assert!(text.contains("fallback-rung"));
         assert!(text.contains("ring buffer wrapped, 3"));
     }
 

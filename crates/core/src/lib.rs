@@ -57,7 +57,6 @@ mod fallback;
 mod label;
 mod metrics;
 mod parallel;
-mod race;
 mod select;
 
 pub use calibrate::{calibrate_threshold, calibrated_solver, Calibration};
@@ -71,7 +70,6 @@ pub use label::{
 };
 pub use metrics::{mean, median, BoxPlot, ClassifierMetrics, RuntimeSummary};
 pub use parallel::{par_map, solve_batch, solve_batch_recorded};
-pub use race::{policy_mix_for, RaceOutcome};
 pub use select::{NeuroSelectSolver, SelectionOutcome};
 
 // Re-export the substrate crates so downstream users need only one

@@ -198,14 +198,13 @@ impl NeuroSelectSolver {
     fn decide_by_inference(&self, formula: &Cnf) -> (PolicyDecision, PhaseTimes) {
         let start = Instant::now();
         let mut phases = PhaseTimes::default();
-        // `run_isolated` is sound here for the same reason as in the
-        // portfolio: on panic the prepared tensors are dropped mid-unwind
-        // and never touched again, and the classifier's forward pass does
-        // not mutate shared state.
+        // `run_isolated` is sound here: on panic the prepared tensors are
+        // dropped mid-unwind and never touched again, and the classifier's
+        // forward pass does not mutate shared state.
         let inference = run_isolated(|| {
             #[cfg(feature = "faults")]
             if let Some(cfg) = faults::fire(faults::site::INFERENCE_STALL, &[]) {
-                std::thread::sleep(Duration::from_millis(cfg.get_u64("ms", 50)));
+                std::thread::sleep(Duration::from_millis(cfg.get_u64("delay_ms", 50)));
             }
             #[cfg(feature = "faults")]
             if faults::fire(faults::site::INFERENCE_PANIC, &[]).is_some() {

@@ -1,8 +1,9 @@
 //! Deterministic fault injection for the NeuroSelect stack.
 //!
-//! Production resilience claims ("a crashed worker degrades the race",
-//! "a truncated proof write is a diagnostic, not an abort") are only
-//! testable if the failures can be provoked on demand and reproducibly.
+//! Production resilience claims ("a crashed session is quarantined, not
+//! the daemon", "a truncated proof write is a diagnostic, not an abort")
+//! are only testable if the failures can be provoked on demand and
+//! reproducibly.
 //! This crate provides that provocation layer: *named fault points*
 //! compiled into the solver/pipeline crates behind their `faults`
 //! feature, armed at runtime by a [`FaultPlan`].
@@ -10,13 +11,14 @@
 //! A plan is a semicolon-separated list of fault specs:
 //!
 //! ```text
-//! worker-panic(worker=1,at=50);drat-truncate(after=64)
+//! session-panic(session=2,at=50);drat-truncate(after=64)
 //! ```
 //!
-//! Each spec names a fault site and carries `key=value` parameters.
-//! Parameters whose key also appears in the *context* supplied by the
-//! instrumented code act as match conditions (`worker=1` fires only in
-//! worker 1; the special key `at` fires once a context counter reaches
+//! Each spec names a fault site (one of [`site::ALL`]; any other name is
+//! a parse error) and carries `key=value` parameters. Parameters whose
+//! key also appears in the *context* supplied by the instrumented code
+//! act as match conditions (`session=2` fires only in
+//! session 2; the special key `at` fires once a context counter reaches
 //! the threshold). Remaining parameters are configuration the site reads
 //! after the fault fires (`after=64`: fail after 64 bytes). Every spec
 //! fires a bounded number of times (`times=N`, default 1), so a plan is
@@ -33,15 +35,17 @@
 //! # Examples
 //!
 //! ```
-//! let plan: faults::FaultPlan = "worker-panic(worker=1,at=3)".parse().unwrap();
+//! let plan: faults::FaultPlan = "session-panic(session=1,at=3)".parse().unwrap();
 //! let scope = faults::install(plan);
-//! // Worker 0 never matches.
-//! assert!(faults::fire("worker-panic", &[("worker", 0), ("at", 9)]).is_none());
-//! // Worker 1 fires once its counter reaches the threshold, exactly once.
-//! assert!(faults::fire("worker-panic", &[("worker", 1), ("at", 2)]).is_none());
-//! assert!(faults::fire("worker-panic", &[("worker", 1), ("at", 3)]).is_some());
-//! assert!(faults::fire("worker-panic", &[("worker", 1), ("at", 4)]).is_none());
-//! assert_eq!(scope.fired("worker-panic"), 1);
+//! // Session 0 never matches.
+//! assert!(faults::fire("session-panic", &[("session", 0), ("at", 9)]).is_none());
+//! // Session 1 fires once its counter reaches the threshold, exactly once.
+//! assert!(faults::fire("session-panic", &[("session", 1), ("at", 2)]).is_none());
+//! assert!(faults::fire("session-panic", &[("session", 1), ("at", 3)]).is_some());
+//! assert!(faults::fire("session-panic", &[("session", 1), ("at", 4)]).is_none());
+//! assert_eq!(scope.fired("session-panic"), 1);
+//! // A misspelt site would arm nothing, so it does not parse.
+//! assert!("sesion-panic(at=3)".parse::<faults::FaultPlan>().is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -61,12 +65,6 @@ pub const ENV_VAR: &str = "FAULT_PLAN";
 /// the crate that owns the failure, but the names are declared here so
 /// plans, docs, and tests agree on spelling.
 pub mod site {
-    /// Panic inside a portfolio worker once its learned-clause counter
-    /// reaches `at` (params: `worker`, `at`).
-    pub const WORKER_PANIC: &str = "worker-panic";
-    /// Corrupt a clause on its way into the shared pool (params:
-    /// `worker`, `at` — the worker's export counter).
-    pub const POOL_CORRUPT: &str = "pool-corrupt";
     /// Truncate the DRAT proof stream after `after` bytes.
     pub const DRAT_TRUNCATE: &str = "drat-truncate";
     /// Fail the DIMACS input stream after `after` bytes.
@@ -102,6 +100,22 @@ pub mod site {
     /// bytes (via [`TruncatingWriter`]): the connection must die cleanly
     /// while the daemon and its sessions keep serving (param: `after`).
     pub const SOCKET_TRUNCATE: &str = "socket-truncate";
+
+    /// Every site above: the only names a [`FaultPlan`](crate::FaultPlan)
+    /// accepts.
+    pub const ALL: [&str; 11] = [
+        DRAT_TRUNCATE,
+        DIMACS_IO,
+        MODEL_IO,
+        INFERENCE_STALL,
+        INFERENCE_PANIC,
+        HEURISTIC_PANIC,
+        INPROCESS_CORRUPT,
+        INPROCESS_STALL,
+        SESSION_PANIC,
+        SCHEDULER_STALL,
+        SOCKET_TRUNCATE,
+    ];
 }
 
 /// One armed fault: a site name, match/config parameters, and a shot
@@ -189,6 +203,11 @@ fn parse_spec(raw: &str) -> Result<FaultSpec, ParsePlanError> {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
     {
         return Err(parse_error(format!("bad fault-site name in `{raw}`")));
+    }
+    if !site::ALL.contains(&name) {
+        return Err(parse_error(format!(
+            "unknown fault site `{name}` in `{raw}`"
+        )));
     }
     let mut params = Vec::new();
     let mut times = 1u64;
@@ -481,12 +500,12 @@ mod tests {
 
     #[test]
     fn parse_round_trips_sites_params_and_times() {
-        let plan: FaultPlan = "worker-panic(worker=1,at=50,times=3); drat-truncate(after=64)"
+        let plan: FaultPlan = "session-panic(session=1,at=50,times=3); drat-truncate(after=64)"
             .parse()
             .expect("plan parses");
         assert_eq!(plan.specs.len(), 2);
-        assert_eq!(plan.specs[0].site, "worker-panic");
-        assert_eq!(plan.specs[0].param("worker"), Some("1"));
+        assert_eq!(plan.specs[0].site, "session-panic");
+        assert_eq!(plan.specs[0].param("session"), Some("1"));
         assert_eq!(plan.specs[0].times, 3);
         assert_eq!(plan.specs[1].site, "drat-truncate");
         assert_eq!(plan.specs[1].param("after"), Some("64"));
@@ -495,29 +514,54 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_specs() {
+        // Known site names, so each spec fails on its malformation alone.
         for bad in [
-            "panic(",
-            "x(a)",
-            "x(=1)",
-            "x(a=)",
+            "dimacs-io(",
+            "dimacs-io(a)",
+            "dimacs-io(=1)",
+            "dimacs-io(a=)",
             "(a=1)",
-            "x(times=many)",
-            "x(a=1)b",
+            "dimacs-io(times=many)",
+            "dimacs-io(a=1)b",
         ] {
             assert!(bad.parse::<FaultPlan>().is_err(), "`{bad}` must not parse");
         }
     }
 
     #[test]
+    fn parse_rejects_unknown_sites() {
+        for unknown in ["no-such-site(at=5)", "stall", "drat_truncate(after=1)"] {
+            let err = unknown.parse::<FaultPlan>().expect_err(unknown);
+            assert!(err.to_string().contains("unknown fault site"), "{err}");
+        }
+        // One unknown spec fails the whole plan, not just its own spec.
+        assert!("dimacs-io(after=1);no-such-site"
+            .parse::<FaultPlan>()
+            .is_err());
+    }
+
+    #[test]
+    fn every_known_site_parses() {
+        for name in site::ALL {
+            let plan: FaultPlan = format!("{name}(at=1)").parse().expect(name);
+            assert_eq!(plan.specs[0].site, name);
+        }
+        let mut names = site::ALL.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), site::ALL.len(), "site names are unique");
+    }
+
+    #[test]
     fn fire_honors_match_conditions_and_shot_budget() {
-        let scope = install("pool-corrupt(worker=2,at=10,times=2)".parse().unwrap());
-        assert!(fire("pool-corrupt", &[("worker", 1), ("at", 99)]).is_none());
-        assert!(fire("pool-corrupt", &[("worker", 2), ("at", 9)]).is_none());
-        assert!(fire("pool-corrupt", &[("worker", 2), ("at", 10)]).is_some());
-        assert!(fire("pool-corrupt", &[("worker", 2), ("at", 11)]).is_some());
-        assert!(fire("pool-corrupt", &[("worker", 2), ("at", 12)]).is_none());
-        assert_eq!(scope.fired("pool-corrupt"), 2);
-        assert_eq!(scope.fired("worker-panic"), 0);
+        let scope = install("session-panic(session=2,at=10,times=2)".parse().unwrap());
+        assert!(fire("session-panic", &[("session", 1), ("at", 99)]).is_none());
+        assert!(fire("session-panic", &[("session", 2), ("at", 9)]).is_none());
+        assert!(fire("session-panic", &[("session", 2), ("at", 10)]).is_some());
+        assert!(fire("session-panic", &[("session", 2), ("at", 11)]).is_some());
+        assert!(fire("session-panic", &[("session", 2), ("at", 12)]).is_none());
+        assert_eq!(scope.fired("session-panic"), 2);
+        assert_eq!(scope.fired("scheduler-stall"), 0);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!               [--timeout SECS] [--mem-limit MB]
 //!               [--check-proof] [--check[=off|light|full]] [--preprocess]
 //!               [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]
-//!               [--portfolio[=N]] [--seed N] [--fault-plan PLAN]
-//!               [--trace-out FILE.json]
+//!               [--fault-plan PLAN] [--trace-out FILE.json]
 //!               [--metrics-out FILE.jsonl] [--metrics-interval SECS]
 //! ```
 //!
@@ -18,27 +17,21 @@
 //! arms deterministic fault injection when the binary is built with the
 //! `faults` feature; without it the flag is a polite error.
 //!
-//! `--portfolio[=N]` races N diversified solvers (defaulting to the
-//! machine's parallelism) with a shared clause pool and returns the first
-//! verdict; `--policy` and `--seed` set worker 0's configuration, UNSAT
-//! answers carry a shared DRAT log, and `--stats-json` then writes one
-//! record per worker.
-//!
 //! A `c`-comment statistics block is printed by default (`--no-stats`
 //! silences it). `--stats-json` streams structured telemetry events
 //! (solve start/end, reduction snapshots, progress heartbeats) as JSON
 //! Lines; `--progress` prints heartbeats every SECS seconds — to the
 //! JSONL stream when one is open, as `c progress` comments otherwise.
 //!
-//! `--trace-out` records span traces into per-thread ring buffers (one
-//! lane per portfolio worker) and writes a Chrome trace-event JSON file at
-//! exit, loadable in Perfetto / `chrome://tracing` and summarized by the
-//! `trace-report` tool. It requires a build with the `trace` feature;
-//! without it the flag is a polite error.
+//! `--trace-out` records span traces into a per-thread ring buffer and
+//! writes a Chrome trace-event JSON file at exit, loadable in Perfetto /
+//! `chrome://tracing` and summarized by the `trace-report` tool. It
+//! requires a build with the `trace` feature; without it the flag is a
+//! polite error.
 //!
 //! `--metrics-out` arms the live metrics registry (`telemetry::metrics`)
 //! and streams periodic `metrics_snapshot` JSONL lines — propagation and
-//! conflict rates, pool import/export traffic, the live memory estimate —
+//! conflict rates, learned clauses, the live memory estimate —
 //! every `--metrics-interval` seconds (default 0.5). It requires a build
 //! with the `metrics` feature; without it the flag is a polite error. On a
 //! metrics build, `--progress` additionally upgrades from whole-run
@@ -49,15 +42,13 @@
 //! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error.
 
 use sat_solver::{
-    check_proof, preprocess, solve_portfolio, Budget, CheckLevel, Checkpoint, PolicyKind,
-    PortfolioConfig, PreprocessConfig, Preprocessed, SolveResult, Solver, SolverConfig,
-    SolverTelemetry,
+    check_proof, preprocess, Budget, CheckLevel, Checkpoint, PolicyKind, PreprocessConfig,
+    Preprocessed, SolveResult, Solver, SolverConfig, SolverTelemetry,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Duration;
-use telemetry::json::ToJson;
 use telemetry::{Event, JsonlSink, Phase, Sink};
 
 struct Options {
@@ -75,8 +66,6 @@ struct Options {
     inprocess: Option<u64>,
     stats_json: Option<String>,
     progress: Option<f64>,
-    portfolio: Option<usize>,
-    seed: u64,
     /// Wall-clock ceiling, applied to the budget right before solving
     /// starts (so parse time does not eat into it).
     timeout: Option<Duration>,
@@ -99,8 +88,7 @@ fn usage() -> ! {
          \x20             [--check-proof] [--check[=off|light|full]] [--preprocess]\n\
          \x20             [--inprocess[=EVERY]]\n\
          \x20             [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]\n\
-         \x20             [--portfolio[=N]] [--seed N] [--fault-plan PLAN]\n\
-         \x20             [--trace-out FILE.json]\n\
+         \x20             [--fault-plan PLAN] [--trace-out FILE.json]\n\
          \x20             [--metrics-out FILE.jsonl] [--metrics-interval SECS]"
     );
     std::process::exit(1)
@@ -167,8 +155,6 @@ fn parse_args() -> Options {
     let mut inprocess = None;
     let mut stats_json = None;
     let mut progress = None;
-    let mut portfolio = None;
-    let mut seed = 0u64;
     let mut timeout = None;
     let mut mem_limit_mb = None;
     let mut fault_plan = None;
@@ -286,28 +272,6 @@ fn parse_args() -> Options {
                     usage()
                 }
             }
-            "--portfolio" => {
-                portfolio = Some(
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(4),
-                )
-            }
-            n if n.starts_with("--portfolio=") => {
-                let workers: usize = n["--portfolio=".len()..]
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if workers == 0 {
-                    usage()
-                }
-                portfolio = Some(workers);
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
             _ => usage(),
         }
@@ -327,8 +291,6 @@ fn parse_args() -> Options {
         inprocess,
         stats_json,
         progress,
-        portfolio,
-        seed,
         timeout,
         mem_limit_mb,
         fault_plan,
@@ -403,7 +365,7 @@ fn arm_trace(opts: &Options) -> Result<(), String> {
 }
 
 /// Drains every trace ring buffer and writes the Chrome trace-event file.
-/// Called right after solving, while worker lanes are freshly flushed.
+/// Called right after solving.
 fn write_trace(opts: &Options) -> Result<(), String> {
     let Some(path) = &opts.trace_out else {
         return Ok(());
@@ -428,8 +390,6 @@ fn write_trace(opts: &Options) -> Result<(), String> {
 /// empty file. Returns `None` when nothing needs sampling.
 fn start_metrics(opts: &Options) -> Result<Option<telemetry::metrics::Sampler>, String> {
     let wants_file = opts.metrics_out.is_some();
-    // Portfolio mode rejects --progress before this runs, so live-progress
-    // sampling only ever drives the single-solver path.
     let live_progress = opts.progress.is_some() && telemetry::metrics::enabled();
     if !wants_file && !live_progress {
         return Ok(None);
@@ -606,19 +566,6 @@ fn main() -> ExitCode {
         formula.num_clauses(),
         opts.policy
     );
-
-    if let Some(workers) = opts.portfolio {
-        if opts.preprocess || opts.progress.is_some() {
-            eprintln!("rsat: --portfolio cannot be combined with --preprocess or --progress");
-            return ExitCode::from(1);
-        }
-        let code = run_portfolio(&formula, &opts, workers);
-        if let Err(e) = finish_metrics(sampler, &opts) {
-            eprintln!("rsat: {e}");
-            return ExitCode::from(1);
-        }
-        return code;
-    }
 
     // Optional SatELite-style simplification. Proof logging covers only the
     // search phase, so --preprocess and --proof are mutually exclusive.
@@ -840,166 +787,4 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::from(code)
-}
-
-/// The `--portfolio[=N]` path: race N diversified workers with clause
-/// sharing; the first verdict wins and is verified (model check or shared
-/// DRAT replay) before anything is printed.
-fn run_portfolio(formula: &cnf::Cnf, opts: &Options, workers: usize) -> ExitCode {
-    let check_on_unsat = opts.check || opts.check_level.is_some();
-    let mut base = SolverConfig::with_policy(opts.policy);
-    base.seed = opts.seed;
-    if let Some(every) = opts.inprocess {
-        base.inprocess = true;
-        base.inprocess_interval = every;
-        println!("c inprocessing enabled in every worker (rounds every {every} restarts)");
-    }
-    let mut config = PortfolioConfig::new(workers);
-    config.base = base;
-    config.budget = armed_budget(opts);
-    config.proof = opts.proof_path.is_some() || check_on_unsat;
-    config.instance_id = std::path::Path::new(&opts.file)
-        .file_name()
-        .map_or_else(|| opts.file.clone(), |n| n.to_string_lossy().into_owned());
-    if let Some(level) = opts.check_level {
-        #[cfg(feature = "checks")]
-        {
-            config.configure = Some(std::sync::Arc::new(move |s: &mut Solver| {
-                s.set_check_level(level)
-            }));
-            println!(
-                "c invariant checks: {level:?} (in-search checkpoints active in every worker)"
-            );
-        }
-        #[cfg(not(feature = "checks"))]
-        {
-            let _ = level;
-            println!(
-                "c note: built without the `checks` feature; in-search checkpoints \
-                 are disabled (model verification and proof replay still run)"
-            );
-        }
-    }
-    println!(
-        "c portfolio: {workers} workers | base policy {} | seed {} | export glue <= {}",
-        opts.policy, opts.seed, config.export_glue
-    );
-
-    let solved = {
-        // The coordinating thread gets its own span so the trace shows the
-        // race envelope next to the per-worker lanes.
-        let _portfolio_span = telemetry::trace::span("portfolio");
-        solve_portfolio(formula, &config)
-    };
-    if let Err(e) = write_trace(opts) {
-        eprintln!("rsat: {e}");
-        return ExitCode::from(1);
-    }
-    let outcome = match solved {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("rsat: portfolio verification FAILED: {e}");
-            return ExitCode::from(1);
-        }
-    };
-
-    if opts.stats {
-        for w in &outcome.workers {
-            println!(
-                "c worker {} | policy {} | seed {} | {} | conflicts {} | \
-                 propagations {} | exported {} | imported {}",
-                w.worker,
-                w.policy,
-                w.seed,
-                w.verdict,
-                w.stats.conflicts,
-                w.stats.propagations,
-                w.exported,
-                w.imported
-            );
-        }
-        let pool = outcome.pool;
-        println!(
-            "c pool | exported {} | imported {} | duplicate-dropped {} | capacity-dropped {} \
-             | poisoned-dropped {} | quarantine-dropped {}",
-            pool.exported,
-            pool.imported,
-            pool.dropped_duplicate,
-            pool.dropped_capacity,
-            pool.dropped_poisoned,
-            pool.dropped_quarantined
-        );
-        if !outcome.crashed.is_empty() {
-            println!(
-                "c crashed workers: {:?} (race degraded to the survivors)",
-                outcome.crashed
-            );
-        }
-        match outcome.winner {
-            Some(w) => println!("c winner: worker {w}"),
-            None => println!("c no winner: every worker exhausted its budget"),
-        }
-    }
-
-    if let Some(path) = &opts.stats_json {
-        match File::create(path) {
-            Ok(f) => {
-                let mut w = BufWriter::new(f);
-                let mut ok = true;
-                for report in &outcome.workers {
-                    if let Some(record) = &report.record {
-                        ok &= writeln!(w, "{}", record.to_json()).is_ok();
-                    }
-                }
-                ok &= w.flush().is_ok();
-                if !ok {
-                    eprintln!("rsat: failed to write worker records to {path}");
-                    return ExitCode::from(1);
-                }
-                println!("c telemetry written to {path} (one record per worker)");
-            }
-            Err(e) => {
-                eprintln!("rsat: {path}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-
-    if let Some(proof) = &outcome.proof {
-        if let Some(path) = &opts.proof_path {
-            match File::create(path) {
-                Ok(f) => {
-                    if write_drat_file(proof, f).is_err() {
-                        eprintln!("rsat: failed to write proof to {path}");
-                        return ExitCode::from(1);
-                    }
-                    println!("c shared proof written to {path}");
-                }
-                Err(e) => {
-                    eprintln!("rsat: {path}: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        if check_on_unsat && outcome.result.is_unsat() {
-            // solve_portfolio already replayed the log (config.verify).
-            println!("c shared proof VERIFIED by the built-in RUP checker");
-        }
-    }
-
-    match &outcome.result {
-        SolveResult::Sat(model) => {
-            println!("s SATISFIABLE");
-            print_model(model);
-            ExitCode::from(10)
-        }
-        SolveResult::Unsat => {
-            println!("s UNSATISFIABLE");
-            ExitCode::from(20)
-        }
-        SolveResult::Unknown => {
-            println!("s UNKNOWN");
-            ExitCode::from(0)
-        }
-    }
 }

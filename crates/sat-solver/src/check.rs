@@ -381,7 +381,7 @@ impl Audit<'_> {
         Ok(())
     }
 
-    /// Decision-heap and VMTF-queue integrity, including that every
+    /// Decision-heap integrity, including that every
     /// unassigned variable stays poppable.
     fn orderings(&self) -> Result<(), CheckError> {
         let s = self.s;
@@ -403,9 +403,6 @@ impl Audit<'_> {
                     format!("unassigned variable {} missing from the heap", v.index()),
                 );
             }
-        }
-        if let Err(detail) = s.vmtf.check_invariant() {
-            return self.fail("vmtf-queue", detail);
         }
         Ok(())
     }
@@ -453,10 +450,8 @@ impl Audit<'_> {
     }
 
     /// Clause-database bookkeeping: cached clause/literal/garbage counts
-    /// agree with a full scan of the arena, stored learned clauses carry a
-    /// plausible glue, and clauses imported from other portfolio workers
-    /// are audited like locally learned ones (imported ⊆ learned, cached
-    /// count matches).
+    /// agree with a full scan of the arena, and stored learned clauses
+    /// carry a plausible glue.
     fn clause_db(&self) -> Result<(), CheckError> {
         let s = self.s;
         let learned: Vec<_> = s.db.iter_learned().collect();
@@ -500,28 +495,6 @@ impl Audit<'_> {
                     format!("learned clause {cref:?} of length {len} has glue {glue}"),
                 );
             }
-        }
-        let mut imported = 0usize;
-        for &cref in &self.live {
-            if !s.db.is_imported(cref) {
-                continue;
-            }
-            imported += 1;
-            if !s.db.is_learned(cref) {
-                return self.fail(
-                    "imported-clauses-learned",
-                    format!("imported clause {cref:?} is not marked learned"),
-                );
-            }
-        }
-        if imported != s.db.num_imported() {
-            return self.fail(
-                "db-imported-count",
-                format!(
-                    "cached {} imported clauses, scan gives {imported}",
-                    s.db.num_imported()
-                ),
-            );
         }
         Ok(())
     }
@@ -743,17 +716,6 @@ mod tests {
             .audit_invariants(Checkpoint::PostReduce)
             .expect_err("a frequency bump without a propagation must be detected");
         assert_eq!(err.invariant, "freq-matches-stats");
-    }
-
-    #[test]
-    fn corrupted_vmtf_queue_is_caught() {
-        let mut s = solved_solver();
-        s.vmtf.bump(cnf::Var::new(3));
-        s.vmtf.bump(cnf::Var::new(1));
-        // `rewind` keeps the hint on the head; force it off-list instead.
-        let err_free = s.vmtf.check_invariant();
-        assert_eq!(err_free, Ok(()));
-        assert_eq!(s.audit_invariants(Checkpoint::PostBackjump), Ok(()));
     }
 
     #[test]

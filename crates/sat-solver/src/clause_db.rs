@@ -7,7 +7,7 @@
 //! of the header.
 //!
 //! ```text
-//! cref ─► | len | glue << 4 | flags | id | lit 0 | lit 1 | … | lit len-1 |
+//! cref ─► | len | glue << 3 | flags | id | lit 0 | lit 1 | … | lit len-1 |
 //! ```
 //!
 //! The header words are stored as `Lit` codes behind two private helpers
@@ -73,15 +73,13 @@ const META: usize = 1;
 /// Header word: the tie-break id (also the activity-table index).
 const ID: usize = 2;
 
-const FLAG_BITS: u32 = 4;
+const FLAG_BITS: u32 = 3;
 /// Learned (original clauses are never deleted by reduction).
 const LEARNED: u32 = 1;
-/// Imported from another portfolio worker (always also learned).
-const IMPORTED: u32 = 2;
 /// Survives the next reduction (recently used in conflict analysis).
-const PROTECTED: u32 = 4;
+const PROTECTED: u32 = 2;
 /// Deleted; the words stay in the arena until compaction.
-const GARBAGE: u32 = 8;
+const GARBAGE: u32 = 4;
 
 /// Where compaction moved each live clause, for rewriting the references
 /// held outside the database (see [`ClauseDb::collect_garbage`]).
@@ -117,7 +115,6 @@ pub struct ClauseDb {
     garbage: usize,
     num_learned: usize,
     num_original: usize,
-    num_imported: usize,
     lits_in_learned: usize,
 }
 
@@ -134,19 +131,7 @@ impl ClauseDb {
     /// Panics in debug builds if `lits` has fewer than two literals; unit
     /// and empty clauses are handled on the trail, not stored.
     pub fn add(&mut self, lits: &[Lit], learned: bool, glue: u32) -> ClauseRef {
-        self.add_full(lits, learned, false, glue)
-    }
-
-    /// Inserts a clause learned by another portfolio worker. Imported
-    /// clauses are counted as learned *and* tracked separately so the
-    /// invariant auditor can cross-check the exchange bookkeeping.
-    pub fn add_imported(&mut self, lits: &[Lit], glue: u32) -> ClauseRef {
-        self.add_full(lits, true, true, glue)
-    }
-
-    fn add_full(&mut self, lits: &[Lit], learned: bool, imported: bool, glue: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "stored clauses must have >= 2 literals");
-        debug_assert!(learned || !imported, "imported clauses must be learned");
         debug_assert!(
             glue < 1 << (32 - FLAG_BITS),
             "glue {glue} overflows the header"
@@ -156,9 +141,6 @@ impl ClauseDb {
             self.lits_in_learned += lits.len();
         } else {
             self.num_original += 1;
-        }
-        if imported {
-            self.num_imported += 1;
         }
         let id = match self.free_ids.pop() {
             Some(id) => {
@@ -172,7 +154,7 @@ impl ClauseDb {
                 self.activity.len() as u32 - 1
             }
         };
-        let flags = if learned { LEARNED } else { 0 } | if imported { IMPORTED } else { 0 };
+        let flags = if learned { LEARNED } else { 0 };
         let cref = ClauseRef(self.arena.len() as u32);
         self.arena
             .extend([lits.len() as u32, glue << FLAG_BITS | flags, id].map(Lit::from_code));
@@ -257,14 +239,6 @@ impl ClauseDb {
         self.flags(cref) & LEARNED != 0
     }
 
-    /// Whether the clause was imported from another portfolio worker.
-    /// Imported clauses are always learned and go through the same
-    /// reduction machinery as locally learned ones.
-    #[inline]
-    pub fn is_imported(&self, cref: ClauseRef) -> bool {
-        self.flags(cref) & IMPORTED != 0
-    }
-
     /// Whether the clause survives the next reduction (recently used).
     #[inline]
     pub fn is_protected(&self, cref: ClauseRef) -> bool {
@@ -317,9 +291,6 @@ impl ClauseDb {
         } else {
             self.num_original -= 1;
         }
-        if self.is_imported(cref) {
-            self.num_imported -= 1;
-        }
         self.set_flag(cref, GARBAGE, true);
         self.garbage += self.words(cref);
         self.free_ids.push(self.id(cref));
@@ -341,12 +312,6 @@ impl ClauseDb {
     #[inline]
     pub fn num_original(&self) -> usize {
         self.num_original
-    }
-
-    /// Number of live imported clauses (a subset of the learned count).
-    #[inline]
-    pub fn num_imported(&self) -> usize {
-        self.num_imported
     }
 
     /// Total literal occurrences in live learned clauses.
@@ -540,19 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn imported_accounting() {
-        let mut db = ClauseDb::new();
-        let a = db.add_imported(&lits(&[1, 2, 3]), 2);
-        let _b = db.add(&lits(&[4, 5]), true, 1);
-        assert!(db.is_imported(a) && db.is_learned(a));
-        assert_eq!(db.num_imported(), 1);
-        assert_eq!(db.num_learned(), 2);
-        db.remove(a);
-        assert_eq!(db.num_imported(), 0);
-        assert_eq!(db.num_learned(), 1);
-    }
-
-    #[test]
     fn collect_garbage_relocates_live_clauses() {
         let mut db = ClauseDb::new();
         let specs: [(&[i32], bool, u32); 5] = [
@@ -568,7 +520,7 @@ mod tests {
             .collect();
         db.set_protected(refs[2], true);
         db.bump_activity(refs[4], 3.5);
-        let imported = db.add_imported(&lits(&[5, -7]), 2);
+        let last = db.add(&lits(&[5, -7]), true, 2);
         db.remove(refs[1]);
         db.remove(refs[3]);
         let snapshot = |db: &ClauseDb, c: ClauseRef| {
@@ -576,14 +528,13 @@ mod tests {
                 db.lits(c).to_vec(),
                 db.glue(c),
                 db.is_learned(c),
-                db.is_imported(c),
                 db.is_protected(c),
                 db.id(c),
                 db.activity(c),
             )
         };
         let live: Vec<ClauseRef> = db.iter_refs().collect();
-        assert_eq!(live, vec![refs[0], refs[2], refs[4], imported]);
+        assert_eq!(live, vec![refs[0], refs[2], refs[4], last]);
         let before: Vec<_> = live.iter().map(|&c| snapshot(&db, c)).collect();
         assert!(db.garbage_words() > 0);
 
@@ -594,10 +545,7 @@ mod tests {
         assert_eq!(db.iter_refs().collect::<Vec<_>>(), after, "order kept");
         let snapshots: Vec<_> = after.iter().map(|&c| snapshot(&db, c)).collect();
         assert_eq!(snapshots, before);
-        assert_eq!(
-            (db.num_original(), db.num_learned(), db.num_imported()),
-            (1, 3, 1)
-        );
+        assert_eq!((db.num_original(), db.num_learned()), (1, 3));
         assert_eq!(db.lits_in_learned(), 4 + 3 + 2);
     }
 }

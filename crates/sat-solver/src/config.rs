@@ -42,8 +42,6 @@ pub struct SolverConfig {
     pub reduce_inc: usize,
     /// Fraction of reducible clauses deleted at each reduction, in `(0, 1]`.
     pub reduce_fraction: f64,
-    /// Initial phase for unassigned variables without a saved phase.
-    pub initial_phase: bool,
     /// Random seed (reserved for randomized decision tie-breaking).
     pub seed: u64,
     /// Enables in-search inprocessing rounds (subsumption, self-subsuming
@@ -69,7 +67,6 @@ impl Default for SolverConfig {
             reduce_init: 100,
             reduce_inc: 75,
             reduce_fraction: 0.5,
-            initial_phase: false,
             seed: 0,
             inprocess: false,
             inprocess_interval: 10,
@@ -96,11 +93,11 @@ impl SolverConfig {
 /// [`Solver::stop_cause`](crate::Solver::stop_cause)). `Budget::default()`
 /// is unlimited.
 ///
-/// The wall-clock deadline is an *absolute* instant so that one budget
-/// value shared by every portfolio worker means one common deadline,
-/// no matter when each worker thread starts. The memory ceiling is
-/// approximate: it bounds the solver's dominant allocations (clause
-/// database, per-variable state, watch lists) as estimated by
+/// The wall-clock deadline is an *absolute* instant, so a caller can fix
+/// it when a request arrives and the time the request waits before its
+/// search starts counts against it (`rsatd` does this). The memory
+/// ceiling is approximate: it bounds the solver's dominant allocations
+/// (clause database, per-variable state, watch lists) as estimated by
 /// [`Solver::approx_memory_bytes`](crate::Solver::approx_memory_bytes),
 /// not the process RSS.
 ///
@@ -222,8 +219,6 @@ pub enum StopCause {
     Deadline,
     /// The approximate memory ceiling was exceeded.
     Memory,
-    /// An external stop signal fired (e.g. another portfolio worker won).
-    External,
 }
 
 impl StopCause {
@@ -234,7 +229,6 @@ impl StopCause {
             StopCause::Propagations => "propagations",
             StopCause::Deadline => "deadline",
             StopCause::Memory => "memory",
-            StopCause::External => "external",
         }
     }
 }
@@ -393,7 +387,6 @@ mod tests {
             (StopCause::Propagations, "propagations"),
             (StopCause::Deadline, "deadline"),
             (StopCause::Memory, "memory"),
-            (StopCause::External, "external"),
         ] {
             assert_eq!(cause.as_str(), name);
         }

@@ -13,9 +13,9 @@
 //! # Incremental occurrence lists and touched queues
 //!
 //! The engine keeps a persistent *touched-variable* queue: every clause
-//! the solver learns or imports marks its variables touched, and a round
-//! only re-examines clauses containing a touched variable (the first
-//! round touches everything). Occurrence lists over the live clause
+//! the solver learns marks its variables touched, and a round only
+//! re-examines clauses containing a touched variable (the first round
+//! touches everything). Occurrence lists over the live clause
 //! database are rebuilt per round — they index `ClauseRef`s lazily, so a
 //! clause deleted mid-round is filtered by a liveness check on read
 //! rather than eagerly unlinked. A deleted clause stays in the clause
@@ -37,12 +37,6 @@
 //! * a **BVE resolvent** is a single resolution step, hence RUP; all
 //!   resolvents of the pivot are added before any clause containing the
 //!   pivot is deleted.
-//!
-//! Under a shared portfolio proof the adds travel through
-//! [`ClauseExchange::on_learn`](crate::ClauseExchange::on_learn) (which
-//! appends to the shared log before any pool publication) and the
-//! deletions are simply not recorded — the shared log is append-only and
-//! remains valid without them.
 //!
 //! # Model reconstruction
 //!
@@ -112,15 +106,12 @@ pub struct InprocessStats {
     pub vivified: u64,
     /// Unit clauses derived by strengthening/elimination this far.
     pub units_derived: u64,
-    /// Shared-pool imports dropped because they mention an eliminated
-    /// variable.
-    pub imports_skipped: u64,
 }
 
 /// Persistent inprocessing state carried by the solver across rounds.
 pub(crate) struct InprocessEngine {
-    /// Variables touched since the previous round (by learning, imports,
-    /// or in-round rewrites); only clauses containing one are revisited.
+    /// Variables touched since the previous round (by learning or
+    /// in-round rewrites); only clauses containing one are revisited.
     touched: VarMap<bool>,
     touched_queue: Vec<Var>,
     /// Variables removed from the formula by BVE.
@@ -352,29 +343,14 @@ impl Solver {
         self.inprocess.as_ref().map(|e| e.stats())
     }
 
-    /// Enables in-search inprocessing on an already-constructed solver
-    /// (the portfolio's `configure` hook runs after construction).
+    /// Enables in-search inprocessing on an already-constructed solver,
+    /// as if [`SolverConfig::inprocess`](crate::SolverConfig::inprocess)
+    /// had been set.
     pub fn enable_inprocessing(&mut self) {
         self.config.inprocess = true;
         if self.inprocess.is_none() {
             self.inprocess = Some(Box::new(InprocessEngine::new(self.num_vars)));
         }
-    }
-
-    /// Whether a shared-pool import must be dropped because it mentions
-    /// a variable this solver eliminated (the clause is still implied,
-    /// but re-attaching it would resurrect the eliminated variable).
-    pub(crate) fn inprocess_rejects_import(&mut self, lits: &[Lit]) -> bool {
-        let Some(eng) = &mut self.inprocess else {
-            return false;
-        };
-        let reject = lits.iter().any(|l| {
-            (l.var().index() as usize) < eng.eliminated.len() && eng.eliminated.get(l.var())
-        });
-        if reject {
-            eng.stats.imports_skipped += 1;
-        }
-        reject
     }
 
     /// Panics if `lits` mentions an eliminated variable — the documented
@@ -400,7 +376,7 @@ impl Solver {
     pub(crate) fn inprocess_round(&mut self) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         // The engine moves out for the duration of the round so `self`
-        // stays freely borrowable (the `import_shared` pattern).
+        // stays freely borrowable.
         let Some(mut eng) = self.inprocess.take() else {
             return true;
         };
@@ -545,25 +521,20 @@ impl Solver {
         while eng.units_logged < self.trail.len() {
             let unit = crate::varmap::at(&self.trail, eng.units_logged);
             eng.units_logged += 1;
-            self.ip_log_add(&[unit], 1);
+            self.ip_log_add(&[unit]);
         }
         true
     }
 
-    /// Logs a derived clause: to the private proof when one is attached,
-    /// and through the clause exchange under a shared portfolio proof
-    /// (`on_learn` appends to the shared log before any pool export).
-    fn ip_log_add(&mut self, lits: &[Lit], glue: u32) {
+    /// Logs a derived clause to the proof, when one is attached.
+    fn ip_log_add(&mut self, lits: &[Lit]) {
         if let Some(p) = &mut self.proof {
             p.add(lits);
         }
-        if let Some(x) = &mut self.exchange {
-            x.on_learn(lits, glue);
-        }
     }
 
-    /// Deletes a live, attached clause: proof delete line (private proofs
-    /// only — shared logs are append-only), watch detach, database drop.
+    /// Deletes a live, attached clause: proof delete line, watch detach,
+    /// database drop.
     fn ip_delete_clause(&mut self, cref: ClauseRef) {
         if let Some(p) = &mut self.proof {
             p.delete(self.db.lits(cref));
@@ -651,10 +622,10 @@ impl Solver {
         match *kept.as_slice() {
             [] => self.ip_refute(),
             [unit] => {
-                self.ip_log_add(&kept, 1);
+                self.ip_log_add(&kept);
                 self.ip_delete_clause(old);
                 // Asserted like a learned unit (no reason, no frequency
-                // bump); mirror `import_clause`.
+                // bump).
                 self.assign(unit, None);
                 eng.touch(unit.var());
                 eng.stats.strengthened += 1;
@@ -670,7 +641,7 @@ impl Solver {
                 } else {
                     0
                 };
-                self.ip_log_add(&kept, glue.max(1));
+                self.ip_log_add(&kept);
                 self.ip_delete_clause(old);
                 let cref = self.db.add(&kept, was_learned, glue);
                 self.attach(cref);
@@ -882,7 +853,7 @@ impl Solver {
                 .map(|&c| self.db.lits(c).to_vec())
                 .collect();
             for r in &resolvents {
-                self.ip_log_add(r, r.len() as u32);
+                self.ip_log_add(r);
             }
             for cref in pos.iter().chain(&neg).copied().collect::<Vec<_>>() {
                 if self.db.is_live(cref) {
@@ -1064,7 +1035,7 @@ impl Solver {
                 self.ip_refute()
             }
             [unit] => {
-                self.ip_log_add(&kept, 1);
+                self.ip_log_add(&kept);
                 if let Some(p) = &mut self.proof {
                     p.delete(&lits);
                 }
@@ -1079,7 +1050,7 @@ impl Solver {
             }
             _ => {
                 let new_glue = glue.clamp(1, kept.len() as u32);
-                self.ip_log_add(&kept, new_glue);
+                self.ip_log_add(&kept);
                 if let Some(p) = &mut self.proof {
                     p.delete(&lits);
                 }

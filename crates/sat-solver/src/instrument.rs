@@ -12,7 +12,6 @@
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
 //! for serde's `Serialize`/`Deserialize`).
 
-use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::{DbStats, InprocessStats, PolicyKind, SolveResult, SolverStats};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
@@ -205,7 +204,7 @@ pub(crate) struct OpenPhase {
     sampled: Option<Instant>,
 }
 
-/// A trace-only span (`import`, `reduce-score`), ended by dropping it.
+/// A trace-only span (`reduce-score`), ended by dropping it.
 #[must_use]
 pub(crate) struct TraceSpan {
     #[cfg(feature = "trace")]
@@ -292,19 +291,6 @@ impl Recorder {
             #[cfg(feature = "trace")]
             _span: telemetry::trace::span(name),
         }
-    }
-
-    /// Clause `cref` of `db` took part in conflict analysis. For a clause
-    /// imported from another worker, the `import-use` instant after this
-    /// lane's `clause-import` gives the import-to-use latency.
-    #[inline]
-    pub(crate) fn clause_used(&self, db: &ClauseDb, cref: ClauseRef) {
-        #[cfg(feature = "trace")]
-        if db.is_imported(cref) {
-            telemetry::trace::instant_with("import-use", &[("glue", u64::from(db.glue(cref)))]);
-        }
-        #[cfg(not(feature = "trace"))]
-        let _ = (db, cref);
     }
 
     /// A conflict was analyzed into a learned clause of `len` literals.

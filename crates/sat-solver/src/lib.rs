@@ -44,14 +44,12 @@ mod inprocess;
 mod instrument;
 mod lbool;
 mod policy;
-mod portfolio;
 mod preprocess;
 mod proof;
 mod resilience;
 mod restart;
 mod solver;
 mod varmap;
-mod vmtf;
 
 pub use check::{CheckError, CheckLevel};
 pub use config::{Budget, SolveResult, SolverConfig, SolverStats, StopCause};
@@ -62,15 +60,10 @@ pub use lbool::LBool;
 pub use policy::{
     ActivityPolicy, ClauseScoreCtx, DefaultPolicy, DeletionPolicy, PolicyKind, PropFreqPolicy,
 };
-pub use portfolio::{
-    solve_portfolio, worker_config, ConfigureHook, PoolStats, PortfolioConfig, PortfolioError,
-    PortfolioResult, SharedClausePool, WorkerReport,
-};
 pub use preprocess::{preprocess, PreprocessConfig, Preprocessed, Reconstruction};
 pub use proof::{check_proof, ProofError, ProofLogger, ProofStep};
 pub use resilience::{run_isolated, WorkerCrash};
 pub use restart::{luby, RestartScheduler, RestartStrategy};
 pub use solver::{
-    solve_with_policy, solve_with_policy_recorded, Branching, Checkpoint, ClauseExchange, DbStats,
-    Solver,
+    solve_with_policy, solve_with_policy_recorded, Branching, Checkpoint, DbStats, Solver,
 };

@@ -1,46 +1,40 @@
-//! Worker crash isolation for the portfolio.
+//! Crash isolation: a panic in solver or pipeline code becomes a value
+//! the caller handles instead of tearing down the process.
+//!
+//! [`run_isolated`] converts a panic into a [`WorkerCrash`]. Its callers
+//! decide what a crash degrades to:
+//!
+//! * an `rsatd` session whose solve panicked is quarantined (its requests
+//!   get a typed `crashed` error) while the daemon keeps serving the
+//!   other sessions;
+//! * a panic in model inference makes the pipeline's policy pick fall
+//!   back to the static heuristic, and a panic there to the default
+//!   policy (`neuroselect`'s degradation ladder).
 //!
 //! This module is the *only* place in the workspace allowed to re-raise a
 //! caught panic (`resume_unwind`), enforced by the `no-unwind-escape`
-//! xtask lint rule. The policy it implements:
-//!
-//! * every portfolio worker runs inside [`run_isolated`], so a panicking
-//!   worker becomes a [`WorkerCrash`] value instead of tearing down the
-//!   process;
-//! * the race degrades to the surviving workers (the crashed worker's
-//!   pool exports are quarantined by the caller);
-//! * only when *every* worker crashed is the first panic re-raised via
-//!   [`propagate`] — there is no survivor to degrade to, and swallowing
-//!   the panic would turn a programming error into a silent `Unknown`.
+//! xtask lint rule.
 //!
 //! The module also hosts the solver-side fault-injection points of the
-//! `faults` feature (worker panics, shared-pool corruption); they compile
-//! to empty inline functions without it.
+//! `faults` feature (inprocessing corruption and stalls); they compile to
+//! empty inline functions without it.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A caught worker panic: the payload (for possible re-raising) plus a
-/// human-readable rendering for reports and telemetry.
+/// A caught panic, rendered for reports and telemetry.
+#[derive(Debug)]
 pub struct WorkerCrash {
     /// Human-readable panic message.
     pub message: String,
-    payload: Box<dyn Any + Send>,
-}
-
-impl std::fmt::Debug for WorkerCrash {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCrash")
-            .field("message", &self.message)
-            .finish_non_exhaustive()
-    }
 }
 
 impl WorkerCrash {
     /// Wraps a raw panic payload (e.g. from `JoinHandle::join`).
     pub fn from_payload(payload: Box<dyn Any + Send>) -> Self {
-        let message = panic_message(payload.as_ref());
-        WorkerCrash { message, payload }
+        WorkerCrash {
+            message: panic_message(payload.as_ref()),
+        }
     }
 }
 
@@ -57,74 +51,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into a [`WorkerCrash`].
 ///
-/// `AssertUnwindSafe` is sound here because the caller never touches the
-/// crashed worker's state again: its solver (and everything else the
-/// closure owned) is dropped mid-unwind, shared state is limited to the
-/// panic-hardened pool/proof/flag primitives, and the caller's only
-/// follow-up is quarantining the worker's pool exports.
+/// `AssertUnwindSafe` is sound for the callers above because none of
+/// them touches the crashed closure's state again: a panicked session's
+/// solver is dropped mid-unwind and the session quarantined, and a
+/// panicked inference drops its prepared tensors without having mutated
+/// anything shared.
 pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, WorkerCrash> {
     catch_unwind(AssertUnwindSafe(f)).map_err(WorkerCrash::from_payload)
-}
-
-/// Re-raises a crash caught by [`run_isolated`]. Called only when every
-/// worker of a race crashed and there is no survivor to degrade to.
-pub fn propagate(crash: WorkerCrash) -> ! {
-    std::panic::resume_unwind(crash.payload)
-}
-
-/// Fault point [`faults::site::WORKER_PANIC`]: panics inside a worker
-/// once its learned-clause counter reaches the armed threshold.
-#[cfg(feature = "faults")]
-#[inline]
-pub(crate) fn inject_worker_panic(worker: usize, learned: u64) {
-    if faults::fire(
-        faults::site::WORKER_PANIC,
-        &[("worker", worker as u64), ("at", learned)],
-    )
-    .is_some()
-    {
-        panic!("injected fault: worker {worker} panicked at learned clause {learned}");
-    }
-}
-
-#[cfg(not(feature = "faults"))]
-#[inline]
-pub(crate) fn inject_worker_panic(_worker: usize, _learned: u64) {}
-
-/// Fault point [`faults::site::POOL_CORRUPT`]: returns a corrupted copy
-/// of a clause about to be exported to the shared pool. `mode=flip`
-/// (default) negates the first literal — a semantically wrong clause that
-/// downstream verification must catch or tolerate; `mode=alien` rewrites
-/// it to a variable no solver knows — exercising the importer's graceful
-/// rejection path.
-#[cfg(feature = "faults")]
-#[inline]
-pub(crate) fn inject_pool_corruption(
-    worker: usize,
-    exports: u64,
-    lits: &[cnf::Lit],
-) -> Option<Vec<cnf::Lit>> {
-    let cfg = faults::fire(
-        faults::site::POOL_CORRUPT,
-        &[("worker", worker as u64), ("at", exports)],
-    )?;
-    let mut corrupted = lits.to_vec();
-    let first = corrupted.first_mut()?;
-    match cfg.get("mode") {
-        Some("alien") => *first = cnf::Lit::from_dimacs(9_000_000),
-        _ => *first = !*first,
-    }
-    Some(corrupted)
-}
-
-#[cfg(not(feature = "faults"))]
-#[inline]
-pub(crate) fn inject_pool_corruption(
-    _worker: usize,
-    _exports: u64,
-    _lits: &[cnf::Lit],
-) -> Option<Vec<cnf::Lit>> {
-    None
 }
 
 /// Fault point [`faults::site::INPROCESS_CORRUPT`]: reports the engine's
@@ -172,12 +105,5 @@ mod tests {
         assert_eq!(crash.message, "boom 7");
         let crash = run_isolated(|| -> u32 { panic!("static boom") }).unwrap_err();
         assert_eq!(crash.message, "static boom");
-    }
-
-    #[test]
-    fn propagate_reraises_the_original_payload() {
-        let crash = run_isolated(|| -> () { panic!("escalate me") }).unwrap_err();
-        let reraised = catch_unwind(AssertUnwindSafe(|| propagate(crash))).unwrap_err();
-        assert_eq!(panic_message(reraised.as_ref()), "escalate me");
     }
 }

@@ -5,39 +5,13 @@ use crate::heap::VarHeap;
 use crate::instrument::{Recorder, SolverTelemetry};
 use crate::proof::ProofLogger;
 use crate::varmap::{at, LitMap, VarMap};
-use crate::vmtf::VmtfQueue;
 use crate::{
     Budget, ClauseScoreCtx, DeletionPolicy, FrequencyTable, LBool, PolicyKind, RestartScheduler,
     SolveResult, SolverConfig, SolverStats, StopCause,
 };
 use cnf::{Cnf, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use telemetry::Phase;
-
-/// A clause-sharing channel between portfolio workers (see the
-/// `portfolio` module).
-///
-/// The solver calls [`on_learn`](ClauseExchange::on_learn) for **every**
-/// clause it learns — the exchange decides what to publish — and drains
-/// [`import`](ClauseExchange::import) at restart boundaries, when the
-/// trail is back at the root level and foreign clauses can be attached
-/// safely. Implementations must be `Send`: the solver that owns the
-/// exchange moves onto a worker thread.
-pub trait ClauseExchange: Send {
-    /// Called after each conflict with the freshly learned clause.
-    fn on_learn(&mut self, lits: &[Lit], glue: u32);
-
-    /// Yields clauses learned by other workers since the previous call.
-    /// Each clause is passed to `each` together with its producer-side glue.
-    fn import(&mut self, each: &mut dyn FnMut(&[Lit], u32));
-
-    /// `(exported, imported)` clause counts seen by this exchange so far.
-    fn counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
 
 /// One entry in a literal's watch list.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +66,6 @@ pub struct Solver {
     var_inc: f64,
     pub(crate) heap: VarHeap,
     pub(crate) saved_phase: VarMap<bool>,
-    pub(crate) vmtf: VmtfQueue,
     rng_state: u64,
     pub(crate) freq: FrequencyTable,
     /// `freq`'s counts folded in at each reset; with `freq` added back, the
@@ -124,17 +97,8 @@ pub struct Solver {
     pub(crate) proof: Option<ProofLogger>,
     /// The instrumentation spine (phase times, metrics, trace spans).
     rec: Recorder,
-    /// Cooperative cancellation: when set and raised, the search returns
-    /// [`SolveResult::Unknown`] at the next conflict or decision boundary.
-    stop: Option<Arc<AtomicBool>>,
     /// Why the most recent `solve` call returned `Unknown`, if it did.
     stop_cause: Option<StopCause>,
-    /// Shared clauses dropped by `import_clause` because they mentioned
-    /// variables this solver does not know (a corrupt producer).
-    rejected_imports: u64,
-    /// Clause-sharing channel for portfolio solving; `None` (the default)
-    /// costs one branch per learned clause and per restart.
-    pub(crate) exchange: Option<Box<dyn ClauseExchange>>,
     /// In-search inprocessing engine (see `inprocess.rs`); `None` unless
     /// `SolverConfig::inprocess` is set, costing one branch per restart
     /// and per learned clause.
@@ -163,8 +127,7 @@ impl Solver {
             activity: VarMap::new(n, 0.0),
             var_inc: 1.0,
             heap: VarHeap::new(n),
-            saved_phase: VarMap::new(n, config.initial_phase),
-            vmtf: VmtfQueue::new(n),
+            saved_phase: VarMap::new(n, false),
             rng_state: config.seed | 1,
             freq: FrequencyTable::new(n),
             freq_folded: FrequencyTable::new(n),
@@ -185,10 +148,7 @@ impl Solver {
             glue_levels: Vec::new(),
             proof: None,
             rec: Recorder::default(),
-            stop: None,
             stop_cause: None,
-            rejected_imports: 0,
-            exchange: None,
             inprocess: None,
             #[cfg(feature = "checks")]
             check_level: crate::check::CheckLevel::default(),
@@ -223,45 +183,15 @@ impl Solver {
         self.proof.take()
     }
 
-    /// Installs a shared stop flag. Once another thread raises it, the
-    /// search returns [`SolveResult::Unknown`] at the next conflict or
-    /// decision boundary — the mechanism behind portfolio racing.
-    pub fn set_stop(&mut self, stop: Arc<AtomicBool>) {
-        self.stop = Some(stop);
-    }
-
-    /// Installs a clause-sharing channel (replacing any previous one).
-    pub fn set_exchange(&mut self, exchange: Box<dyn ClauseExchange>) {
-        self.exchange = Some(exchange);
-    }
-
-    /// Removes and returns the installed clause-sharing channel, e.g. to
-    /// read its counters after a solve.
-    pub fn take_exchange(&mut self) -> Option<Box<dyn ClauseExchange>> {
-        self.exchange.take()
-    }
-
-    #[inline]
-    fn should_stop(&self) -> bool {
-        // Acquire pairs with the winner's Release store so that any state
-        // published before the flag was raised is visible here.
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Acquire))
-    }
-
     /// Full budget check, run at every conflict boundary.
     #[inline]
     fn check_budget(&self, budget: &Budget) -> Option<StopCause> {
-        if self.should_stop() {
-            return Some(StopCause::External);
-        }
         budget.check(self.stats.conflicts, self.stats.propagations, || {
             self.approx_memory_bytes()
         })
     }
 
-    /// Stop-flag, deadline, and memory check, run at every decision
+    /// Deadline and memory check, run at every decision
     /// boundary. Counter limits are deliberately *not* consulted here so
     /// counter-budgeted runs stop at exactly the same conflict as they
     /// did before wall-clock budgets existed (budgeted stats stay
@@ -270,9 +200,6 @@ impl Solver {
     /// propagation-heavy stretches between conflicts.
     #[inline]
     fn check_wall_limits(&self, budget: &Budget) -> Option<StopCause> {
-        if self.should_stop() {
-            return Some(StopCause::External);
-        }
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
             return Some(StopCause::Deadline);
         }
@@ -292,19 +219,13 @@ impl Solver {
         self.stop_cause
     }
 
-    /// Shared clauses dropped because they mentioned variables this
-    /// solver does not know (evidence of a corrupt producer).
-    pub fn rejected_imports(&self) -> u64 {
-        self.rejected_imports
-    }
-
     /// Approximate heap footprint of the solver in bytes: the clause
     /// database plus per-variable state and watch lists. O(1), computed
     /// from maintained counters; used by [`Budget::max_memory_bytes`].
     pub fn approx_memory_bytes(&self) -> u64 {
         // Per-variable state: values + level + reason + activity + phase
-        // + seen + heap slot + VMTF node + two frequency counters, plus
-        // two watch-list headers per variable. ~128 bytes covers it.
+        // + seen + heap slot + two frequency counters, plus two
+        // watch-list headers per variable. ~128 bytes covers it.
         const PER_VAR: u64 = 128;
         // Each live clause holds two watches (cref + blocker).
         let live_clauses = (self.db.num_original() + self.db.num_learned()) as u64;
@@ -483,86 +404,6 @@ impl Solver {
         }
     }
 
-    /// Drains the clause-sharing channel and integrates every foreign
-    /// clause. Only called at the root level (restart boundaries).
-    fn import_shared(&mut self) {
-        let _span = self.rec.trace_span("import");
-        let Some(mut exchange) = self.exchange.take() else {
-            return;
-        };
-        // Buffer first: the callback cannot borrow `self` mutably while the
-        // exchange (also owned by `self`) is being iterated.
-        let mut incoming: Vec<(Vec<Lit>, u32)> = Vec::new();
-        exchange.import(&mut |lits, glue| incoming.push((lits.to_vec(), glue)));
-        self.exchange = Some(exchange);
-        for (lits, glue) in incoming {
-            if !self.ok {
-                break;
-            }
-            self.import_clause(&lits, glue);
-        }
-    }
-
-    /// Integrates one clause learned by another portfolio worker.
-    ///
-    /// Mirrors [`add_input_clause`](Self::add_input_clause)'s root-level
-    /// normalization (drop false literals, skip satisfied clauses and
-    /// tautologies, dedup) so the stored clause respects every watch
-    /// invariant the auditor checks. Narrowing against level-0 assignments
-    /// keeps the clause a RUP consequence of the shared proof log, because
-    /// the level-0 units themselves are logged learned clauses.
-    fn import_clause(&mut self, lits: &[Lit], glue: u32) {
-        debug_assert_eq!(self.decision_level(), 0);
-        if self.inprocess_rejects_import(lits) {
-            // The clause mentions a variable this solver eliminated by
-            // inprocessing; re-attaching it would resurrect the variable.
-            return;
-        }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            if l.var().index() >= self.num_vars {
-                // A producer exported garbage (corrupt or foreign clause).
-                // Soundness only depends on what we *add*, so the clause is
-                // dropped and counted rather than trusted or asserted on.
-                self.rejected_imports += 1;
-                return;
-            }
-            match self.value(l) {
-                LBool::True => return, // satisfied at level 0
-                LBool::False => continue,
-                LBool::Undef => {}
-            }
-            if c.contains(&!l) {
-                return; // tautology
-            }
-            if !c.contains(&l) {
-                c.push(l);
-            }
-        }
-        match *c.as_slice() {
-            [] => {
-                // Every literal is false at the root: the shared clause
-                // refutes the formula outright.
-                self.ok = false;
-                if let Some(p) = &mut self.proof {
-                    p.add_empty();
-                }
-            }
-            [unit] => {
-                // Asserted like a learned unit (no reason, no frequency
-                // bump); the next propagation fixpoint picks it up.
-                self.assign(unit, None);
-            }
-            _ => {
-                // Clamp the producer-side glue into the auditor's valid
-                // range: narrowing may have shortened the clause below it.
-                let glue = glue.clamp(1, c.len() as u32);
-                let cref = self.db.add_imported(&c, glue);
-                self.attach(cref);
-            }
-        }
-    }
-
     #[inline]
     pub(crate) fn value(&self, l: Lit) -> LBool {
         self.values.get(l)
@@ -702,7 +543,6 @@ impl Solver {
 
         let uip = loop {
             self.bump_clause(cref);
-            self.rec.clause_used(&self.db, cref);
             // Iterate the clause's literals; skip the resolved literal,
             // which sits at position 0 of its reason clause.
             let clen = self.db.len(cref);
@@ -864,9 +704,6 @@ impl Solver {
     }
 
     fn bump_var(&mut self, v: Var) {
-        if self.config.branching == Branching::Vmtf {
-            self.vmtf.bump(v);
-        }
         let a = self.activity.get_mut(v);
         *a += self.var_inc;
         if *a > 1e100 {
@@ -916,7 +753,6 @@ impl Solver {
         self.trail.truncate(target_len);
         self.trail_lim.truncate(target_level as usize);
         self.qhead = target_len;
-        self.vmtf.rewind();
     }
 
     /// Picks the next decision literal, or `None` when fully assigned.
@@ -931,14 +767,6 @@ impl Solver {
                     }
                 }
                 picked
-            }
-            Branching::Vmtf => {
-                let values = &self.values;
-                let inprocess = self.inprocess.as_deref();
-                self.vmtf.next_unassigned(|v| {
-                    !values.get(v.positive()).is_assigned()
-                        && !inprocess.is_some_and(|e| e.is_eliminated(v))
-                })
             }
             Branching::Random => self.pick_random_unassigned(),
         }?;
@@ -1218,9 +1046,6 @@ impl Solver {
                 if let Some(p) = &mut self.proof {
                     p.add(&learned);
                 }
-                if let Some(x) = &mut self.exchange {
-                    x.on_learn(&learned, glue);
-                }
                 if let Some(eng) = &mut self.inprocess {
                     eng.touch_lits(&learned);
                 }
@@ -1250,16 +1075,6 @@ impl Solver {
                     self.rec
                         .restarted(self.approx_memory_bytes(), self.db.num_learned());
                     self.backtrack(0);
-                    // Restart boundaries are the import points: the trail is
-                    // at the root level, so foreign clauses can be attached,
-                    // narrowed, or asserted without interacting with any
-                    // in-flight decision.
-                    if self.exchange.is_some() {
-                        self.import_shared();
-                        if !self.ok {
-                            return SolveResult::Unsat;
-                        }
-                    }
                     // Inprocessing shares the restart boundary: the trail
                     // is at the root, so clauses can be strengthened,
                     // deleted, or replaced without touching live decisions.
@@ -1432,18 +1247,14 @@ impl std::fmt::Debug for Solver {
 
 /// Decision-variable selection heuristic.
 ///
-/// Kissat alternates between activity-based ("stable") and
-/// move-to-front ("focused") modes; both are offered here, plus a seeded
-/// random baseline for ablations.
+/// EVSIDS, Kissat's "stable"-mode heuristic, plus a seeded random
+/// baseline for ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Branching {
     /// Exponential VSIDS: pick the unassigned variable with the highest
     /// decayed activity (the default).
     #[default]
     Evsids,
-    /// Variable move-to-front: pick the most recently bumped unassigned
-    /// variable.
-    Vmtf,
     /// Uniformly random unassigned variable (seeded by
     /// [`SolverConfig::seed`]) — an ablation baseline.
     Random,

@@ -1,7 +1,7 @@
 //! Bounds-audited typed containers for per-variable and per-literal state.
 //!
 //! The repo's `xtask lint` pass forbids raw slice indexing in the solver's
-//! hot-path modules (`solver.rs`, `clause_db.rs`, `heap.rs`, `vmtf.rs`):
+//! hot-path modules (`solver.rs`, `clause_db.rs`, `heap.rs`):
 //! every access to variable- or literal-keyed state must flow through this
 //! module instead. Each accessor carries a `debug_assert!` bounds check and
 //! the few raw indexing expressions below are individually annotated — they
@@ -52,6 +52,7 @@ impl<T> VarMap<T> {
     }
 
     /// Number of variables covered.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.data.len()
     }

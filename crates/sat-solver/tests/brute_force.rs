@@ -111,7 +111,7 @@ proptest! {
         f in arb_cnf(8, 35),
         policy_idx in 0usize..4,
         restart_idx in 0usize..3,
-        branching_idx in 0usize..3,
+        branching_idx in 0usize..2,
         fraction in prop_oneof![Just(0.25f64), Just(0.5), Just(1.0)],
         tier1 in 0u32..4,
     ) {
@@ -126,7 +126,7 @@ proptest! {
             RestartStrategy::GlueEma { margin: 1.1, min_interval: 5 },
             RestartStrategy::Never,
         ][restart_idx];
-        let branching = [Branching::Evsids, Branching::Vmtf, Branching::Random][branching_idx];
+        let branching = [Branching::Evsids, Branching::Random][branching_idx];
         let config = SolverConfig {
             policy,
             restart,

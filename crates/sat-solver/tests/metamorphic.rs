@@ -6,19 +6,16 @@
 //! a chosen variable set), clause shuffling, and duplicate-clause
 //! injection — against both deletion policies, against the solver with
 //! in-search inprocessing (subsumption, bounded variable elimination,
-//! vivification) rewriting the clause database mid-search, and against
-//! the clause-sharing portfolio. The solver never sees the "expected" answer:
-//! the oracle is the solver itself on the untransformed formula, which
-//! makes these tests sensitive to heuristic-dependent soundness bugs
-//! (e.g. a deletion policy or an imported clause corrupting the search)
-//! that a fixed-oracle test could mask.
+//! vivification) rewriting the clause database mid-search. The solver
+//! never sees the "expected" answer: the oracle is the solver itself on
+//! the untransformed formula, which makes these tests sensitive to
+//! heuristic-dependent soundness bugs (e.g. a deletion policy or an
+//! inprocessing rewrite corrupting the search) that a fixed-oracle test
+//! could mask.
 
 use cnf::{Clause, Cnf, Lit, Var};
 use proptest::prelude::*;
-use sat_solver::{
-    solve_portfolio, PolicyKind, PortfolioConfig, RestartStrategy, SolveResult, Solver,
-    SolverConfig,
-};
+use sat_solver::{PolicyKind, RestartStrategy, SolveResult, Solver, SolverConfig};
 
 /// Deterministic xorshift64* stream; proptest supplies only the seed so
 /// shrinking stays meaningful.
@@ -175,25 +172,6 @@ fn is_sat_inprocessed(f: &Cnf, policy: PolicyKind) -> bool {
     }
 }
 
-fn portfolio_is_sat(f: &Cnf, workers: usize) -> bool {
-    let mut cfg = PortfolioConfig::new(workers);
-    cfg.proof = true;
-    cfg.verify = true; // model-check SAT, RUP-replay UNSAT before returning
-    cfg.instance_id = String::from("metamorphic");
-    #[cfg(feature = "checks")]
-    {
-        cfg.configure = Some(std::sync::Arc::new(|s: &mut Solver| {
-            s.set_check_level(sat_solver::CheckLevel::Light);
-        }));
-    }
-    let out = solve_portfolio(f, &cfg).expect("portfolio verification failed");
-    match out.result {
-        SolveResult::Sat(_) => true,
-        SolveResult::Unsat => false,
-        SolveResult::Unknown => panic!("unlimited portfolio returned Unknown"),
-    }
-}
-
 /// All four transformations, tagged for failure messages.
 fn transformed_variants(f: &Cnf, seed: u64) -> Vec<(&'static str, Cnf)> {
     let mut rng = XorShift::new(seed);
@@ -269,28 +247,6 @@ proptest! {
     }
 }
 
-proptest! {
-    // The portfolio spawns threads per case, so fewer cases keep the suite
-    // quick on single-core CI runners.
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn verdict_invariant_under_transformations_portfolio(
-        f in arb_cnf(16, 50),
-        seed in any::<u64>(),
-    ) {
-        let expected = is_sat(&f, PolicyKind::Default);
-        for (tag, g) in transformed_variants(&f, seed) {
-            prop_assert_eq!(
-                portfolio_is_sat(&g, 2),
-                expected,
-                "{} broke SAT-invariance under the 2-worker portfolio",
-                tag
-            );
-        }
-    }
-}
-
 #[test]
 fn transformations_preserve_models_concretely() {
     // A deterministic sanity anchor independent of proptest: a satisfying
@@ -319,6 +275,5 @@ fn transformations_preserve_models_concretely() {
             !is_sat_inprocessed(&g, PolicyKind::Default),
             "{tag} flipped UNSAT (inprocessing)"
         );
-        assert!(!portfolio_is_sat(&g, 2), "{tag} flipped UNSAT (portfolio)");
     }
 }

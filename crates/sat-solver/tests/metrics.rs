@@ -4,9 +4,7 @@
 //! registry does not perturb the search (stats stay byte-identical) and
 //! that the registry's counters agree with the solver's own statistics.
 
-use sat_solver::{
-    solve_portfolio, PortfolioConfig, Solver, SolverConfig, SolverStats, SolverTelemetry,
-};
+use sat_solver::{Solver, SolverConfig, SolverStats, SolverTelemetry};
 use std::sync::Mutex;
 use telemetry::json::ToJson;
 use telemetry::metrics::{self, Counter};
@@ -175,21 +173,4 @@ fn registry_counters_agree_with_solver_stats() {
     ] {
         assert_eq!(phases.calls(phase), snap.counter(calls), "{phase:?}");
     }
-}
-
-#[test]
-fn portfolio_pool_traffic_is_metered() {
-    let _guard = METRICS_LOCK.lock().unwrap();
-    if !metrics::arm() {
-        return;
-    }
-    let f = php(6, 5);
-    let mut cfg = PortfolioConfig::new(4);
-    cfg.instance_id = "php-6-5".to_string();
-    let out = solve_portfolio(&f, &cfg).expect("portfolio verification failed");
-    let snap = metrics::snapshot();
-    metrics::disarm();
-    assert!(out.result.is_unsat());
-    assert_eq!(snap.counter(Counter::PoolExported), out.pool.exported);
-    assert_eq!(snap.counter(Counter::PoolImported), out.pool.imported);
 }

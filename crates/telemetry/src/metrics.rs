@@ -5,9 +5,9 @@
 //! Where [`RunRecord`](crate::RunRecord) answers "what did the solve
 //! cost?" after the fact and [`trace`](crate::trace) answers "what
 //! happened when?" span by span, this module answers "what is the solver
-//! doing *right now*": propagation and conflict rates, learned-clause and
-//! clause-pool traffic, the live memory estimate, and the pipeline's
-//! inference latency, all readable while the search is running.
+//! doing *right now*": propagation and conflict rates, learned-clause
+//! traffic, the live memory estimate, and the pipeline's inference
+//! latency, all readable while the search is running.
 //!
 //! # Two-tier gating
 //!
@@ -28,8 +28,9 @@
 //!
 //! Counter storage is split across [`NUM_SHARDS`] independently allocated
 //! shards; each thread is assigned a shard round-robin on first use and
-//! keeps it for life. Portfolio workers therefore increment disjoint cache
-//! lines instead of contending on one global counter array. A
+//! keeps it for life. Concurrent solver threads (an `rsatd` worker pool)
+//! therefore increment disjoint cache lines instead of contending on one
+//! global counter array. A
 //! [`snapshot`] sums the shards — reads are racy-by-design (relaxed), which
 //! is fine for monitoring: every counter is monotonic, so a snapshot is a
 //! consistent lower bound.
@@ -122,10 +123,6 @@ pub enum Counter {
     InprocessStrengthened,
     /// Variables eliminated by in-search bounded variable elimination.
     InprocessEliminated,
-    /// Clauses this process exported to the shared portfolio pool.
-    PoolExported,
-    /// Clause copies imported from the shared portfolio pool.
-    PoolImported,
     /// Model inferences run by the NeuroSelect pipeline.
     Inferences,
     /// Wall nanoseconds spent in model inference.
@@ -147,7 +144,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in registry (and serialization) order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 26] = [
         Counter::Propagations,
         Counter::Conflicts,
         Counter::Decisions,
@@ -166,8 +163,6 @@ impl Counter {
         Counter::InprocessSubsumed,
         Counter::InprocessStrengthened,
         Counter::InprocessEliminated,
-        Counter::PoolExported,
-        Counter::PoolImported,
         Counter::Inferences,
         Counter::InferenceNanos,
         Counter::DaemonAdmitted,
@@ -200,8 +195,6 @@ impl Counter {
             Counter::InprocessSubsumed => "inprocess.subsumed",
             Counter::InprocessStrengthened => "inprocess.strengthened",
             Counter::InprocessEliminated => "inprocess.eliminated_vars",
-            Counter::PoolExported => "pool.exported",
-            Counter::PoolImported => "pool.imported",
             Counter::Inferences => "pipeline.inferences",
             Counter::InferenceNanos => "pipeline.inference_ns",
             Counter::DaemonAdmitted => "daemon.admitted",
@@ -215,16 +208,12 @@ impl Counter {
     }
 
     /// Whether snapshots derive a `<name>_per_sec` rate meter for this
-    /// counter (the headline live rates: propagations, conflicts, learned
-    /// clauses, and pool import/export traffic).
+    /// counter (the headline live rates: propagations, conflicts and
+    /// learned clauses).
     pub fn rated(self) -> bool {
         matches!(
             self,
-            Counter::Propagations
-                | Counter::Conflicts
-                | Counter::LearnedClauses
-                | Counter::PoolExported
-                | Counter::PoolImported
+            Counter::Propagations | Counter::Conflicts | Counter::LearnedClauses
         )
     }
 }

@@ -47,17 +47,17 @@ pub struct RunRecord {
     pub stats: Json,
     /// Producer-defined additional fields (histograms, db snapshots, …).
     pub extra: Json,
-    /// Degraded-mode events observed during the run (worker crash, model
-    /// fallback, budget exhaustion, …), in occurrence order. Empty for a
-    /// fully healthy run.
+    /// Degraded-mode events observed during the run (an inference panic
+    /// or deadline, a model-load error, …), in occurrence order. Empty for
+    /// a fully healthy run.
     pub degradations: Vec<Degradation>,
 }
 
 /// One degraded-mode event: the system kept going, but not at full
 /// fidelity, and this records why.
 ///
-/// `kind` is a stable machine-readable tag (e.g. `"worker-crash"`,
-/// `"model-fallback"`, `"budget-exhausted"`); `detail` is free-form
+/// `kind` is a stable machine-readable tag (e.g. `"inference-panic"`,
+/// `"model-load-error"`, `"session-crash"`); `detail` is free-form
 /// human-readable context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {

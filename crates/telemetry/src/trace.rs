@@ -14,7 +14,7 @@
 //! 1. [`arm`] turns recording on process-wide (it is off by default; every
 //!    record entry point is a single relaxed atomic load when disarmed).
 //! 2. Threads record via [`span`] / [`instant`] / [`instant_with`], and tag
-//!    their lane with [`set_lane`] (the portfolio gives each worker its own
+//!    their lane with [`set_lane`] (`rsatd` gives each pool worker its own
 //!    Chrome `pid` so traces render one lane per worker).
 //! 3. Each thread calls [`flush`] before it exits, moving its ring into a
 //!    global collector. This is what makes crash drains work: events
@@ -32,8 +32,8 @@
 //! entry point is a constant `false` and the recording code is dead.
 //! Solver BCP hot-path call sites are additionally wrapped in
 //! `#[cfg(feature = "trace")]` so a default build contains no trace code at
-//! all (an `xtask` lint rule enforces this), keeping `--portfolio=1` stats
-//! and tier-1 timings byte-identical with the feature off.
+//! all (an `xtask` lint rule enforces this), keeping solver stats and
+//! tier-1 timings byte-identical with the feature off.
 
 use crate::json::Json;
 use std::cell::RefCell;
@@ -323,7 +323,7 @@ pub fn instant_with(name: &'static str, args: &[(&'static str, u64)]) {
 }
 
 /// Tags the current thread's lane: `pid` is the Chrome process id
-/// (one per portfolio worker), `label` its display name. No-op when
+/// (one per `rsatd` pool worker), `label` its display name. No-op when
 /// disarmed, so untraced runs never allocate a ring.
 pub fn set_lane(pid: u32, label: &str) {
     if !armed() {

@@ -172,8 +172,6 @@ fn metrics_snapshot_golden() {
     set(Counter::InprocessSubsumed, 18);
     set(Counter::InprocessStrengthened, 7);
     set(Counter::InprocessEliminated, 2);
-    set(Counter::PoolExported, 40);
-    set(Counter::PoolImported, 12);
     set(Counter::Inferences, 4);
     set(Counter::InferenceNanos, 8_000_000);
     let mut gauges = vec![f64::NAN; Gauge::ALL.len()];
@@ -187,13 +185,11 @@ fn metrics_snapshot_golden() {
     prev_counters[Counter::Propagations as usize] = 50_000;
     prev_counters[Counter::Conflicts as usize] = 150;
     prev_counters[Counter::LearnedClauses as usize] = 140;
-    prev_counters[Counter::PoolExported as usize] = 20;
-    prev_counters[Counter::PoolImported as usize] = 2;
     let prev = MetricsSnapshot::from_parts(2, 0.5, prev_counters, Vec::new());
 
     assert_eq!(
         snap.to_json_line(Some(&prev)).to_string(),
-        r#"{"schema_version":2,"event":"metrics_snapshot","seq":3,"elapsed_s":1.5,"counters":{"solver.propagations":100000,"solver.conflicts":250,"solver.decisions":900,"solver.restarts":3,"solver.reductions":2,"solver.learned_clauses":240,"solver.deleted_clauses":120,"phase.propagate_ns":5000000,"phase.propagate_calls":1150,"phase.analyze_ns":2000000,"phase.analyze_calls":250,"phase.reduce_ns":300000,"phase.reduce_calls":2,"phase.inprocess_ns":400000,"phase.inprocess_calls":3,"inprocess.subsumed":18,"inprocess.strengthened":7,"inprocess.eliminated_vars":2,"pool.exported":40,"pool.imported":12,"pipeline.inferences":4,"pipeline.inference_ns":8000000,"daemon.admitted":0,"daemon.rejected":0,"daemon.evicted":0,"daemon.crashed":0,"daemon.deadline_exceeded":0,"daemon.completed":0},"gauges":{"solver.memory_bytes":1048576.0,"pipeline.inference_last_s":0.002,"pipeline.policy_confidence":0.875},"rates":{"solver.propagations_per_sec":50000.0,"solver.conflicts_per_sec":100.0,"solver.learned_clauses_per_sec":100.0,"pool.exported_per_sec":20.0,"pool.imported_per_sec":10.0}}"#
+        r#"{"schema_version":2,"event":"metrics_snapshot","seq":3,"elapsed_s":1.5,"counters":{"solver.propagations":100000,"solver.conflicts":250,"solver.decisions":900,"solver.restarts":3,"solver.reductions":2,"solver.learned_clauses":240,"solver.deleted_clauses":120,"phase.propagate_ns":5000000,"phase.propagate_calls":1150,"phase.analyze_ns":2000000,"phase.analyze_calls":250,"phase.reduce_ns":300000,"phase.reduce_calls":2,"phase.inprocess_ns":400000,"phase.inprocess_calls":3,"inprocess.subsumed":18,"inprocess.strengthened":7,"inprocess.eliminated_vars":2,"pipeline.inferences":4,"pipeline.inference_ns":8000000,"daemon.admitted":0,"daemon.rejected":0,"daemon.evicted":0,"daemon.crashed":0,"daemon.deadline_exceeded":0,"daemon.completed":0},"gauges":{"solver.memory_bytes":1048576.0,"pipeline.inference_last_s":0.002,"pipeline.policy_confidence":0.875},"rates":{"solver.propagations_per_sec":50000.0,"solver.conflicts_per_sec":100.0,"solver.learned_clauses_per_sec":100.0}}"#
     );
 
     // Without a previous snapshot (the sampler's first line, and the

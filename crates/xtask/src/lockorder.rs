@@ -14,10 +14,11 @@
 //!   propagates its acquisition to every caller, where the call site is
 //!   treated exactly like a direct `.lock()`.
 //!
-//! Lock identity is `Type.field` (`SharedClausePool.stripes`) — element
-//! granularity inside a striped collection is deliberately collapsed, so
-//! acquiring a second stripe while holding one shows up as a self-edge
-//! that must be justified (ordered indices) or restructured. Statics are
+//! Lock identity is `Type.field` (`Inner.sessions` in `rsatd`'s daemon) —
+//! element granularity inside a collection of mutexes (a lock-striped
+//! `Pool.stripes`) is deliberately collapsed, so acquiring a second
+//! stripe while holding one shows up as a self-edge that must be
+//! justified (ordered indices) or restructured. Statics are
 //! `module::NAME`.
 //!
 //! Two rules fire on top of the per-fn scopes plus the call graph's
@@ -62,7 +63,7 @@ struct ScanCtx {
     node: usize,
     /// `let` statements: (binding name, `=` tok, `;` tok).
     lets: Vec<(String, usize, usize)>,
-    /// Local alias → lock base (`stripe` → `SharedClausePool.stripes`).
+    /// Local alias → lock base (`stripe` → `Pool.stripes`).
     aliases: HashMap<String, String>,
     /// Brace pairs inside the body, for enclosing-block lookup.
     braces: Vec<(usize, usize)>,

@@ -39,7 +39,6 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/sat-solver/src/solver.rs",
     "crates/sat-solver/src/clause_db.rs",
     "crates/sat-solver/src/heap.rs",
-    "crates/sat-solver/src/vmtf.rs",
     "crates/sat-solver/src/varmap.rs",
 ];
 
@@ -48,17 +47,18 @@ const HOT_PATH_MODULES: &[&str] = &[
 /// get the hot-path modules' feature-gate discipline.
 const RECORDER_MODULE: &str = "crates/sat-solver/src/instrument.rs";
 
-/// Modules that coordinate racing threads. `Ordering::Relaxed` is suspect
-/// here: the portfolio stop flag and winner CAS carry real happens-before
-/// edges (Release store / Acquire load), and a relaxed operation on one of
-/// them is a liveness or soundness bug that tests will rarely catch. Only
-/// pure statistics counters may be relaxed, and every such site must be
-/// individually annotated with `// xtask: allow(atomic-ordering) <why>`.
+/// Modules whose state other threads may touch. `Ordering::Relaxed` is
+/// suspect here: a flag or slot that publishes one thread's writes to
+/// another needs a real happens-before edge (Release store / Acquire
+/// load), and a relaxed operation on one is a liveness or soundness bug
+/// that tests will rarely catch. Today `parallel.rs`'s work index is the
+/// only atomic in these modules, and the solver holds none; the solver
+/// stays listed so that any atomic added to it later is reviewed. Only
+/// pure counters may be relaxed, and every such site must be individually
+/// annotated with `// xtask: allow(atomic-ordering) <why>`.
 const CONCURRENCY_MODULES: &[&str] = &[
-    "crates/sat-solver/src/portfolio.rs",
     "crates/sat-solver/src/solver.rs",
     "crates/core/src/parallel.rs",
-    "crates/core/src/race.rs",
 ];
 
 /// Crates on the deterministic solving path: iterating a `HashMap` or
@@ -78,8 +78,8 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "while", "loop", "yield",
 ];
 
-/// The one module allowed to re-raise caught panics: it owns the
-/// portfolio's crash-isolation policy (see its module docs).
+/// The one module allowed to re-raise caught panics: it owns crash
+/// isolation (`run_isolated`, see its module docs).
 const UNWIND_MODULE: &str = "crates/sat-solver/src/resilience.rs";
 
 fn is_hot_path(path: &str) -> bool {
@@ -381,10 +381,10 @@ fn telemetry_feature_gate(
 }
 
 /// `atomic-ordering`: no `Ordering::Relaxed` in thread-coordination
-/// modules. Publication atomics (the stop flag, the winner CAS, anything a
-/// consumer reads to observe another thread's writes) need Release/Acquire
-/// pairs; relaxed is only defensible for standalone statistics counters,
-/// each annotated inline with the reason.
+/// modules. Publication atomics (a stop or ready flag, a claimed slot,
+/// anything a consumer reads to observe another thread's writes) need
+/// Release/Acquire pairs; relaxed is only defensible for standalone
+/// counters, each annotated inline with the reason.
 fn atomic_ordering(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     for (i, t) in tokens.iter().enumerate() {
         if t.is_ident("Relaxed")
@@ -550,10 +550,11 @@ fn no_hash_iter(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
 /// `no-unwind-escape`: `resume_unwind` and `process::abort` are confined
 /// to `crates/sat-solver/src/resilience.rs`, the module that owns the
 /// crash-isolation policy. Anywhere else, a re-raised panic tears through
-/// the portfolio's `catch_unwind` boundary with a payload the isolation
-/// layer never rendered, and an abort skips every cleanup and degraded
-/// mode outright. Route crashes through `run_isolated`/`propagate`, or
-/// annotate an individually audited site with
+/// a `run_isolated` boundary (an `rsatd` session, pipeline inference)
+/// with a payload the isolation layer never rendered, and an abort skips
+/// every cleanup and degraded mode outright. Catch crashes with
+/// `run_isolated` and degrade (quarantine the session, fall back to the
+/// heuristic), or annotate an individually audited site with
 /// `// xtask: allow(no-unwind-escape) <why>`.
 fn no_unwind_escape(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     for (i, t) in tokens.iter().enumerate() {
@@ -570,8 +571,9 @@ fn no_unwind_escape(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                 "no-unwind-escape",
                 path,
                 t.line,
-                "`resume_unwind` outside the resilience module; re-raise through \
-                 `sat_solver::resilience::propagate` (or annotate an audited site)",
+                "`resume_unwind` outside the resilience module; catch the panic with \
+                 `sat_solver::run_isolated` and degrade instead (or annotate an \
+                 audited site)",
             ),
             "abort"
                 if i >= 2 && tokens[i - 1].is_punct("::") && tokens[i - 2].is_ident("process") =>
@@ -881,7 +883,7 @@ mod tests {
         assert_eq!(rules(&d), vec!["trace-feature-gate"]);
         assert_eq!(d[0].line, 2);
         // Outside hot-path modules the rule does not apply.
-        assert!(run("crates/sat-solver/src/portfolio.rs", ungated).is_empty());
+        assert!(run("crates/sat-solver/src/proof.rs", ungated).is_empty());
     }
 
     #[test]
@@ -931,7 +933,7 @@ mod tests {
         );
         assert_eq!(d[0].line, 2);
         // Outside hot-path modules the registry's disarmed fast path is fine.
-        assert!(run("crates/sat-solver/src/portfolio.rs", ungated).is_empty());
+        assert!(run("crates/sat-solver/src/proof.rs", ungated).is_empty());
         // Properly gated statements pass; a cfg naming the *other*
         // telemetry feature does not count.
         let gated = "fn f() {\n    #[cfg(feature = \"metrics\")]\n    telemetry::metrics::inc(telemetry::metrics::Counter::Decisions);\n}";
@@ -946,7 +948,7 @@ mod tests {
     #[test]
     fn atomic_ordering_flags_relaxed_in_concurrency_modules() {
         let src = "use std::sync::atomic::{AtomicBool, Ordering};\nfn f(stop: &AtomicBool) {\n    stop.store(true, Ordering::Relaxed);\n    let _ = stop.load(Ordering::Acquire);\n    stop.store(false, std::sync::atomic::Ordering::Relaxed);\n}";
-        let d = run("crates/sat-solver/src/portfolio.rs", src);
+        let d = run("crates/core/src/parallel.rs", src);
         assert_eq!(rules(&d), vec!["atomic-ordering", "atomic-ordering"]);
         assert_eq!(d[0].line, 3);
         assert_eq!(d[1].line, 5); // fully qualified path is caught too
@@ -962,7 +964,7 @@ mod tests {
         assert!(run("crates/bench/src/report.rs", elsewhere).is_empty());
         // Test modules are stripped before linting.
         let in_tests = "#[cfg(test)]\nmod tests {\n    fn t(s: &std::sync::atomic::AtomicBool) { s.store(true, Ordering::Relaxed); }\n}";
-        assert!(run("crates/sat-solver/src/portfolio.rs", in_tests).is_empty());
+        assert!(run("crates/sat-solver/src/solver.rs", in_tests).is_empty());
     }
 
     #[test]

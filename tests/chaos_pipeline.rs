@@ -159,7 +159,11 @@ fn sticky_model_fault_is_reported_on_a_solve_that_never_reduces() {
 
 #[test]
 fn inference_stall_past_the_deadline_discards_the_answer() {
-    let scope = faults::install("inference-stall(ms=80,times=10)".parse().expect("plan"));
+    let scope = faults::install(
+        "inference-stall(delay_ms=80,times=10)"
+            .parse()
+            .expect("plan"),
+    );
     let mut s = tiny_solver();
     s.inference_deadline = Some(Duration::from_millis(20));
     for seed in [1u64, 2, 3] {
