@@ -5,7 +5,6 @@
 //! perf_baseline --write BENCH_solver.json          # (re)generate the baseline
 //! perf_baseline --compare BENCH_solver.json        # CI regression gate
 //! perf_baseline --compare B.json --tolerance 0.25  # tighter gate
-//! perf_baseline --repeats 9 --arm-metrics          # metrics-overhead run
 //! ```
 //!
 //! Exit codes: `0` pass, `1` regression or trajectory change, `2` usage or
@@ -19,11 +18,10 @@ struct Args {
     write: Option<String>,
     compare: Option<String>,
     tolerance: f64,
-    arm_metrics: bool,
 }
 
 const USAGE: &str = "usage: perf_baseline [--repeats N] [--write FILE | --compare FILE] \
-     [--tolerance FRACTION] [--arm-metrics]";
+     [--tolerance FRACTION]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -31,7 +29,6 @@ fn parse_args() -> Result<Args, String> {
         write: None,
         compare: None,
         tolerance: perf::DEFAULT_TOLERANCE,
-        arm_metrics: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -64,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--tolerance expects a finite non-negative number".to_string());
                 }
             }
-            "--arm-metrics" => args.arm_metrics = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -80,17 +76,8 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    eprintln!(
-        "running {} ({} repeats{})...",
-        perf::SUITE_NAME,
-        args.repeats,
-        if args.arm_metrics {
-            ", metrics armed"
-        } else {
-            ""
-        }
-    );
-    let fresh = perf::run_suite(args.repeats, args.arm_metrics)?;
+    eprintln!("running {} ({} repeats)...", perf::SUITE_NAME, args.repeats);
+    let fresh = perf::run_suite(args.repeats)?;
     for inst in &fresh.instances {
         eprintln!(
             "  {}: {} in {:.1} ms ({:.0} kprops/s)",

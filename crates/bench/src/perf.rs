@@ -96,9 +96,6 @@ pub struct PerfReport {
     pub suite: String,
     /// Repeats per instance behind each median.
     pub repeats: u32,
-    /// Whether the metrics registry was armed during the timed runs
-    /// (the overhead-measurement mode; off for the committed baseline).
-    pub metrics_armed: bool,
     /// Median seconds of the machine-speed [`calibration`] workload.
     pub calibration_s: f64,
     /// Per-instance measurements, in suite order.
@@ -161,19 +158,10 @@ fn verdict(result: &sat_solver::SolveResult) -> String {
     }
 }
 
-/// Runs the pinned suite. With `arm_metrics`, the live registry records
-/// throughout the timed repeats — the mode used to measure the metrics
-/// overhead against a disarmed run; it requires a build with the `metrics`
-/// feature. Fails if any instance turns out nondeterministic across
-/// repeats (the baseline would be meaningless).
-pub fn run_suite(repeats: u32, arm_metrics: bool) -> Result<PerfReport, String> {
+/// Runs the pinned suite. Fails if any instance turns out
+/// nondeterministic across repeats (the baseline would be meaningless).
+pub fn run_suite(repeats: u32) -> Result<PerfReport, String> {
     let repeats = repeats.max(1);
-    if arm_metrics && !telemetry::metrics::arm() {
-        return Err(String::from(
-            "--arm-metrics requested, but this binary was built without the \
-             `metrics` feature (rebuild with `--features metrics`)",
-        ));
-    }
     let calibration_s = calibration();
     let mut instances = Vec::new();
     for (name, formula) in suite() {
@@ -194,9 +182,6 @@ pub fn run_suite(repeats: u32, arm_metrics: bool) -> Result<PerfReport, String> 
                         || prev.1.propagations != run.1.propagations
                         || prev.1.decisions != run.1.decisions
                     {
-                        if arm_metrics {
-                            telemetry::metrics::disarm();
-                        }
                         return Err(format!(
                             "instance {name} is nondeterministic across repeats \
                              (the pinned suite must replay exactly)"
@@ -234,14 +219,10 @@ pub fn run_suite(repeats: u32, arm_metrics: bool) -> Result<PerfReport, String> 
             phase_reduce_s: phases.elapsed(Phase::Reduce).as_secs_f64(),
         });
     }
-    if arm_metrics {
-        telemetry::metrics::disarm();
-    }
     let total_median_wall_s: f64 = instances.iter().map(|i| i.median_wall_s).sum();
     Ok(PerfReport {
         suite: SUITE_NAME.to_string(),
         repeats,
-        metrics_armed: arm_metrics,
         calibration_s,
         normalized_total: if calibration_s > 0.0 {
             total_median_wall_s / calibration_s
@@ -279,7 +260,6 @@ impl ToJson for PerfReport {
             .with("schema_version", Json::from(telemetry::SCHEMA_VERSION))
             .with("suite", Json::from(self.suite.as_str()))
             .with("repeats", Json::from(self.repeats))
-            .with("metrics_armed", Json::from(self.metrics_armed))
             .with("calibration_s", Json::from(self.calibration_s))
             .with(
                 "instances",
@@ -381,9 +361,6 @@ pub fn parse_report(text: &str) -> Result<PerfReport, String> {
     Ok(PerfReport {
         suite: str_field(&doc, "suite", ctx)?,
         repeats: u64_field(&doc, "repeats", ctx)? as u32,
-        metrics_armed: field(&doc, "metrics_armed", ctx)?
-            .as_bool()
-            .ok_or_else(|| format!("{ctx}: `metrics_armed` is not a bool"))?,
         calibration_s: f64_field(&doc, "calibration_s", ctx)?,
         instances,
         total_median_wall_s: f64_field(&doc, "total_median_wall_s", ctx)?,
@@ -423,13 +400,6 @@ pub fn compare(baseline: &PerfReport, fresh: &PerfReport, tolerance: f64) -> Com
             baseline.suite, fresh.suite
         ));
         return out;
-    }
-    if baseline.metrics_armed != fresh.metrics_armed {
-        out.failures.push(format!(
-            "metrics_armed mismatch: baseline {} vs fresh {} — overhead runs \
-             must not be compared against the stock baseline",
-            baseline.metrics_armed, fresh.metrics_armed
-        ));
     }
     let base_names: Vec<&str> = baseline.instances.iter().map(|i| i.name.as_str()).collect();
     let fresh_names: Vec<&str> = fresh.instances.iter().map(|i| i.name.as_str()).collect();
@@ -494,7 +464,6 @@ mod tests {
         PerfReport {
             suite: SUITE_NAME.to_string(),
             repeats: 3,
-            metrics_armed: false,
             calibration_s: 0.05,
             instances: vec![InstancePerf {
                 name: "php-8-7".to_string(),
@@ -552,10 +521,6 @@ mod tests {
         let mut renamed = base.clone();
         renamed.instances[0].name = "other".to_string();
         assert!(!compare(&base, &renamed, DEFAULT_TOLERANCE).passed());
-
-        let mut armed = base.clone();
-        armed.metrics_armed = true;
-        assert!(!compare(&base, &armed, DEFAULT_TOLERANCE).passed());
     }
 
     #[test]

@@ -248,22 +248,6 @@ impl NeuroSelectSolver {
             }
         };
         phases.add(Phase::PolicySelect, select_start.elapsed());
-        // Live pipeline meters: how often the model runs, how long a query
-        // takes, and how confident the latest pick was. No-ops unless the
-        // `metrics` feature is on and the registry is armed.
-        telemetry::metrics::inc(telemetry::metrics::Counter::Inferences);
-        telemetry::metrics::add(
-            telemetry::metrics::Counter::InferenceNanos,
-            elapsed.as_nanos() as u64,
-        );
-        telemetry::metrics::set_gauge(
-            telemetry::metrics::Gauge::InferenceLastSeconds,
-            elapsed.as_secs_f64(),
-        );
-        telemetry::metrics::set_gauge(
-            telemetry::metrics::Gauge::PolicyConfidence,
-            f64::from(probability),
-        );
         let decision = PolicyDecision {
             policy: chosen,
             probability,

@@ -220,8 +220,9 @@ impl<R: BufRead, W: Write> Client<R, W> {
         self.roundtrip(Json::object().with("op", "status".into()))
     }
 
-    /// The daemon's deep-status snapshot (live metrics, per-session
-    /// stats, in-flight request ages, slow-request ring), as raw JSON.
+    /// The daemon's deep-status snapshot (robustness counters,
+    /// per-session stats, in-flight request ages, slow-request ring), as
+    /// raw JSON.
     pub fn introspect(&mut self) -> Result<Json, ClientError> {
         self.roundtrip(Json::object().with("op", "introspect".into()))
     }

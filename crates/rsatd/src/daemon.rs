@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use cnf::{Cnf, Lit, Var};
 use sat_solver::{run_isolated, Budget, SolveResult, Solver, SolverConfig, SolverTelemetry};
 use telemetry::json::{Json, ToJson};
-use telemetry::metrics::{self, Counter, Gauge};
 use telemetry::trace;
 use telemetry::{Event, JsonlSink, RequestRecord, Sink};
 
@@ -241,8 +240,8 @@ pub struct SolveReply {
     pub memory_bytes: u64,
 }
 
-/// Monotonic robustness counters, mirrored into the metrics registry
-/// (`daemon.*`) when the `metrics` feature is armed.
+/// Monotonic robustness counters, reported by [`Daemon::stats`], the
+/// `status` request and [`Daemon::introspect`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Solves accepted into the queue.
@@ -524,7 +523,6 @@ impl Daemon {
             },
         );
         inner.mem_total.fetch_add(mem, Ordering::AcqRel);
-        self.publish_gauges(&sessions);
         Ok(sid)
     }
 
@@ -694,9 +692,6 @@ impl Daemon {
                     worker: None,
                 },
             );
-            if metrics::armed() {
-                metrics::set_gauge(Gauge::DaemonInFlight, inflight.len() as f64);
-            }
         }
         // xtask: allow(lock-order) distinct mutexes: the queue is only ever taken after (inside) the sessions guard
         let mut queue = lock(&inner.queue);
@@ -704,7 +699,6 @@ impl Daemon {
         drop(queue);
         inner.queue_cv.notify_one();
         inner.stats.admitted.fetch_add(1, Ordering::AcqRel);
-        metrics::inc(Counter::DaemonAdmitted);
         trace::instant_with("daemon-admit", &[("request", request_id), ("session", sid)]);
         Ok(request_id)
     }
@@ -764,7 +758,6 @@ impl Daemon {
         session.last_model = None;
         session.last_core = None;
         self.inner.mem_total.fetch_sub(mem, Ordering::AcqRel);
-        self.publish_gauges(&sessions);
         Ok(())
     }
 
@@ -798,9 +791,8 @@ impl Daemon {
     }
 
     /// Deep-status snapshot for operators: everything [`Daemon::status`]
-    /// and [`Daemon::stats`] report, plus a live metrics snapshot (when
-    /// the `metrics` feature is armed), per-session state and cumulative
-    /// stats, the ages of in-flight requests, and the worst-N
+    /// and [`Daemon::stats`] report, plus per-session state and
+    /// cumulative stats, the ages of in-flight requests, and the worst-N
     /// slow-request ring with a queue-wait vs solve phase breakdown.
     pub fn introspect(&self) -> Json {
         let status = self.status();
@@ -927,15 +919,6 @@ impl Daemon {
             })
             .collect();
         out.set("slow", Json::Array(slow));
-
-        out.set(
-            "metrics",
-            if metrics::armed() {
-                metrics::snapshot().to_json()
-            } else {
-                Json::Null
-            },
-        );
         out
     }
 
@@ -972,31 +955,13 @@ impl Daemon {
 
     // ---- internals -----------------------------------------------------
 
-    /// Shared idle/busy gauge publication; callers hold the session lock.
-    fn publish_gauges(&self, sessions: &HashMap<u64, Session>) {
-        if !metrics::armed() {
-            return;
-        }
-        let live = sessions
-            .values()
-            .filter(|s| matches!(s.state, SessionState::Idle(_) | SessionState::Busy))
-            .count();
-        metrics::set_gauge(Gauge::DaemonSessions, live as f64);
-        metrics::set_gauge(
-            Gauge::DaemonMemoryBytes,
-            self.inner.mem_total.load(Ordering::Acquire) as f64,
-        );
-    }
-
     fn count_rejected(&self) {
         self.inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
-        metrics::inc(Counter::DaemonRejected);
         trace::instant("daemon-reject");
     }
 
     fn count_evicted(&self) {
         self.inner.stats.evicted.fetch_add(1, Ordering::AcqRel);
-        metrics::inc(Counter::DaemonEvicted);
     }
 
     /// Evicts idle-timed-out sessions. Queued/busy sessions are shielded.
@@ -1018,7 +983,6 @@ impl Daemon {
         }
         if freed > 0 {
             self.inner.mem_total.fetch_sub(freed, Ordering::AcqRel);
-            self.publish_gauges(sessions);
         }
     }
 
@@ -1056,7 +1020,6 @@ impl Daemon {
             self.count_evicted();
         }
         let _ = now;
-        self.publish_gauges(sessions);
         if over(self.inner.mem_total.load(Ordering::Acquire)) {
             Err(())
         } else {
@@ -1220,7 +1183,6 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     if now >= deadline_at {
         // Queued past its deadline: degrade without touching the solver.
         inner.stats.deadline_exceeded.fetch_add(1, Ordering::AcqRel);
-        metrics::inc(Counter::DaemonDeadlineExceeded);
         let verdict = Verdict::Unknown("deadline".to_string());
         let mem = checkin(solver, None, None);
         inner.stats.completed.fetch_add(1, Ordering::AcqRel);
@@ -1307,7 +1269,6 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
                 .unwrap_or_else(|| "budget".to_string());
             if cause == "deadline" {
                 inner.stats.deadline_exceeded.fetch_add(1, Ordering::AcqRel);
-                metrics::inc(Counter::DaemonDeadlineExceeded);
             }
             (Verdict::Unknown(cause), None, None)
         }
@@ -1391,7 +1352,6 @@ fn checkin_solver(
         } else {
             inner.mem_total.fetch_sub(old - mem, Ordering::AcqRel);
         }
-        daemon.publish_gauges(&sessions);
     }
     mem
 }
@@ -1410,11 +1370,9 @@ fn quarantine_session(daemon: &Daemon, sid: u64, message: &str) {
             session.last_core = None;
             session.state = SessionState::Crashed(message.to_string());
             inner.mem_total.fetch_sub(old, Ordering::AcqRel);
-            daemon.publish_gauges(&sessions);
         }
     }
     inner.stats.crashed.fetch_add(1, Ordering::AcqRel);
-    metrics::inc(Counter::DaemonCrashed);
 }
 
 /// Appends the solve's [`telemetry::RunRecord`] to the records sink.
@@ -1435,19 +1393,15 @@ fn emit_record(inner: &Inner, solver: &mut Solver, verdict: &Verdict) {
 
 /// The single terminal point of an admitted request: retires the
 /// in-flight entry, folds the request into the slow-request ring and
-/// the owning session's cumulative stats, bumps the completion counter,
-/// and appends the [`telemetry::RequestRecord`] to the request-records
-/// sink. Every admitted request — success, crash-quarantined,
-/// deadline-degraded, or drained at shutdown — passes through here
-/// exactly once.
+/// the owning session's cumulative stats, and appends the
+/// [`telemetry::RequestRecord`] to the request-records sink. Every
+/// admitted request — success, crash-quarantined, deadline-degraded, or
+/// drained at shutdown — passes through here exactly once.
 fn finish_request(daemon: &Daemon, record: RequestRecord) {
     let inner = &daemon.inner;
     {
         let mut inflight = lock(&inner.inflight);
         inflight.remove(&record.request_id);
-        if metrics::armed() {
-            metrics::set_gauge(Gauge::DaemonInFlight, inflight.len() as f64);
-        }
     }
     {
         // Worst-N by total wall (queue wait + solve), bounded.
@@ -1484,7 +1438,6 @@ fn finish_request(daemon: &Daemon, record: RequestRecord) {
             session.last_verdict = Some(record.verdict.clone());
         }
     }
-    metrics::inc(Counter::DaemonCompleted);
     if let Some(records) = &inner.request_records {
         lock(records).emit(&Event::RequestEnd { record });
     }

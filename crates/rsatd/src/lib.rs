@@ -31,8 +31,9 @@
 //!   daemon-minted `request_id` echoed on its wire reply and stamped on
 //!   exactly one terminal [`telemetry::RequestRecord`] JSONL line
 //!   (queue wait, solve wall, verdict, worker, solver stat deltas);
-//!   the `introspect` request exposes live metrics, per-session stats,
-//!   in-flight request ages, and a worst-N slow-request ring.
+//!   the `introspect` request exposes the robustness counters,
+//!   per-session stats, in-flight request ages, and a worst-N
+//!   slow-request ring.
 //!
 //! Module map: [`daemon`] is the in-process service (typed API, worker
 //! pool, session store); [`proto`] is the newline-delimited JSON wire

@@ -112,9 +112,8 @@ pub enum Request {
     },
     /// Daemon occupancy and robustness counters.
     Status,
-    /// Deep status: everything `status` reports plus a live metrics
-    /// snapshot, per-session state/stats, in-flight request ages, and
-    /// the slow-request ring.
+    /// Deep status: everything `status` reports plus per-session
+    /// state/stats, in-flight request ages, and the slow-request ring.
     Introspect,
     /// Graceful drain: stop admitting, finish in-flight work, exit.
     Shutdown,

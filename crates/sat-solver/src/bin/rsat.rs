@@ -7,7 +7,6 @@
 //!               [--check-proof] [--check[=off|light|full]] [--preprocess]
 //!               [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]
 //!               [--fault-plan PLAN] [--trace-out FILE.json]
-//!               [--metrics-out FILE.jsonl] [--metrics-interval SECS]
 //! ```
 //!
 //! `--timeout` and `--mem-limit` are *cooperative* resource ceilings
@@ -28,15 +27,6 @@
 //! `chrome://tracing` and summarized by the `trace-report` tool. It
 //! requires a build with the `trace` feature; without it the flag is a
 //! polite error.
-//!
-//! `--metrics-out` arms the live metrics registry (`telemetry::metrics`)
-//! and streams periodic `metrics_snapshot` JSONL lines — propagation and
-//! conflict rates, learned clauses, the live memory estimate —
-//! every `--metrics-interval` seconds (default 0.5). It requires a build
-//! with the `metrics` feature; without it the flag is a polite error. On a
-//! metrics build, `--progress` additionally upgrades from whole-run
-//! average heartbeats to live instantaneous rates with a budget-based ETA,
-//! driven by the same snapshots.
 //!
 //! Exit codes follow the SAT-competition convention: 10 = SAT,
 //! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error.
@@ -74,10 +64,6 @@ struct Options {
     fault_plan: Option<String>,
     /// Chrome trace-event output path (requires the `trace` feature).
     trace_out: Option<String>,
-    /// Metrics-snapshot JSONL output path (requires the `metrics` feature).
-    metrics_out: Option<String>,
-    /// Sampling interval for `--metrics-out`, in seconds.
-    metrics_interval: f64,
 }
 
 fn usage() -> ! {
@@ -88,8 +74,7 @@ fn usage() -> ! {
          \x20             [--check-proof] [--check[=off|light|full]] [--preprocess]\n\
          \x20             [--inprocess[=EVERY]]\n\
          \x20             [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]\n\
-         \x20             [--fault-plan PLAN] [--trace-out FILE.json]\n\
-         \x20             [--metrics-out FILE.jsonl] [--metrics-interval SECS]"
+         \x20             [--fault-plan PLAN] [--trace-out FILE.json]"
     );
     std::process::exit(1)
 }
@@ -159,8 +144,6 @@ fn parse_args() -> Options {
     let mut mem_limit_mb = None;
     let mut fault_plan = None;
     let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut metrics_interval = 0.5f64;
     let parse_timeout = |v: Option<String>| -> Option<Duration> {
         let secs: f64 = v.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
         if secs >= 0.0 && secs.is_finite() {
@@ -212,31 +195,6 @@ fn parse_args() -> Options {
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             t if t.starts_with("--trace-out=") => {
                 trace_out = Some(t["--trace-out=".len()..].to_string());
-            }
-            "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
-            m if m.starts_with("--metrics-out=") => {
-                metrics_out = Some(m["--metrics-out=".len()..].to_string());
-            }
-            "--metrics-interval" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if secs > 0.0 && secs.is_finite() {
-                    metrics_interval = secs;
-                } else {
-                    usage()
-                }
-            }
-            m if m.starts_with("--metrics-interval=") => {
-                let secs: f64 = m["--metrics-interval=".len()..]
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if secs > 0.0 && secs.is_finite() {
-                    metrics_interval = secs;
-                } else {
-                    usage()
-                }
             }
             "--proof" => proof_path = Some(args.next().unwrap_or_else(|| usage())),
             "--check-proof" => check = true,
@@ -295,8 +253,6 @@ fn parse_args() -> Options {
         mem_limit_mb,
         fault_plan,
         trace_out,
-        metrics_out,
-        metrics_interval,
     }
 }
 
@@ -383,130 +339,6 @@ fn write_trace(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Arms the metrics registry and spawns the snapshot sampler when
-/// `--metrics-out` asks for a JSONL time series and/or `--progress` can be
-/// upgraded to live rates (a metrics build). `--metrics-out` on a binary
-/// built without the `metrics` feature is a usage error, not a silently
-/// empty file. Returns `None` when nothing needs sampling.
-fn start_metrics(opts: &Options) -> Result<Option<telemetry::metrics::Sampler>, String> {
-    let wants_file = opts.metrics_out.is_some();
-    let live_progress = opts.progress.is_some() && telemetry::metrics::enabled();
-    if !wants_file && !live_progress {
-        return Ok(None);
-    }
-    if wants_file && !telemetry::metrics::enabled() {
-        return Err(String::from(
-            "--metrics-out requested, but this rsat was built without the \
-             `metrics` feature (rebuild with `--features metrics`)",
-        ));
-    }
-    telemetry::metrics::arm();
-    let mut interval = f64::INFINITY;
-    let writer: Option<Box<dyn Write + Send>> = match &opts.metrics_out {
-        Some(path) => {
-            interval = interval.min(opts.metrics_interval);
-            let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(Box::new(BufWriter::new(file)))
-        }
-        None => None,
-    };
-    let observer: Option<telemetry::metrics::SnapshotObserver> = match opts.progress {
-        Some(secs) if live_progress => {
-            interval = interval.min(secs);
-            Some(progress_observer(opts))
-        }
-        _ => None,
-    };
-    Ok(Some(telemetry::metrics::Sampler::spawn(
-        Duration::from_secs_f64(interval),
-        writer,
-        observer,
-    )))
-}
-
-/// Builds the live `--progress` renderer: each snapshot becomes one
-/// `c progress` line with instantaneous rates and, when the run has a
-/// conflict/propagation budget or a timeout, the tightest ETA they imply.
-fn progress_observer(opts: &Options) -> telemetry::metrics::SnapshotObserver {
-    use std::fmt::Write as _;
-    use telemetry::metrics::{Counter, Gauge, MetricsSnapshot};
-    let max_conflicts = opts.budget.max_conflicts;
-    let max_propagations = opts.budget.max_propagations;
-    let timeout_s = opts.timeout.map(|t| t.as_secs_f64());
-    Box::new(
-        move |snap: &MetricsSnapshot, prev: Option<&MetricsSnapshot>| {
-            // Instantaneous rate when a previous snapshot exists, whole-run
-            // average on the very first tick.
-            let rate = |c: Counter| -> f64 {
-                prev.and_then(|p| snap.rate_since(p, c)).unwrap_or_else(|| {
-                    if snap.elapsed_s > 0.0 {
-                        snap.counter(c) as f64 / snap.elapsed_s
-                    } else {
-                        0.0
-                    }
-                })
-            };
-            let conflicts = snap.counter(Counter::Conflicts);
-            let props = snap.counter(Counter::Propagations);
-            let conflict_rate = rate(Counter::Conflicts);
-            let prop_rate = rate(Counter::Propagations);
-            let mut line = format!(
-                "c progress {:.1}s | {conflicts} conflicts ({conflict_rate:.0}/s) \
-             | {props} propagations ({prop_rate:.0}/s) | {} learned",
-                snap.elapsed_s,
-                snap.counter(Counter::LearnedClauses),
-            );
-            if let Some(bytes) = snap.gauge(Gauge::MemoryBytes) {
-                let _ = write!(line, " | mem {:.1} MiB", bytes / (1024.0 * 1024.0));
-            }
-            // ETA: the tightest of the remaining-budget projections. A rate of
-            // zero gives no projection (the budget may never bind).
-            let mut eta = f64::INFINITY;
-            if let (Some(max), true) = (max_conflicts, conflict_rate > 0.0) {
-                eta = eta.min(max.saturating_sub(conflicts) as f64 / conflict_rate);
-            }
-            if let (Some(max), true) = (max_propagations, prop_rate > 0.0) {
-                eta = eta.min(max.saturating_sub(props) as f64 / prop_rate);
-            }
-            if let Some(t) = timeout_s {
-                eta = eta.min((t - snap.elapsed_s).max(0.0));
-            }
-            if eta.is_finite() {
-                let _ = write!(line, " | eta {eta:.0}s");
-            }
-            // Same resilience contract as CommentSink: a closed stdout is
-            // dropped, not propagated; flush so the line is watchable live.
-            let mut out = std::io::stdout();
-            let _ = writeln!(out, "{line}");
-            let _ = out.flush();
-        },
-    )
-}
-
-/// Stops the sampler (one final snapshot), disarms the registry, and
-/// reports where the series went. A failed metrics write is an I/O error
-/// like a failed trace write, not a silent truncation.
-fn finish_metrics(
-    sampler: Option<telemetry::metrics::Sampler>,
-    opts: &Options,
-) -> Result<(), String> {
-    let Some(sampler) = sampler else {
-        return Ok(());
-    };
-    let report = sampler.stop();
-    telemetry::metrics::disarm();
-    if let Some(path) = &opts.metrics_out {
-        if let Some(e) = report.io_error {
-            return Err(format!("{path}: {e}"));
-        }
-        println!(
-            "c metrics written to {path} ({} snapshots)",
-            report.snapshots
-        );
-    }
-    Ok(())
-}
-
 /// Opens and parses the DIMACS input. The `dimacs-io` fault point swaps
 /// the file for one that fails mid-stream, exercising the same graceful
 /// diagnostic path a real disk/network failure would take.
@@ -546,13 +378,6 @@ fn main() -> ExitCode {
         eprintln!("rsat: {e}");
         return ExitCode::from(1);
     }
-    let sampler = match start_metrics(&opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rsat: {e}");
-            return ExitCode::from(1);
-        }
-    };
     let formula = match read_formula(&opts.file) {
         Ok(f) => f,
         Err(e) => {
@@ -645,12 +470,7 @@ fn main() -> ExitCode {
             tel = tel.with_sink(Box::new(CommentSink));
         }
         if let Some(secs) = opts.progress {
-            // On a metrics build the sampler renders the live `c progress`
-            // lines; conflict-boundary heartbeats are then only kept when a
-            // JSONL stream wants the Progress events.
-            if !telemetry::metrics::enabled() || opts.stats_json.is_some() {
-                tel = tel.with_progress(Duration::from_secs_f64(secs));
-            }
+            tel = tel.with_progress(Duration::from_secs_f64(secs));
         }
         solver.set_telemetry(tel);
     }
@@ -660,10 +480,6 @@ fn main() -> ExitCode {
         solver.solve_with_budget(armed_budget(&opts))
     };
     if let Err(e) = write_trace(&opts) {
-        eprintln!("rsat: {e}");
-        return ExitCode::from(1);
-    }
-    if let Err(e) = finish_metrics(sampler, &opts) {
         eprintln!("rsat: {e}");
         return ExitCode::from(1);
     }

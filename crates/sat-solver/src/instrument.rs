@@ -2,21 +2,18 @@
 //!
 //! [`Recorder`] is the solver's single instrumentation spine: every phase
 //! boundary and search event goes through it, and it feeds the opt-in
-//! [`SolverTelemetry`] recorder, the live metrics registry and the trace
-//! ring. An installed recorder never changes search behaviour — it only
-//! reads counters the solver maintains anyway; the invariance tests in
-//! `tests/telemetry.rs`, `tests/metrics.rs` and `tests/trace.rs` pin that
-//! guarantee.
+//! [`SolverTelemetry`] recorder and the trace ring. An installed recorder
+//! never changes search behaviour — it only reads counters the solver
+//! maintains anyway; the invariance tests in `tests/telemetry.rs` and
+//! `tests/trace.rs` pin that guarantee.
 //!
 //! This module also gives the solver's public statistics types a stable
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
 //! for serde's `Serialize`/`Deserialize`).
 
-use crate::{DbStats, InprocessStats, PolicyKind, SolveResult, SolverStats};
+use crate::{DbStats, PolicyKind, SolveResult, SolverStats, StopCause};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
-#[cfg(feature = "metrics")]
-use telemetry::metrics::{self, Counter, Gauge};
 use telemetry::{Event, Histogram, NullSink, Phase, PhaseTimes, RunRecord, Sink};
 
 /// Per-solve telemetry recorder installed via
@@ -177,11 +174,10 @@ impl SolverTelemetry {
 /// brackets each solver [`Phase`] with [`begin`](Self::begin) /
 /// [`end`](Self::end) and reports a few typed events; the recorder feeds
 /// them to the installed [`SolverTelemetry`] (runtime opt-in: without one
-/// no phase clock is read), the metrics registry (`metrics` feature) and
-/// the trace ring (`trace` feature). Its `PhaseTimes` are exclusive: a
-/// phase ending inside another (minimize in analyze, inprocess in
-/// restart) counts for the inner one only, so they add up to at most the
-/// solve's wall time. The metrics `phase.*_ns` counters stay inclusive.
+/// no phase clock is read) and the trace ring (`trace` feature). Its
+/// `PhaseTimes` are exclusive: a phase ending inside another (minimize in
+/// analyze, inprocess in restart) counts for the inner one only, so they
+/// add up to at most the solve's wall time.
 #[derive(Default)]
 pub(crate) struct Recorder {
     pub(crate) telemetry: Option<Box<SolverTelemetry>>,
@@ -200,8 +196,6 @@ pub(crate) struct OpenPhase {
     ended_before: Duration,
     #[cfg(feature = "trace")]
     _span: telemetry::trace::SpanGuard,
-    #[cfg(feature = "metrics")]
-    sampled: Option<Instant>,
 }
 
 /// A trace-only span (`reduce-score`), ended by dropping it.
@@ -211,75 +205,30 @@ pub(crate) struct TraceSpan {
     _span: telemetry::trace::SpanGuard,
 }
 
-/// The registry's `(nanos, calls)` counters for `phase`, if it has any.
-#[cfg(feature = "metrics")]
-fn metered(phase: Phase) -> Option<(Counter, Counter)> {
-    match phase {
-        Phase::Propagate => Some((Counter::PropagateNanos, Counter::PropagateCalls)),
-        Phase::Analyze => Some((Counter::AnalyzeNanos, Counter::AnalyzeCalls)),
-        Phase::Reduce => Some((Counter::ReduceNanos, Counter::ReduceCalls)),
-        Phase::Inprocess => Some((Counter::InprocessNanos, Counter::InprocessCalls)),
-        _ => None,
-    }
-}
-
-/// Refreshes the solver gauges (at restarts and reductions: frequent
-/// enough for live monitoring, off the propagation path).
-#[cfg(feature = "metrics")]
-fn set_gauges(memory_bytes: u64, live_learned: usize) {
-    metrics::set_gauge(Gauge::MemoryBytes, memory_bytes as f64);
-    metrics::set_gauge(Gauge::LiveLearned, live_learned as f64);
-}
-
 impl Recorder {
-    /// Opens `phase`: starts its clock (recorder installed), its trace
-    /// span (`trace`) and its sampled metrics timer (`metrics`).
+    /// Opens `phase`: starts its clock (recorder installed) and its trace
+    /// span (`trace`).
     #[inline]
     pub(crate) fn begin(&self, phase: Phase) -> OpenPhase {
         let start = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let span = telemetry::trace::span(phase.name());
-        #[cfg(feature = "metrics")]
-        let sampled = metered(phase).and_then(|_| metrics::phase_timer());
         OpenPhase {
             phase,
             start,
             ended_before: self.ended,
             #[cfg(feature = "trace")]
-            _span: span,
-            #[cfg(feature = "metrics")]
-            sampled,
+            _span: telemetry::trace::span(phase.name()),
         }
     }
 
     /// Closes `open`, recording its exclusive time.
     #[inline]
     pub(crate) fn end(&mut self, open: OpenPhase) {
-        #[cfg(feature = "metrics")]
-        if let Some((nanos, calls)) = metered(open.phase) {
-            metrics::phase_done(open.sampled, nanos, calls);
-        }
         if let (Some(start), Some(t)) = (open.start, self.telemetry.as_deref_mut()) {
             let inclusive = start.elapsed();
             let nested = self.ended.saturating_sub(open.ended_before);
             t.phases.add(open.phase, inclusive.saturating_sub(nested));
             self.ended = open.ended_before + inclusive;
         }
-    }
-
-    /// Ends a search-loop propagate call that made `props` assignments.
-    #[inline]
-    pub(crate) fn propagated(&mut self, open: OpenPhase, props: u64, conflict: bool) {
-        #[cfg(feature = "metrics")]
-        {
-            metrics::add(Counter::Propagations, props);
-            if conflict {
-                metrics::inc(Counter::Conflicts);
-            }
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (props, conflict);
-        self.end(open);
     }
 
     /// Opens a trace-only span.
@@ -303,8 +252,6 @@ impl Recorder {
         live_learned: usize,
         stats: &SolverStats,
     ) {
-        #[cfg(feature = "metrics")]
-        metrics::inc(Counter::LearnedClauses);
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.glue.record(u64::from(glue));
             t.learned_len.record(len as u64);
@@ -312,24 +259,6 @@ impl Recorder {
             t.peak_learned = t.peak_learned.max(live_learned as u64);
             t.maybe_progress(stats, live_learned);
         }
-    }
-
-    /// A branching decision was made.
-    #[inline]
-    pub(crate) fn decided(&self) {
-        #[cfg(feature = "metrics")]
-        metrics::inc(Counter::Decisions);
-    }
-
-    /// A restart fired.
-    pub(crate) fn restarted(&self, memory_bytes: u64, live_learned: usize) {
-        #[cfg(feature = "metrics")]
-        if metrics::armed() {
-            metrics::inc(Counter::Restarts);
-            set_gauges(memory_bytes, live_learned);
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (memory_bytes, live_learned);
     }
 
     /// Ends a reduction that deleted `deleted` of `candidates` reducible
@@ -341,16 +270,7 @@ impl Recorder {
         candidates: usize,
         deleted: usize,
         live_learned: usize,
-        memory_bytes: u64,
     ) {
-        #[cfg(feature = "metrics")]
-        if metrics::armed() {
-            metrics::inc(Counter::Reductions);
-            metrics::add(Counter::DeletedClauses, deleted as u64);
-            set_gauges(memory_bytes, live_learned);
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = memory_bytes;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.sink.emit(&Event::Reduction {
                 reduction_no: stats.reductions,
@@ -360,31 +280,6 @@ impl Recorder {
                 conflicts: stats.conflicts,
             });
         }
-        self.end(open);
-    }
-
-    /// Ends an inprocessing round that moved the engine's counters from
-    /// `before` to `after`.
-    pub(crate) fn inprocessed(
-        &mut self,
-        open: OpenPhase,
-        before: Option<InprocessStats>,
-        after: Option<InprocessStats>,
-    ) {
-        #[cfg(feature = "metrics")]
-        if let (Some(b), Some(a), true) = (before, after, metrics::armed()) {
-            metrics::add(Counter::InprocessSubsumed, a.subsumed - b.subsumed);
-            metrics::add(
-                Counter::InprocessStrengthened,
-                a.strengthened - b.strengthened,
-            );
-            metrics::add(
-                Counter::InprocessEliminated,
-                a.eliminated_vars - b.eliminated_vars,
-            );
-        }
-        #[cfg(not(feature = "metrics"))]
-        let _ = (before, after);
         self.end(open);
     }
 
@@ -403,10 +298,12 @@ impl Recorder {
         });
     }
 
-    /// A `solve` call ended with `result`; seals the [`RunRecord`].
+    /// A `solve` call ended with `result` (for `Unknown`, stopped by
+    /// `stop_cause`); seals the [`RunRecord`].
     pub(crate) fn solve_ended(
         &mut self,
         result: &SolveResult,
+        stop_cause: Option<StopCause>,
         policy: &'static str,
         stats: &SolverStats,
         db: &DbStats,
@@ -417,6 +314,7 @@ impl Recorder {
         let solve_time_s = t.started.take().map_or(0.0, |s| s.elapsed().as_secs_f64());
         let mut record = RunRecord::new(t.instance_id.clone(), policy);
         record.result = result.verdict().to_string();
+        record.stop_cause = stop_cause.map(|c| c.as_str().to_string());
         record.solve_time_s = solve_time_s;
         record.peak_learned_clauses = t.peak_learned;
         record.phases = t.phases;

@@ -95,7 +95,7 @@ pub struct Solver {
     min_visited: Vec<Var>,
     glue_levels: Vec<u32>,
     pub(crate) proof: Option<ProofLogger>,
-    /// The instrumentation spine (phase times, metrics, trace spans).
+    /// The instrumentation spine (phase times, trace spans).
     rec: Recorder,
     /// Why the most recent `solve` call returned `Unknown`, if it did.
     stop_cause: Option<StopCause>,
@@ -846,7 +846,6 @@ impl Solver {
             candidates.len(),
             delete_count,
             self.db.num_learned(),
-            self.approx_memory_bytes(),
         );
         self.checkpoint(Checkpoint::PostReduce);
     }
@@ -1006,8 +1005,13 @@ impl Solver {
         let result = self.search_loop(budget, pick);
         if self.rec.telemetry.is_some() {
             let db = self.db_stats();
-            self.rec
-                .solve_ended(&result, self.policy.name(), &self.stats, &db);
+            self.rec.solve_ended(
+                &result,
+                self.stop_cause,
+                self.policy.name(),
+                &self.stats,
+                &db,
+            );
         }
         result
     }
@@ -1026,10 +1030,8 @@ impl Solver {
         }
         loop {
             let bcp = self.rec.begin(Phase::Propagate);
-            let props = self.stats.propagations;
             let conflict = self.propagate();
-            self.rec
-                .propagated(bcp, self.stats.propagations - props, conflict.is_some());
+            self.rec.end(bcp);
             if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
@@ -1072,17 +1074,14 @@ impl Solver {
                     let restarting = self.rec.begin(Phase::Restart);
                     self.restart.on_restart();
                     self.stats.restarts += 1;
-                    self.rec
-                        .restarted(self.approx_memory_bytes(), self.db.num_learned());
                     self.backtrack(0);
                     // Inprocessing shares the restart boundary: the trail
                     // is at the root, so clauses can be strengthened,
                     // deleted, or replaced without touching live decisions.
                     if self.inprocess_due() {
                         let round = self.rec.begin(Phase::Inprocess);
-                        let before = self.inprocess_stats();
                         let still_sat = self.inprocess_round();
-                        self.rec.inprocessed(round, before, self.inprocess_stats());
+                        self.rec.end(round);
                         if !still_sat {
                             return SolveResult::Unsat;
                         }
@@ -1121,7 +1120,6 @@ impl Solver {
                 match self.decide() {
                     Some(l) => {
                         self.stats.decisions += 1;
-                        self.rec.decided();
                         self.trail_lim.push(self.trail.len());
                         self.assign(l, None);
                     }

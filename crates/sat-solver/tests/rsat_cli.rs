@@ -123,3 +123,71 @@ fn stats_json_streams_schema_versioned_events() {
         other => panic!("last event should be solve_end, got {other:?}"),
     }
 }
+
+/// Parses a `--stats-json` stream into its events.
+fn parse_events(stream: &str) -> Vec<Event> {
+    stream
+        .lines()
+        .map(|line| {
+            let value = Json::parse(line).expect("each line is one JSON object");
+            Event::from_json(&value).expect("each line is a known event")
+        })
+        .collect()
+}
+
+#[test]
+fn progress_prints_heartbeats_as_comments_or_events() {
+    let cnf = temp_cnf("progress", &php_dimacs(7));
+    let out = run_rsat(&[cnf.to_str().unwrap(), "--progress", "0.001"]);
+    assert_eq!(out.status.code(), Some(20));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.lines().any(|l| l.starts_with("c progress ")),
+        "stdout: {stdout}"
+    );
+
+    // With a JSONL stream open, the heartbeats go there instead.
+    let jsonl =
+        std::env::temp_dir().join(format!("rsat-cli-{}-progress.jsonl", std::process::id()));
+    let out = run_rsat(&[
+        cnf.to_str().unwrap(),
+        "--progress",
+        "0.001",
+        "--stats-json",
+        jsonl.to_str().unwrap(),
+    ]);
+    let events = parse_events(&std::fs::read_to_string(&jsonl).expect("read jsonl"));
+    std::fs::remove_file(&cnf).ok();
+    std::fs::remove_file(&jsonl).ok();
+    assert_eq!(out.status.code(), Some(20));
+    assert!(
+        events.iter().any(|e| matches!(e, Event::Progress { .. })),
+        "no progress event in {events:?}"
+    );
+}
+
+#[test]
+fn stats_json_says_why_a_budgeted_solve_stopped() {
+    let cnf = temp_cnf("budget", &php_dimacs(7));
+    let jsonl = std::env::temp_dir().join(format!("rsat-cli-{}-budget.jsonl", std::process::id()));
+    let out = run_rsat(&[
+        cnf.to_str().unwrap(),
+        "--conflicts",
+        "10",
+        "--stats-json",
+        jsonl.to_str().unwrap(),
+    ]);
+    let stream = std::fs::read_to_string(&jsonl).expect("read jsonl");
+    std::fs::remove_file(&cnf).ok();
+    std::fs::remove_file(&jsonl).ok();
+    assert_eq!(out.status.code(), Some(0));
+    let end = stream.lines().last().expect("a solve_end line");
+    assert!(end.contains(r#""stop_cause":"conflicts""#), "{end}");
+    match parse_events(&stream).last() {
+        Some(Event::SolveEnd { record }) => {
+            assert_eq!(record.result, "UNKNOWN");
+            assert_eq!(record.stop_cause.as_deref(), Some("conflicts"));
+        }
+        other => panic!("last event should be solve_end, got {other:?}"),
+    }
+}

@@ -1,6 +1,6 @@
 //! Telemetry integration: recording must observe the search, never steer it.
 
-use sat_solver::{Solver, SolverConfig, SolverStats, SolverTelemetry};
+use sat_solver::{Budget, Solver, SolverConfig, SolverStats, SolverTelemetry};
 use std::time::Duration;
 use telemetry::json::{FromJson, Json, ToJson};
 use telemetry::{Event, JsonlSink, MemorySink, NullSink, Phase};
@@ -58,6 +58,32 @@ fn telemetry_does_not_perturb_the_search() {
         "NullSink telemetry changed the stats"
     );
     assert_eq!(bare_stats, mem_stats, "recording sink changed the stats");
+
+    // Every consumer of the recorder at once: a recorder installed, the
+    // tracer armed (a no-op unless built with `trace`) and inprocessing
+    // every restart, so every phase fires.
+    let f = php(6, 5);
+    let config = SolverConfig {
+        inprocess: true,
+        inprocess_interval: 1,
+        ..busy_config()
+    };
+    let mut bare = Solver::new(&f, config.clone());
+    assert!(bare.solve().is_unsat());
+    telemetry::trace::arm(0);
+    let mut solver = Solver::new(&f, config);
+    solver.set_telemetry(SolverTelemetry::new("php-6-5"));
+    let result = solver.solve();
+    telemetry::trace::disarm();
+    let _ = telemetry::trace::drain();
+    assert!(result.is_unsat());
+    assert_eq!(
+        bare.stats().to_json().to_string(),
+        solver.stats().to_json().to_string(),
+        "stats must be byte-identical with the recorder and the tracer on"
+    );
+    let phases = solver.telemetry().expect("recorder installed").phases();
+    assert!(phases.calls(Phase::Inprocess) > 0);
 }
 
 #[test]
@@ -113,9 +139,34 @@ fn event_stream_brackets_the_solve_and_matches_stats() {
     );
     assert!(record.peak_learned_clauses > 0);
     assert!(record.phases.calls(Phase::Propagate) > 0);
-    assert!(record.phases.calls(Phase::Analyze) > 0);
+    // Every learned clause came out of exactly one analyze call (the final
+    // level-0 conflict ends the search without analyzing).
+    assert_eq!(record.phases.calls(Phase::Analyze), stats.learned_clauses);
     assert_eq!(record.phases.calls(Phase::Reduce), stats.reductions);
     assert_eq!(record.phases.calls(Phase::Restart), stats.restarts);
+}
+
+#[test]
+fn record_says_why_a_solve_stopped() {
+    let f = php(6, 5);
+    let mut solver = Solver::new(&f, busy_config());
+    solver.set_telemetry(SolverTelemetry::new("php-6-5"));
+    assert!(solver.solve_with_budget(Budget::conflicts(10)).is_unknown());
+    let record = solver.take_telemetry().unwrap().into_record().unwrap();
+    assert_eq!(record.result, "UNKNOWN");
+    assert_eq!(record.stop_cause.as_deref(), Some("conflicts"));
+    assert_eq!(
+        record.to_json().get("stop_cause").and_then(Json::as_str),
+        Some("conflicts")
+    );
+
+    // A verdict carries no stop cause, even after an UNKNOWN solve.
+    solver.set_telemetry(SolverTelemetry::new("php-6-5"));
+    assert!(solver.solve().is_unsat());
+    let record = solver.take_telemetry().unwrap().into_record().unwrap();
+    assert_eq!(record.result, "UNSAT");
+    assert_eq!(record.stop_cause, None);
+    assert_eq!(record.to_json().get("stop_cause"), Some(&Json::Null));
 }
 
 #[test]

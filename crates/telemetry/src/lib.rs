@@ -16,12 +16,10 @@
 //!   default), [`MemorySink`] (tests), and [`JsonlSink`] (versioned,
 //!   schema-stable JSONL records);
 //! * [`RunRecord`] — the one-per-instance summary (instance id, policy,
-//!   result, stats, per-phase timings, peak clause-DB size);
+//!   result and stop cause, stats, per-phase timings, peak clause-DB
+//!   size);
 //! * [`trace`] — low-overhead span tracing into per-thread ring buffers
-//!   with Chrome trace-event export (behind the `trace` cargo feature);
-//! * [`metrics`] — a sharded, lock-free live registry of named counters
-//!   and gauges with a background snapshot [`metrics::Sampler`] emitting
-//!   versioned JSONL time series (behind the `metrics` cargo feature).
+//!   with Chrome trace-event export (behind the `trace` cargo feature).
 //!
 //! Serialization is handled by the self-contained [`json`] module (the
 //! build environment is offline, so `serde`/`serde_json` are replaced by
@@ -57,7 +55,6 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod metrics;
 pub mod trace;
 
 mod histogram;

@@ -4,8 +4,9 @@ use crate::json::{FromJson, FromJsonError, Json, ToJson};
 use crate::phase::PhaseTimes;
 use crate::SCHEMA_VERSION;
 
-/// One solved instance, summarized: identity, policy, verdict, stats,
-/// per-phase timings, and peak clause-database size.
+/// One solved instance, summarized: identity, policy, verdict and why an
+/// `UNKNOWN` one stopped, stats, per-phase timings, and peak
+/// clause-database size.
 ///
 /// `stats` and `extra` are open JSON objects filled by the producing crate
 /// (the solver serializes its `SolverStats`/`DbStats` there; experiment
@@ -34,6 +35,10 @@ pub struct RunRecord {
     pub policy: String,
     /// Verdict: `"SAT"`, `"UNSAT"`, or `"UNKNOWN"`.
     pub result: String,
+    /// Stop cause of an `"UNKNOWN"` verdict (`"conflicts"`, `"deadline"`,
+    /// …); `None` for any other verdict. Same encoding as
+    /// [`RequestRecord::stop_cause`].
+    pub stop_cause: Option<String>,
     /// Wall-clock seconds spent solving.
     pub solve_time_s: f64,
     /// Wall-clock seconds of model inference before or during solving, if
@@ -109,6 +114,7 @@ impl RunRecord {
             instance_id: instance_id.into(),
             policy: policy.into(),
             result: String::new(),
+            stop_cause: None,
             solve_time_s: 0.0,
             inference_time_s: None,
             peak_learned_clauses: 0,
@@ -132,6 +138,10 @@ impl ToJson for RunRecord {
             .with("instance_id", Json::from(self.instance_id.as_str()))
             .with("policy", Json::from(self.policy.as_str()))
             .with("result", Json::from(self.result.as_str()))
+            .with(
+                "stop_cause",
+                self.stop_cause.as_deref().map_or(Json::Null, Json::from),
+            )
             .with("solve_time_s", Json::from(self.solve_time_s))
             .with(
                 "inference_time_s",
@@ -168,6 +178,11 @@ impl FromJson for RunRecord {
             instance_id: str_field("instance_id")?,
             policy: str_field("policy")?,
             result: str_field("result")?,
+            // Absent in records written before the field existed.
+            stop_cause: value
+                .get("stop_cause")
+                .and_then(Json::as_str)
+                .map(str::to_string),
             solve_time_s: value
                 .get("solve_time_s")
                 .and_then(Json::as_f64)

@@ -2,8 +2,9 @@
 //!
 //! Every event line carries `schema_version` (currently 2) and an `event`
 //! discriminator; the field names below are a compatibility contract with
-//! external consumers. Changing any rendered string here requires bumping
-//! [`SCHEMA_VERSION`] and updating the stability note in README.md.
+//! external consumers. Renaming or removing a rendered field requires
+//! bumping [`SCHEMA_VERSION`] and updating the stability note in README.md;
+//! adding one does not.
 
 use std::time::Duration;
 use telemetry::json::{FromJson, Json, ToJson};
@@ -76,7 +77,7 @@ fn solve_end_event_golden() {
     let event = Event::SolveEnd { record };
     assert_eq!(
         event.to_json().to_string(),
-        r#"{"schema_version":2,"event":"solve_end","record":{"schema_version":2,"instance_id":"php-6-5","policy":"default","result":"UNSAT","solve_time_s":0.25,"inference_time_s":0.125,"peak_learned_clauses":42,"phases":{"propagate":{"nanos":1500,"calls":1},"analyze":{"nanos":500,"calls":1}},"stats":{"conflicts":77},"extra":{"note":"golden"},"degradations":[]}}"#
+        r#"{"schema_version":2,"event":"solve_end","record":{"schema_version":2,"instance_id":"php-6-5","policy":"default","result":"UNSAT","stop_cause":null,"solve_time_s":0.25,"inference_time_s":0.125,"peak_learned_clauses":42,"phases":{"propagate":{"nanos":1500,"calls":1},"analyze":{"nanos":500,"calls":1}},"stats":{"conflicts":77},"extra":{"note":"golden"},"degradations":[]}}"#
     );
 }
 
@@ -115,13 +116,18 @@ fn error_request_record_golden() {
 
 #[test]
 fn degraded_record_golden() {
-    let mut record = RunRecord::new("race-w2", "prop-freq");
+    // What `solve_recorded` writes when inference overran its deadline
+    // (the heuristic picked instead) and the solve then hit its own.
+    let mut record = RunRecord::new("miter-500", "prop-freq");
     record.result = "UNKNOWN".to_string();
-    record.degrade("worker-crash", "injected worker panic");
-    record.degrade("budget-exhausted", "deadline");
+    record.stop_cause = Some("deadline".to_string());
+    record.degrade(
+        "inference-deadline",
+        "inference took 0.012s, deadline 0.010s",
+    );
     assert_eq!(
         record.to_json().to_string(),
-        r#"{"schema_version":2,"instance_id":"race-w2","policy":"prop-freq","result":"UNKNOWN","solve_time_s":0.0,"inference_time_s":null,"peak_learned_clauses":0,"phases":{},"stats":{},"extra":{},"degradations":[{"kind":"worker-crash","detail":"injected worker panic"},{"kind":"budget-exhausted","detail":"deadline"}]}"#
+        r#"{"schema_version":2,"instance_id":"miter-500","policy":"prop-freq","result":"UNKNOWN","stop_cause":"deadline","solve_time_s":0.0,"inference_time_s":null,"peak_learned_clauses":0,"phases":{},"stats":{},"extra":{},"degradations":[{"kind":"inference-deadline","detail":"inference took 0.012s, deadline 0.010s"}]}"#
     );
     let parsed = RunRecord::from_json(&record.to_json()).expect("round-trips");
     assert_eq!(parsed, record);
@@ -132,6 +138,7 @@ fn version_one_record_without_degradations_still_parses() {
     let line = r#"{"schema_version":1,"instance_id":"old","policy":"default","result":"SAT","solve_time_s":0.5,"inference_time_s":null,"peak_learned_clauses":3,"phases":{},"stats":{},"extra":{}}"#;
     let parsed = RunRecord::from_json(&Json::parse(line).expect("parses")).expect("compatible");
     assert!(parsed.degradations.is_empty());
+    assert_eq!(parsed.stop_cause, None);
     assert_eq!(parsed.schema_version, 1);
 }
 
@@ -146,69 +153,4 @@ fn golden_lines_parse_back() {
         let event = Event::from_json(&value).expect("golden line is a known event");
         assert_eq!(event.to_json().to_string(), line, "round-trip is lossless");
     }
-}
-
-#[test]
-fn metrics_snapshot_golden() {
-    use telemetry::metrics::{Counter, Gauge, MetricsSnapshot};
-
-    let mut counters = vec![0u64; Counter::ALL.len()];
-    let mut set = |c: Counter, v: u64| counters[c as usize] = v;
-    set(Counter::Propagations, 100_000);
-    set(Counter::Conflicts, 250);
-    set(Counter::Decisions, 900);
-    set(Counter::Restarts, 3);
-    set(Counter::Reductions, 2);
-    set(Counter::LearnedClauses, 240);
-    set(Counter::DeletedClauses, 120);
-    set(Counter::PropagateNanos, 5_000_000);
-    set(Counter::PropagateCalls, 1_150);
-    set(Counter::AnalyzeNanos, 2_000_000);
-    set(Counter::AnalyzeCalls, 250);
-    set(Counter::ReduceNanos, 300_000);
-    set(Counter::ReduceCalls, 2);
-    set(Counter::InprocessNanos, 400_000);
-    set(Counter::InprocessCalls, 3);
-    set(Counter::InprocessSubsumed, 18);
-    set(Counter::InprocessStrengthened, 7);
-    set(Counter::InprocessEliminated, 2);
-    set(Counter::Inferences, 4);
-    set(Counter::InferenceNanos, 8_000_000);
-    let mut gauges = vec![f64::NAN; Gauge::ALL.len()];
-    gauges[Gauge::MemoryBytes as usize] = 1_048_576.0;
-    // Gauge::LiveLearned stays unset: it must be absent from the output.
-    gauges[Gauge::InferenceLastSeconds as usize] = 0.002;
-    gauges[Gauge::PolicyConfidence as usize] = 0.875;
-    let snap = MetricsSnapshot::from_parts(3, 1.5, counters, gauges);
-
-    let mut prev_counters = vec![0u64; Counter::ALL.len()];
-    prev_counters[Counter::Propagations as usize] = 50_000;
-    prev_counters[Counter::Conflicts as usize] = 150;
-    prev_counters[Counter::LearnedClauses as usize] = 140;
-    let prev = MetricsSnapshot::from_parts(2, 0.5, prev_counters, Vec::new());
-
-    assert_eq!(
-        snap.to_json_line(Some(&prev)).to_string(),
-        r#"{"schema_version":2,"event":"metrics_snapshot","seq":3,"elapsed_s":1.5,"counters":{"solver.propagations":100000,"solver.conflicts":250,"solver.decisions":900,"solver.restarts":3,"solver.reductions":2,"solver.learned_clauses":240,"solver.deleted_clauses":120,"phase.propagate_ns":5000000,"phase.propagate_calls":1150,"phase.analyze_ns":2000000,"phase.analyze_calls":250,"phase.reduce_ns":300000,"phase.reduce_calls":2,"phase.inprocess_ns":400000,"phase.inprocess_calls":3,"inprocess.subsumed":18,"inprocess.strengthened":7,"inprocess.eliminated_vars":2,"pipeline.inferences":4,"pipeline.inference_ns":8000000,"daemon.admitted":0,"daemon.rejected":0,"daemon.evicted":0,"daemon.crashed":0,"daemon.deadline_exceeded":0,"daemon.completed":0},"gauges":{"solver.memory_bytes":1048576.0,"pipeline.inference_last_s":0.002,"pipeline.policy_confidence":0.875},"rates":{"solver.propagations_per_sec":50000.0,"solver.conflicts_per_sec":100.0,"solver.learned_clauses_per_sec":100.0}}"#
-    );
-
-    // Without a previous snapshot (the sampler's first line, and the
-    // ToJson impl) `rates` is present but empty.
-    let first = snap.to_json_line(None).to_string();
-    assert!(first.ends_with(r#""rates":{}}"#), "{first}");
-    assert_eq!(snap.to_json().to_string(), first);
-
-    // The line is self-describing JSON that parses back.
-    let parsed = Json::parse(&first).expect("snapshot line parses");
-    assert_eq!(
-        parsed.get("event").and_then(Json::as_str),
-        Some("metrics_snapshot")
-    );
-    assert_eq!(
-        parsed
-            .get("counters")
-            .and_then(|c| c.get("solver.propagations"))
-            .and_then(Json::as_u64),
-        Some(100_000)
-    );
 }

@@ -423,7 +423,7 @@ impl Graph {
         if let Some(&idx) = self.by_type.get(&(qualifier.to_string(), name.to_string())) {
             return Resolved::Edges(vec![idx], EdgeKind::Direct);
         }
-        // Module-path suffix match (`telemetry::metrics::inc`).
+        // Module-path suffix match (`telemetry::trace::span`).
         let joined = segs.join("::");
         let hits: Vec<usize> = self
             .by_name

@@ -9,7 +9,6 @@ mod callgraph;
 mod extract;
 mod lexer;
 mod lockorder;
-mod metrics_names;
 mod rules;
 mod schema;
 
@@ -23,7 +22,6 @@ fn main() -> ExitCode {
     match command {
         "lint" => lint(args.iter().any(|a| a == "--json")),
         "schema-update" => schema_update(),
-        "metrics-update" => metrics_update(),
         "callgraph" => callgraph_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
@@ -45,8 +43,6 @@ commands:
                    lock-order); --json emits one JSON object per finding
   schema-update    regenerate crates/xtask/telemetry.schema from the
                    telemetry crate's sources
-  metrics-update   regenerate crates/xtask/metrics.names from the metric
-                   name tables in crates/telemetry/src/metrics.rs
   callgraph --dot FN
                    print the Graphviz subgraph reachable from fns
                    matching FN (exact id, `::`-suffix, or bare name)
@@ -143,12 +139,8 @@ fn lint(json: bool) -> ExitCode {
     callgraph::hot_path_purity(&graph, &allow_map, &mut diags);
     lockorder::lock_analysis(&graph, &allow_map, &mut diags);
 
-    // Golden manifests: telemetry schema, metric names.
+    // Golden manifest: telemetry schema.
     if let Err(e) = check_telemetry_schema(&root, &mut diags) {
-        eprintln!("xtask: {e}");
-        return ExitCode::from(2);
-    }
-    if let Err(e) = check_metrics_names(&root, &mut diags) {
         eprintln!("xtask: {e}");
         return ExitCode::from(2);
     }
@@ -352,48 +344,6 @@ fn extract_current_schema(root: &Path) -> Result<schema::Schema, String> {
         &read("crates/telemetry/src/sink.rs")?,
     )
     .map_err(|e| e.to_string())
-}
-
-/// Runs the `metrics-names` golden-manifest comparison.
-fn check_metrics_names(root: &Path, diags: &mut Vec<Diagnostic>) -> Result<(), String> {
-    let current = extract_current_metrics(root)?;
-    let manifest_path = root.join("crates/xtask/metrics.names");
-    let manifest_text = std::fs::read_to_string(&manifest_path).map_err(|_| {
-        "crates/xtask/metrics.names is missing; run `cargo run -p xtask -- metrics-update`"
-            .to_string()
-    })?;
-    let manifest = metrics_names::parse_manifest(&manifest_text)?;
-    metrics_names::compare(&current, &manifest, diags);
-    Ok(())
-}
-
-fn extract_current_metrics(root: &Path) -> Result<Vec<metrics_names::MetricName>, String> {
-    let rel = "crates/telemetry/src/metrics.rs";
-    let src =
-        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
-    metrics_names::extract(&src)
-}
-
-fn metrics_update() -> ExitCode {
-    let root = workspace_root();
-    let current = match extract_current_metrics(&root) {
-        Ok(names) => names,
-        Err(e) => {
-            eprintln!("xtask: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let path = root.join("crates/xtask/metrics.names");
-    match std::fs::write(&path, metrics_names::to_manifest(&current)) {
-        Ok(()) => {
-            println!("wrote {}", relative(&root, &path));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask: cannot write metrics.names: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn schema_update() -> ExitCode {

@@ -43,8 +43,8 @@ const HOT_PATH_MODULES: &[&str] = &[
 ];
 
 /// The solver's instrumentation recorder: the one place the search loop
-/// reaches `telemetry::trace` / `telemetry::metrics`, so its call sites
-/// get the hot-path modules' feature-gate discipline.
+/// reaches `telemetry::trace`, so its call sites get the hot-path
+/// modules' feature-gate discipline.
 const RECORDER_MODULE: &str = "crates/sat-solver/src/instrument.rs";
 
 /// Modules whose state other threads may touch. `Ordering::Relaxed` is
@@ -126,15 +126,7 @@ pub fn lint_lexed(
         no_hard_assert(path, tokens, &mut found);
     }
     if is_hot_path(path) || path == RECORDER_MODULE {
-        telemetry_feature_gate(path, src, tokens, &mut found, "trace", "trace-feature-gate");
-        telemetry_feature_gate(
-            path,
-            src,
-            tokens,
-            &mut found,
-            "metrics",
-            "metrics-feature-gate",
-        );
+        trace_feature_gate(path, src, tokens, &mut found);
     }
     if is_concurrency_module(path) {
         atomic_ordering(path, tokens, &mut found);
@@ -266,27 +258,19 @@ fn no_hard_assert(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `trace-feature-gate` / `metrics-feature-gate`: in hot-path modules and
-/// the solver's instrumentation recorder, every `trace::` (resp.
-/// `metrics::`) call site must sit under a `#[cfg(feature = "...")]` gate
-/// naming that telemetry feature. Elsewhere
-/// both APIs may rely on their disarmed fast path (one relaxed atomic
-/// load), but BCP and conflict analysis run millions of times per second —
-/// default builds must compile to literally zero telemetry code there.
+/// `trace-feature-gate`: in hot-path modules and the solver's
+/// instrumentation recorder, every `trace::` call site must sit under a
+/// `#[cfg(feature = "trace")]` gate. Elsewhere the tracer may rely on its
+/// disarmed fast path (one relaxed atomic load), but BCP and conflict
+/// analysis run millions of times per second — default builds must
+/// compile to literally zero trace code there.
 ///
 /// The lexer normalizes string literals to `""`, so the attribute's feature
 /// name is confirmed against the raw source lines spanning the attribute.
-fn telemetry_feature_gate(
-    path: &str,
-    src: &str,
-    tokens: &[Token],
-    out: &mut Vec<Diagnostic>,
-    module: &str,
-    rule: &'static str,
-) {
+fn trace_feature_gate(path: &str, src: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     let lines: Vec<&str> = src.lines().collect();
-    let quoted = format!("\"{module}\"");
-    // Pass 1: token ranges gated by `#[cfg(... feature = "<module>" ...)]`
+    let quoted = "\"trace\"";
+    // Pass 1: token ranges gated by `#[cfg(... feature = "trace" ...)]`
     // — the attribute plus the item, statement, or field it covers (up to
     // the `}` closing its first brace, a `;` or `,` outside brackets, or
     // the bracket closing the enclosing struct or literal).
@@ -327,7 +311,7 @@ fn telemetry_feature_gate(
         let names_feature = (tokens[start].line..=tokens[j].line).any(|l| {
             lines
                 .get(l as usize - 1)
-                .is_some_and(|raw| raw.contains(quoted.as_str()))
+                .is_some_and(|raw| raw.contains(quoted))
         });
         if !(saw_cfg && saw_feature_str && names_feature) {
             i = j + 1;
@@ -359,22 +343,20 @@ fn telemetry_feature_gate(
         gated.push((start, end));
         i = j + 1;
     }
-    // Pass 2: `<module> ::` paths outside every gated range.
+    // Pass 2: `trace ::` paths outside every gated range.
     for (idx, t) in tokens.iter().enumerate() {
-        if t.is_ident(module)
+        if t.is_ident("trace")
             && tokens.get(idx + 1).is_some_and(|n| n.is_punct("::"))
             && !gated.iter().any(|&(s, e)| idx >= s && idx <= e)
         {
             diag(
                 out,
-                rule,
+                "trace-feature-gate",
                 path,
                 t.line,
-                format!(
-                    "`{module}::` call in a hot-path module outside a \
-                     `#[cfg(feature = {quoted})]` gate; wrap the statement so \
-                     default builds keep zero telemetry overhead"
-                ),
+                "`trace::` call in a hot-path module outside a \
+                 `#[cfg(feature = \"trace\")]` gate; wrap the statement so \
+                 default builds keep zero telemetry overhead",
             );
         }
     }
@@ -895,7 +877,7 @@ mod tests {
         assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
         assert_eq!(d[0].line, 16);
         // A cfg gate naming a *different* feature does not count.
-        let wrong = "fn f() {\n    #[cfg(feature = \"metrics\")]\n    let _g = telemetry::trace::span(\"propagate\");\n}";
+        let wrong = "fn f() {\n    #[cfg(feature = \"checks\")]\n    let _g = telemetry::trace::span(\"propagate\");\n}";
         assert_eq!(rules(&run(HOT, wrong)), vec!["trace-feature-gate"]);
         // An audited site can be annotated inline.
         let allowed = "fn f() {\n    telemetry::trace::instant(\"x\"); // xtask: allow(trace-feature-gate) cold slow path\n}";
@@ -920,29 +902,6 @@ mod tests {
         assert_eq!(d[0].line, 7);
         // The recorder is not a hot-path module: no panic/index rules.
         assert!(run(RECORDER, "fn f(v: &[u8]) -> u8 { v[0] }").is_empty());
-    }
-
-    #[test]
-    fn metrics_feature_gate_mirrors_the_trace_rule() {
-        let ungated =
-            "fn f(s: &mut Solver) {\n    telemetry::metrics::inc(telemetry::metrics::Counter::Conflicts);\n}";
-        let d = run(HOT, ungated);
-        assert_eq!(
-            rules(&d),
-            vec!["metrics-feature-gate", "metrics-feature-gate"]
-        );
-        assert_eq!(d[0].line, 2);
-        // Outside hot-path modules the registry's disarmed fast path is fine.
-        assert!(run("crates/sat-solver/src/proof.rs", ungated).is_empty());
-        // Properly gated statements pass; a cfg naming the *other*
-        // telemetry feature does not count.
-        let gated = "fn f() {\n    #[cfg(feature = \"metrics\")]\n    telemetry::metrics::inc(telemetry::metrics::Counter::Decisions);\n}";
-        assert!(run(HOT, gated).is_empty());
-        let wrong = "fn f() {\n    #[cfg(feature = \"trace\")]\n    telemetry::metrics::inc(telemetry::metrics::Counter::Decisions);\n}";
-        assert_eq!(
-            rules(&run(HOT, wrong)),
-            vec!["metrics-feature-gate", "metrics-feature-gate"]
-        );
     }
 
     #[test]
