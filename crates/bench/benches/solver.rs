@@ -92,10 +92,11 @@ fn policy_scoring_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Preprocessing cost and effectiveness on a structured instance.
-fn preprocessing(c: &mut Criterion) {
-    use neuroselect::sat_solver::{preprocess, PreprocessConfig};
-    let mut group = c.benchmark_group("preprocess");
+/// Root-level simplification (`Solver::simplify`, `rsat --preprocess`):
+/// building the solver and running rounds until one changes nothing.
+fn simplification(c: &mut Criterion) {
+    use neuroselect::sat_solver::Solver;
+    let mut group = c.benchmark_group("simplify");
     group.sample_size(10);
     let miter = equivalence_miter_cnf(
         logic_circuit::RandomCircuitSpec {
@@ -105,13 +106,14 @@ fn preprocessing(c: &mut Criterion) {
         },
         5,
     );
-    group.bench_function("circuit_miter", |b| {
-        b.iter(|| black_box(preprocess(&miter, &PreprocessConfig::default())));
-    });
+    let simplify = |f: &cnf::Cnf| {
+        let mut s = Solver::from_cnf(f);
+        black_box(s.simplify());
+        black_box(s.db_stats().original_clauses)
+    };
+    group.bench_function("circuit_miter", |b| b.iter(|| simplify(&miter)));
     let threesat = phase_transition_3sat(150, 3);
-    group.bench_function("random_3sat", |b| {
-        b.iter(|| black_box(preprocess(&threesat, &PreprocessConfig::default())));
-    });
+    group.bench_function("random_3sat", |b| b.iter(|| simplify(&threesat)));
     group.finish();
 }
 
@@ -138,7 +140,7 @@ criterion_group!(
     bcp_throughput,
     solve_families,
     policy_scoring_overhead,
-    preprocessing,
+    simplification,
     bmc
 );
 criterion_main!(benches);

@@ -2,7 +2,9 @@
 //!
 //! * **D1** — the hotness threshold α of Equation (2) (paper: 4/5);
 //! * **D3** — the fraction of reducible clauses deleted per reduction;
-//! * **D4** — the labelling threshold (paper: 2% propagation reduction).
+//! * **D4** — the labelling threshold (paper: 2% propagation reduction);
+//! * root-level simplification (`Solver::simplify`, `rsat --preprocess`):
+//!   clauses left and its cost, with every verdict certified.
 //!
 //! ```text
 //! cargo run --release -p bench --bin exp_ablation [-- --instances N]
@@ -11,8 +13,7 @@
 use bench::{dataset_config, mixed_batch, print_table, ExpArgs};
 use neuroselect::sat_gen::Batch;
 use neuroselect::sat_solver::{
-    preprocess, solve_with_policy, Branching, Budget, PolicyKind, PreprocessConfig, Preprocessed,
-    Solver, SolverConfig,
+    check_proof, solve_with_policy, Budget, PolicyKind, SolveResult, Solver, SolverConfig,
 };
 use neuroselect::{label_cnf, mean, LabelingConfig};
 
@@ -41,12 +42,6 @@ fn main() {
         "default policy".to_string(),
         format!("{baseline:.0}"),
         "—".into(),
-    ]);
-    let act = mean_props(&batch, PolicyKind::Activity, budget);
-    rows.push(vec![
-        "activity policy (MiniSat)".to_string(),
-        format!("{act:.0}"),
-        format!("{:+.1}%", 100.0 * (act - baseline) / baseline),
     ]);
     for alpha in [0.5, 0.6, 0.7, 0.8, 0.9] {
         let m = mean_props(&batch, PolicyKind::PropFreqAlpha(alpha), budget);
@@ -105,58 +100,52 @@ fn main() {
          meaningful improvements while retaining enough positives to learn."
     );
 
-    // --- extension: branching heuristics ------------------------------------
-    println!("\nExtension: branching heuristics (EVSIDS against a random baseline)\n");
-    let mut rows = Vec::new();
-    for (name, branching) in [("EVSIDS", Branching::Evsids), ("random", Branching::Random)] {
-        let mut costs = Vec::new();
-        for inst in &batch.instances {
-            let mut s = Solver::new(
-                &inst.cnf,
-                SolverConfig {
-                    branching,
-                    ..SolverConfig::default()
-                },
-            );
-            let _ = s.solve_with_budget(budget);
-            costs.push(s.stats().propagations as f64);
-        }
-        rows.push(vec![name.to_string(), format!("{:.0}", mean(&costs))]);
-    }
-    print_table(&["branching", "mean props"], &rows);
-
-    // --- extension: preprocessing effectiveness ------------------------------
-    println!("\nExtension: SatELite-style preprocessing (clause reduction)\n");
+    // --- extension: root-level simplification -------------------------------
+    println!("\nExtension: root-level simplification (Solver::simplify)\n");
     let mut rows = Vec::new();
     for inst in &batch.instances {
-        match preprocess(&inst.cnf, &PreprocessConfig::default()) {
-            Preprocessed::Unsat => {
-                rows.push(vec![
-                    inst.name.clone(),
-                    inst.cnf.num_clauses().to_string(),
-                    "refuted".into(),
-                    "—".into(),
-                ]);
-            }
-            Preprocessed::Simplified {
-                cnf,
-                reconstruction,
-            } => {
-                rows.push(vec![
-                    inst.name.clone(),
-                    inst.cnf.num_clauses().to_string(),
-                    cnf.num_clauses().to_string(),
-                    format!(
-                        "{} elim, {} fixed",
-                        reconstruction.num_eliminated(),
-                        reconstruction.num_fixed()
-                    ),
-                ]);
-            }
-        }
+        let mut s = Solver::from_cnf(&inst.cnf);
+        s.enable_proof();
+        let start = std::time::Instant::now();
+        let satisfiable = s.simplify();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let ip = s.inprocess_stats().unwrap_or_default();
+        let after = if satisfiable {
+            s.db_stats().original_clauses.to_string()
+        } else {
+            "refuted".into()
+        };
+        // The verdict after simplification is certified against the
+        // original formula: SAT models are verified, UNSAT proofs replayed.
+        let verdict = match s.solve_with_budget(budget) {
+            SolveResult::Sat(model) => match cnf::verify_model(&inst.cnf, &model) {
+                Ok(()) => "SAT, model verified",
+                Err(_) => "SAT, MODEL FAILED",
+            },
+            SolveResult::Unsat => match s.take_proof().map(|p| check_proof(&inst.cnf, &p)) {
+                Some(Ok(())) => "UNSAT, proof checked",
+                _ => "UNSAT, PROOF FAILED",
+            },
+            SolveResult::Unknown => "unknown (budget)",
+        };
+        rows.push(vec![
+            inst.name.clone(),
+            inst.cnf.num_clauses().to_string(),
+            after,
+            format!("{} elim, {} units", ip.eliminated_vars, ip.units_derived),
+            format!("{ms:.1}"),
+            verdict.to_string(),
+        ]);
     }
     print_table(
-        &["instance", "clauses", "after preprocess", "detail"],
+        &[
+            "instance",
+            "clauses",
+            "after simplify",
+            "detail",
+            "ms",
+            "verdict",
+        ],
         &rows,
     );
 }

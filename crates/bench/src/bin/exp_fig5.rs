@@ -7,20 +7,17 @@
 //! ```
 
 use cnf::{Lit, Var};
-use neuroselect::sat_solver::{
-    ClauseScoreCtx, DefaultPolicy, DeletionPolicy, FrequencyTable, PropFreqPolicy,
-};
+use neuroselect::sat_solver::{FrequencyTable, PolicyKind};
 
 fn lits(ds: &[i32]) -> Vec<Lit> {
     ds.iter().map(|&d| Lit::from_dimacs(d)).collect()
 }
 
-fn show(policy: &dyn DeletionPolicy, name: &str, ctx: &ClauseScoreCtx<'_>) {
-    let score = policy.score(ctx);
+fn show(policy: PolicyKind, name: &str, lits: &[Lit], glue: u32, freq: &FrequencyTable) {
+    let score = policy.score(lits, glue, freq);
     println!(
-        "{name:<26} glue={:<3} size={:<3} score={score:#018x} ({score})",
-        ctx.glue,
-        ctx.lits.len()
+        "{name:<26} glue={glue:<3} size={:<3} score={score:#018x} ({score})",
+        lits.len()
     );
 }
 
@@ -53,31 +50,12 @@ fn main() {
 
     println!("--- default policy (Kissat) ---");
     for (name, ls, glue) in &examples {
-        show(
-            &DefaultPolicy,
-            name,
-            &ClauseScoreCtx {
-                lits: ls,
-                glue: *glue,
-                activity: 0.0,
-                freq: &freq,
-            },
-        );
+        show(PolicyKind::Default, name, ls, *glue, &freq);
     }
 
     println!("\n--- propagation-frequency policy (Equation 2, α = 4/5) ---");
-    let p = PropFreqPolicy::new();
     for (name, ls, glue) in &examples {
-        show(
-            &p,
-            name,
-            &ClauseScoreCtx {
-                lits: ls,
-                glue: *glue,
-                activity: 0.0,
-                freq: &freq,
-            },
-        );
+        show(PolicyKind::PropFreq, name, ls, *glue, &freq);
     }
 
     println!(

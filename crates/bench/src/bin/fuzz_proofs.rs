@@ -12,7 +12,7 @@
 
 use bench::ExpArgs;
 use neuroselect::sat_solver::{
-    check_proof, Checkpoint, PolicyKind, RestartStrategy, SolveResult, Solver, SolverConfig,
+    check_proof, Checkpoint, PolicyKind, SolveResult, Solver, SolverConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +51,7 @@ fn main() {
                 tier1_glue: 0,
                 reduce_init: 2,
                 reduce_inc: 1,
-                restart: RestartStrategy::Luby { scale: 4 },
+                restart: 4,
                 ..SolverConfig::default()
             },
         );

@@ -1188,7 +1188,6 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
         inner.stats.completed.fetch_add(1, Ordering::AcqRel);
         record.verdict = "unknown".to_string();
         record.stop_cause = Some("deadline".to_string());
-        record.degrade("daemon-degraded", "deadline");
         finish_request(daemon, record);
         return (
             cb,
@@ -1274,13 +1273,12 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
         }
     };
 
-    emit_record(inner, &mut solver, &verdict);
+    emit_record(inner, &mut solver);
     let mem = checkin(solver, model, core);
     inner.stats.completed.fetch_add(1, Ordering::AcqRel);
     record.verdict = verdict.as_str().to_string();
     if let Verdict::Unknown(cause) = &verdict {
         record.stop_cause = Some(cause.clone());
-        record.degrade("daemon-degraded", cause.clone());
     }
     record.stats = after.delta_since(&before).to_json();
     finish_request(daemon, record);
@@ -1375,18 +1373,16 @@ fn quarantine_session(daemon: &Daemon, sid: u64, message: &str) {
     inner.stats.crashed.fetch_add(1, Ordering::AcqRel);
 }
 
-/// Appends the solve's [`telemetry::RunRecord`] to the records sink.
-fn emit_record(inner: &Inner, solver: &mut Solver, verdict: &Verdict) {
+/// Appends the solve's [`telemetry::RunRecord`] to the records sink. An
+/// `UNKNOWN` solve's record says why in its `stop_cause`.
+fn emit_record(inner: &Inner, solver: &mut Solver) {
     let Some(telemetry) = solver.take_telemetry() else {
         return;
     };
     let Some(records) = &inner.records else {
         return;
     };
-    if let Some(mut record) = telemetry.into_record() {
-        if let Verdict::Unknown(cause) = verdict {
-            record.degrade("daemon-degraded", cause.clone());
-        }
+    if let Some(record) = telemetry.into_record() {
         lock(records).emit(&Event::SolveEnd { record });
     }
 }

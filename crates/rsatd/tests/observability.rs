@@ -345,3 +345,66 @@ fn typed_api_reports_request_ids_and_records_errors() {
     assert_eq!(raw.lines().count(), submitted.len());
     let _ = std::fs::remove_file(&records_path);
 }
+
+/// Pigeonhole PHP(holes+1, holes) as daemon clauses: always UNSAT, and at
+/// holes = 8 far too hard to finish inside a 50 ms deadline.
+fn php_clauses(holes: i64) -> Vec<Vec<i64>> {
+    let var = |p: i64, h: i64| p * holes + h + 1;
+    let mut clauses: Vec<Vec<i64>> = (0..=holes)
+        .map(|p| (0..holes).map(|h| var(p, h)).collect())
+        .collect();
+    for h in 0..holes {
+        for p1 in 0..=holes {
+            for p2 in p1 + 1..=holes {
+                clauses.push(vec![-var(p1, h), -var(p2, h)]);
+            }
+        }
+    }
+    clauses
+}
+
+#[test]
+fn deadline_stop_is_recorded_once_as_stop_cause() {
+    use telemetry::json::FromJson;
+    use telemetry::Event;
+
+    let runs_path = temp_path("deadline-runs");
+    let requests_path = temp_path("deadline-requests");
+    let daemon = Daemon::start(DaemonConfig {
+        workers: 1,
+        records_path: Some(runs_path.clone()),
+        request_records_path: Some(requests_path.clone()),
+        ..DaemonConfig::default()
+    });
+    let sid = daemon.open(72, false).unwrap();
+    daemon.add_clauses(sid, &php_clauses(8)).unwrap();
+    let reply = daemon
+        .solve(sid, &[], Some(Duration::from_millis(50)))
+        .unwrap();
+    assert_eq!(reply.verdict, Verdict::Unknown("deadline".to_string()));
+    daemon.shutdown();
+
+    let events = |path: &std::path::Path| -> Vec<Event> {
+        let raw = std::fs::read_to_string(path).expect("records written");
+        let _ = std::fs::remove_file(path);
+        raw.lines()
+            .map(|l| Event::from_json(&Json::parse(l).expect("JSON line")).expect("an event"))
+            .collect()
+    };
+    match events(&runs_path).as_slice() {
+        [Event::SolveEnd { record }] => {
+            assert_eq!(record.result, "UNKNOWN");
+            assert_eq!(record.stop_cause.as_deref(), Some("deadline"));
+            assert!(record.degradations.is_empty(), "{:?}", record.degradations);
+        }
+        other => panic!("expected one solve_end record, got {other:?}"),
+    }
+    match events(&requests_path).as_slice() {
+        [Event::RequestEnd { record }] => {
+            assert_eq!(record.verdict, "unknown");
+            assert_eq!(record.stop_cause.as_deref(), Some("deadline"));
+            assert!(record.degradations.is_empty(), "{:?}", record.degradations);
+        }
+        other => panic!("expected one request_end record, got {other:?}"),
+    }
+}

@@ -1,7 +1,7 @@
 //! `rsat` — a DIMACS command-line front end for the CDCL solver.
 //!
 //! ```text
-//! rsat FILE.cnf [--policy default|prop-freq|activity] [--alpha F]
+//! rsat FILE.cnf [--policy default|prop-freq] [--alpha F]
 //!               [--conflicts N] [--propagations N] [--proof FILE.drat]
 //!               [--timeout SECS] [--mem-limit MB]
 //!               [--check-proof] [--check[=off|light|full]] [--preprocess]
@@ -15,6 +15,12 @@
 //! a crash. `--fault-plan` (or the `FAULT_PLAN` environment variable)
 //! arms deterministic fault injection when the binary is built with the
 //! `faults` feature; without it the flag is a polite error.
+//!
+//! `--alpha` sets the propagation-frequency policy's hotness threshold α,
+//! which must lie in `[0, 1]`. `--preprocess` simplifies the formula at
+//! the root before search with the solver's inprocessing engine
+//! ([`Solver::simplify`]); the simplification is DRAT-logged, so it
+//! combines with `--proof` and `--check-proof`.
 //!
 //! A `c`-comment statistics block is printed by default (`--no-stats`
 //! silences it). `--stats-json` streams structured telemetry events
@@ -32,8 +38,8 @@
 //! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error.
 
 use sat_solver::{
-    check_proof, preprocess, Budget, CheckLevel, Checkpoint, PolicyKind, PreprocessConfig,
-    Preprocessed, SolveResult, Solver, SolverConfig, SolverTelemetry,
+    check_proof, Budget, CheckLevel, Checkpoint, PolicyKind, SolveResult, Solver, SolverConfig,
+    SolverTelemetry,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -68,7 +74,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rsat FILE.cnf [--policy default|prop-freq|activity] [--alpha F]\n\
+        "usage: rsat FILE.cnf [--policy default|prop-freq] [--alpha F]\n\
          \x20             [--conflicts N] [--propagations N] [--proof FILE.drat]\n\
          \x20             [--timeout SECS] [--mem-limit MB]\n\
          \x20             [--check-proof] [--check[=off|light|full]] [--preprocess]\n\
@@ -158,11 +164,16 @@ fn parse_args() -> Options {
                 policy = match args.next().as_deref() {
                     Some("default") => PolicyKind::Default,
                     Some("prop-freq") => PolicyKind::PropFreq,
-                    Some("activity") => PolicyKind::Activity,
                     _ => usage(),
                 }
             }
-            "--alpha" => alpha = args.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
+            "--alpha" => {
+                alpha = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|a| (0.0..=1.0).contains(a))
+                    .or_else(|| usage())
+            }
             "--conflicts" => {
                 budget.max_conflicts = args.next().and_then(|v| v.parse().ok()).or_else(|| usage())
             }
@@ -392,40 +403,9 @@ fn main() -> ExitCode {
         opts.policy
     );
 
-    // Optional SatELite-style simplification. Proof logging covers only the
-    // search phase, so --preprocess and --proof are mutually exclusive.
     // `--check` subsumes `--check-proof`: in-search invariant auditing plus
     // UNSAT proof replay and an end-of-solve audit.
     let check_proof_on_unsat = opts.check || opts.check_level.is_some();
-
-    let mut reconstruction = None;
-    let mut search_formula = formula.clone();
-    if opts.preprocess {
-        if opts.proof_path.is_some() || check_proof_on_unsat {
-            eprintln!("rsat: --preprocess cannot be combined with proof options");
-            return ExitCode::from(1);
-        }
-        match preprocess(&formula, &PreprocessConfig::default()) {
-            Preprocessed::Unsat => {
-                println!("c preprocessing refuted the formula");
-                println!("s UNSATISFIABLE");
-                return ExitCode::from(20);
-            }
-            Preprocessed::Simplified {
-                cnf,
-                reconstruction: rec,
-            } => {
-                println!(
-                    "c preprocessed to {} clauses ({} vars eliminated, {} fixed)",
-                    cnf.num_clauses(),
-                    rec.num_eliminated(),
-                    rec.num_fixed()
-                );
-                search_formula = cnf;
-                reconstruction = Some(rec);
-            }
-        }
-    }
 
     let mut solver_config = SolverConfig::with_policy(opts.policy);
     if let Some(every) = opts.inprocess {
@@ -433,7 +413,7 @@ fn main() -> ExitCode {
         solver_config.inprocess_interval = every;
         println!("c inprocessing enabled (rounds every {every} restarts)");
     }
-    let mut solver = Solver::new(&search_formula, solver_config);
+    let mut solver = Solver::new(&formula, solver_config);
     if opts.proof_path.is_some() || check_proof_on_unsat {
         solver.enable_proof();
     }
@@ -451,6 +431,20 @@ fn main() -> ExitCode {
                  are disabled (end-of-solve audit and proof replay still run)"
             );
         }
+    }
+
+    // Root-level simplification, after proof logging is on so that the
+    // proof covers it.
+    if opts.preprocess {
+        let satisfiable = solver.simplify();
+        let ip = solver.inprocess_stats().unwrap_or_default();
+        println!(
+            "c preprocessed to {} clauses ({} vars eliminated, {} units derived){}",
+            solver.db_stats().original_clauses,
+            ip.eliminated_vars,
+            ip.units_derived,
+            if satisfiable { "" } else { ": refuted" }
+        );
     }
 
     if opts.stats_json.is_some() || opts.progress.is_some() {
@@ -549,12 +543,6 @@ fn main() -> ExitCode {
 
     let code = match &result {
         SolveResult::Sat(model) => {
-            let mut model = model.clone();
-            if let Some(rec) = &reconstruction {
-                model.resize(formula.num_vars() as usize, false);
-                rec.extend_model(&mut model);
-            }
-            let model = &model;
             if cnf::verify_model(&formula, model).is_err() {
                 eprintln!("rsat: internal error: model failed verification");
                 return ExitCode::from(1);

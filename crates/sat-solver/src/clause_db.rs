@@ -14,8 +14,7 @@
 //! (`header` / `set_header`), so the arena stays one plain `Vec<Lit>` and
 //! [`ClauseDb::lits`] is a slice of it. Only this module knows the header
 //! format; callers use the accessors (`lits`, `lit`, `len`, `glue`, the
-//! flag getters, `set_protected`, `bump_activity`). The `f64` activities
-//! live in a side table indexed by the clause id.
+//! flag getters, `set_protected`, `id`).
 //!
 //! # Deletion and compaction
 //!
@@ -70,7 +69,7 @@ const HEADER_WORDS: usize = 3;
 const LEN: usize = 0;
 /// Header word: `glue << FLAG_BITS | flags`.
 const META: usize = 1;
-/// Header word: the tie-break id (also the activity-table index).
+/// Header word: the tie-break id.
 const ID: usize = 2;
 
 const FLAG_BITS: u32 = 3;
@@ -107,10 +106,10 @@ impl Relocation {
 #[derive(Default)]
 pub struct ClauseDb {
     arena: Vec<Lit>,
-    /// Activity per clause id.
-    activity: Vec<f64>,
     /// Ids of deleted clauses, reused last-in first-out.
     free_ids: Vec<u32>,
+    /// The next fresh id: one past the largest id ever handed out.
+    next_id: u32,
     /// Arena words (headers included) held by garbage clauses.
     garbage: usize,
     num_learned: usize,
@@ -142,18 +141,10 @@ impl ClauseDb {
         } else {
             self.num_original += 1;
         }
-        let id = match self.free_ids.pop() {
-            Some(id) => {
-                if let Some(a) = self.activity.get_mut(id as usize) {
-                    *a = 0.0;
-                }
-                id
-            }
-            None => {
-                self.activity.push(0.0);
-                self.activity.len() as u32 - 1
-            }
-        };
+        let id = self.free_ids.pop().unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        });
         let flags = if learned { LEARNED } else { 0 };
         let cref = ClauseRef(self.arena.len() as u32);
         self.arena
@@ -258,28 +249,6 @@ impl ClauseDb {
         self.header(cref, ID)
     }
 
-    /// Bumped whenever the clause participates in conflict analysis.
-    #[inline]
-    pub fn activity(&self, cref: ClauseRef) -> f64 {
-        at(&self.activity, self.id(cref) as usize)
-    }
-
-    /// Adds `inc` to the clause's activity and returns the new value.
-    #[inline]
-    pub fn bump_activity(&mut self, cref: ClauseRef, inc: f64) -> f64 {
-        let id = self.id(cref) as usize;
-        match self.activity.get_mut(id) {
-            Some(a) => {
-                *a += inc;
-                *a
-            }
-            None => {
-                debug_assert!(false, "{cref:?} has no activity slot");
-                0.0
-            }
-        }
-    }
-
     /// Marks a clause deleted. Its words stay in the arena (as garbage)
     /// until [`ClauseDb::collect_garbage`]; its id is free for reuse.
     pub fn remove(&mut self, cref: ClauseRef) {
@@ -329,15 +298,14 @@ impl ClauseDb {
 
     /// Approximate heap footprint of the database in bytes, computed in
     /// O(1): the arena words in use (garbage counts until it is
-    /// compacted), the activity table, and the free-id list. Spare `Vec`
-    /// capacity is not counted, so this is a slight underestimate, which
-    /// is the right direction for a *cooperative* memory ceiling.
+    /// compacted) and the free-id list. Spare `Vec` capacity is not
+    /// counted, so this is a slight underestimate, which is the right
+    /// direction for a *cooperative* memory ceiling.
     #[inline]
     pub fn memory_bytes(&self) -> u64 {
         let arena = self.arena.len() * std::mem::size_of::<Lit>();
-        let activity = self.activity.len() * std::mem::size_of::<f64>();
         let free = self.free_ids.len() * std::mem::size_of::<u32>();
-        (arena + activity + free) as u64
+        (arena + free) as u64
     }
 
     /// Handles of every clause in the arena, garbage included, in arena
@@ -360,14 +328,6 @@ impl ClauseDb {
         self.iter_refs().filter(|&c| self.is_learned(c))
     }
 
-    /// Rescales all clause activities by `factor` (activity overflow
-    /// guard). Free ids are rescaled too; `add` resets them on reuse.
-    pub fn rescale_activity(&mut self, factor: f64) {
-        for a in &mut self.activity {
-            *a *= factor;
-        }
-    }
-
     /// Whether garbage holds more than half of the arena, the point at
     /// which the solver compacts after a reduction.
     #[inline]
@@ -378,7 +338,7 @@ impl ClauseDb {
     /// Compacts the arena: moves every live clause down over the garbage,
     /// keeping their order, and returns where each one went. Every
     /// `ClauseRef` held outside the database must be rewritten through the
-    /// returned [`Relocation`]; ids and activities are unchanged.
+    /// returned [`Relocation`]; ids are unchanged.
     pub(crate) fn collect_garbage(&mut self) -> Relocation {
         let live: Vec<ClauseRef> = self.iter_refs().collect();
         let mut moves = Vec::with_capacity(live.len());
@@ -426,23 +386,21 @@ mod tests {
         assert_eq!(db.num_learned(), 0);
     }
 
-    /// The recycled slot is the clause id (and its activity entry): freed
-    /// ids are reused last-in first-out, the order reductions rely on.
+    /// The recycled slot is the clause id: freed ids are reused last-in
+    /// first-out, the order reductions rely on.
     #[test]
     fn remove_recycles_slot() {
         let mut db = ClauseDb::new();
         let a = db.add(&lits(&[1, 2]), true, 2);
         let b = db.add(&lits(&[3, 4]), true, 2);
-        db.bump_activity(a, 5.0);
         db.remove(a);
         db.remove(b);
         assert!(!db.is_live(a) && !db.is_live(b));
         assert_eq!(db.num_learned(), 0);
-        // The last id freed is the first reused, and its activity restarts.
+        // The last id freed is the first reused.
         let c = db.add(&lits(&[5, 6]), true, 1);
         let d = db.add(&lits(&[7, 8]), true, 1);
         assert_eq!((db.id(c), db.id(d)), (db.id(b), db.id(a)));
-        assert_eq!(db.activity(d), 0.0);
         // A fresh id only once the free ones are used up.
         let e = db.add(&lits(&[1, 3]), true, 1);
         assert_eq!(db.id(e), 2);
@@ -487,12 +445,12 @@ mod tests {
             db.remove(r);
         }
         // Garbage keeps its arena words until compaction releases them;
-        // the activity table and the free ids persist by design.
+        // the free ids persist by design.
         assert!(db.memory_bytes() >= full);
         assert!(db.compaction_due());
         db.collect_garbage();
         assert!(db.memory_bytes() < full);
-        assert!(db.memory_bytes() > 0, "activity slots are still accounted");
+        assert!(db.memory_bytes() > 0, "free ids are still accounted");
     }
 
     // The check is a `debug_assert!`, so it only exists with debug
@@ -519,7 +477,6 @@ mod tests {
             .map(|&(ds, learned, glue)| db.add(&lits(ds), learned, glue))
             .collect();
         db.set_protected(refs[2], true);
-        db.bump_activity(refs[4], 3.5);
         let last = db.add(&lits(&[5, -7]), true, 2);
         db.remove(refs[1]);
         db.remove(refs[3]);
@@ -530,7 +487,6 @@ mod tests {
                 db.is_learned(c),
                 db.is_protected(c),
                 db.id(c),
-                db.activity(c),
             )
         };
         let live: Vec<ClauseRef> = db.iter_refs().collect();

@@ -1,6 +1,6 @@
 //! Solver configuration, resource budgets, and results.
 
-use crate::{Branching, PolicyKind, RestartStrategy};
+use crate::PolicyKind;
 use std::time::{Duration, Instant};
 
 /// Tunable parameters of the CDCL solver.
@@ -24,14 +24,9 @@ use std::time::{Duration, Instant};
 pub struct SolverConfig {
     /// Which clause-deletion policy scores reducible clauses.
     pub policy: PolicyKind,
-    /// Decision-variable selection heuristic.
-    pub branching: Branching,
-    /// Restart scheduling.
-    pub restart: RestartStrategy,
-    /// Variable-activity decay factor (EVSIDS), in `(0, 1)`.
-    pub var_decay: f64,
-    /// Clause-activity decay factor, in `(0, 1)`.
-    pub clause_decay: f64,
+    /// Luby restart scale: the search restarts after `restart * luby(n)`
+    /// conflicts since the previous restart (see [`luby`](crate::luby)).
+    pub restart: u64,
     /// Learned clauses kept unconditionally when their glue is at most this
     /// ("non-reducible" tier in Kissat's terminology).
     pub tier1_glue: u32,
@@ -42,8 +37,6 @@ pub struct SolverConfig {
     pub reduce_inc: usize,
     /// Fraction of reducible clauses deleted at each reduction, in `(0, 1]`.
     pub reduce_fraction: f64,
-    /// Random seed (reserved for randomized decision tie-breaking).
-    pub seed: u64,
     /// Enables in-search inprocessing rounds (subsumption, self-subsuming
     /// resolution, bounded variable elimination, vivification) at restart
     /// boundaries. Off by default: the perf-trajectory gate pins the
@@ -59,15 +52,11 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             policy: PolicyKind::Default,
-            branching: Branching::default(),
-            restart: RestartStrategy::default(),
-            var_decay: 0.95,
-            clause_decay: 0.999,
+            restart: 128,
             tier1_glue: 2,
             reduce_init: 100,
             reduce_inc: 75,
             reduce_fraction: 0.5,
-            seed: 0,
             inprocess: false,
             inprocess_interval: 10,
         }

@@ -1,14 +1,20 @@
-//! The in-search inprocessing engine: subsumption, self-subsuming
+//! The solver's one simplification engine: subsumption, self-subsuming
 //! resolution, bounded variable elimination (BVE) with model
-//! reconstruction, and vivification of kept learned clauses.
+//! reconstruction, and vivification of kept learned clauses, all over the
+//! live clause database.
 //!
-//! Where `preprocess.rs` offers a one-shot simplification of a formula
-//! *before* search, this module simplifies the solver's live clause
-//! database *during* search. Rounds run at restart boundaries (the trail
-//! is at the root level, so clauses can be detached, strengthened, and
-//! replaced without touching any in-flight decision) and are metered by a
-//! per-round step budget so a pathological instance degrades to a clean
-//! mid-round abort instead of a stall.
+//! Rounds run at the root level, so clauses can be detached, strengthened,
+//! and replaced without touching any in-flight decision. There are two
+//! entry points:
+//!
+//! * **during search**, with [`SolverConfig::inprocess`](crate::SolverConfig::inprocess),
+//!   a round runs at every `inprocess_interval`-th restart, metered by a
+//!   step budget that tracks the search effort since the previous round;
+//! * **before search**, [`Solver::simplify`] runs rounds with the ceiling
+//!   budget until one changes nothing (`rsat --preprocess`).
+//!
+//! Either way a pathological instance degrades to a clean mid-round abort
+//! instead of a stall.
 //!
 //! # Incremental occurrence lists and touched queues
 //!
@@ -53,6 +59,7 @@ use crate::solver::Checkpoint;
 use crate::varmap::VarMap;
 use crate::{LBool, Solver};
 use cnf::{Lit, Var};
+use telemetry::Phase;
 
 /// Eliminate a variable only if each polarity occurs at most this often
 /// in irredundant clauses (bounds the resolvent computation).
@@ -318,8 +325,12 @@ impl Occurrences {
 
 impl Solver {
     /// Counts a restart boundary and reports whether an inprocessing
-    /// round is due. Never due when inprocessing is disabled.
+    /// round is due. Never due when inprocessing is disabled, even on a
+    /// solver whose engine exists because [`simplify`](Self::simplify) ran.
     pub(crate) fn inprocess_due(&mut self) -> bool {
+        if !self.config.inprocess {
+            return false;
+        }
         let interval = self.config.inprocess_interval.max(1);
         match &mut self.inprocess {
             Some(eng) => {
@@ -370,10 +381,73 @@ impl Solver {
         }
     }
 
-    /// Runs one budget-metered inprocessing round at a restart boundary.
-    /// Returns `false` when the formula was refuted at the root level
-    /// (the empty clause has been logged).
-    pub(crate) fn inprocess_round(&mut self) -> bool {
+    /// Simplifies the formula at the root, before search: runs
+    /// inprocessing rounds, each with the ceiling step budget, until a
+    /// round changes nothing. This is the solver's preprocessing
+    /// (`rsat --preprocess`), done by the same engine as the rounds during
+    /// search, over the live clause database.
+    ///
+    /// Every derivation goes to the DRAT proof when
+    /// [`enable_proof`](Self::enable_proof) was called first, and later
+    /// models are extended over the eliminated variables, so verdicts,
+    /// models and proofs all refer to the formula the solver was built
+    /// from. Frozen variables are never eliminated. Simplifying does not
+    /// schedule rounds during search; that stays up to
+    /// [`SolverConfig::inprocess`](crate::SolverConfig::inprocess).
+    ///
+    /// Returns `false` when the formula was refuted; a later `solve` then
+    /// returns [`SolveResult::Unsat`](crate::SolveResult::Unsat).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sat_solver::Solver;
+    /// // (x1 ∨ x2) subsumes (x1 ∨ x2 ∨ x3), and x2 resolves away.
+    /// let f = cnf::parse_dimacs_str("p cnf 3 3\n1 2 0\n1 2 3 0\n-2 3 0\n")?;
+    /// let mut solver = Solver::from_cnf(&f);
+    /// solver.enable_proof();
+    /// assert!(solver.simplify());
+    /// assert!(solver.db_stats().original_clauses < f.num_clauses());
+    /// let model = solver.solve().model().expect("sat").to_vec();
+    /// assert!(cnf::verify_model(&f, &model).is_ok());
+    /// # Ok::<(), cnf::ParseDimacsError>(())
+    /// ```
+    pub fn simplify(&mut self) -> bool {
+        if !self.ok {
+            return false;
+        }
+        self.backtrack(0);
+        if self.inprocess.is_none() {
+            self.inprocess = Some(Box::new(InprocessEngine::new(self.num_vars)));
+        }
+        // A round changed something iff it deleted, shortened or
+        // eliminated something, or fixed a variable at the root.
+        let progress = |s: &Solver| {
+            let st = s.inprocess_stats().unwrap_or_default();
+            let changes = st.subsumed + st.strengthened + st.eliminated_vars + st.vivified;
+            (changes, s.trail.len())
+        };
+        let rounds = self.rec.begin(Phase::Inprocess);
+        let satisfiable = loop {
+            let before = progress(self);
+            if !self.inprocess_round(Some(ROUND_STEP_BUDGET)) {
+                break false;
+            }
+            if progress(self) == before {
+                break true;
+            }
+        };
+        self.rec.end(rounds);
+        satisfiable
+    }
+
+    /// Runs one budget-metered inprocessing round at the root: with
+    /// `fixed_budget` steps, or, for `None` (a round at a restart
+    /// boundary), with a fraction of the search effort since the previous
+    /// round, clamped to the floor and the ceiling. Returns `false` when
+    /// the formula was refuted at the root level (the empty clause has
+    /// been logged).
+    pub(crate) fn inprocess_round(&mut self, fixed_budget: Option<u64>) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         // The engine moves out for the duration of the round so `self`
         // stays freely borrowable.
@@ -392,13 +466,16 @@ impl Solver {
         // Budget policy: a fraction of the search effort (propagations)
         // since the last round, clamped to [floor, ceiling]. See §15 of
         // DESIGN.md for the rationale.
-        let work = self.stats.propagations - eng.last_round_propagations;
-        eng.last_round_propagations = self.stats.propagations;
+        let steps = fixed_budget.unwrap_or_else(|| {
+            let work = self.stats.propagations - eng.last_round_propagations;
+            eng.last_round_propagations = self.stats.propagations;
+            (work / INPROCESS_EFFORT_DIV).clamp(MIN_ROUND_STEP_BUDGET, ROUND_STEP_BUDGET)
+        });
         let mut budget = RoundBudget {
             steps: if crate::resilience::inject_inprocess_stall(round) {
                 STALLED_STEP_BUDGET
             } else {
-                (work / INPROCESS_EFFORT_DIV).clamp(MIN_ROUND_STEP_BUDGET, ROUND_STEP_BUDGET)
+                steps
             },
         };
         let status = self.run_round(&mut eng, &mut budget);
@@ -1074,7 +1151,7 @@ mod tests {
         SolverConfig {
             inprocess: true,
             inprocess_interval: 1,
-            restart: crate::RestartStrategy::Luby { scale: 2 },
+            restart: 2,
             ..SolverConfig::default()
         }
     }
@@ -1089,7 +1166,7 @@ mod tests {
 
     #[test]
     fn inprocessing_solver_agrees_on_php() {
-        let f = crate::preprocess::tests_support::php(5, 4);
+        let f = crate::tests_support::php(5, 4);
         let mut s = Solver::new(&f, inprocess_config());
         s.enable_proof();
         assert!(s.solve().is_unsat());
@@ -1125,7 +1202,7 @@ mod tests {
 
     #[test]
     fn budgeted_inprocessing_solver_resumes() {
-        let f = crate::preprocess::tests_support::php(5, 4);
+        let f = crate::tests_support::php(5, 4);
         let mut s = Solver::new(&f, inprocess_config());
         let mut r = s.solve_with_budget(Budget::conflicts(10));
         while r.is_unknown() {
@@ -1137,7 +1214,7 @@ mod tests {
     #[cfg(feature = "checks")]
     #[test]
     fn full_checks_survive_inprocessing_search() {
-        let f = crate::preprocess::tests_support::php(5, 4);
+        let f = crate::tests_support::php(5, 4);
         let mut s = Solver::new(&f, inprocess_config());
         s.set_check_level(crate::CheckLevel::Full);
         // The auditor panics on any violated invariant (including the
@@ -1153,5 +1230,147 @@ mod tests {
         assert!(s.solve().is_sat());
         let eng = s.inprocess.as_ref().expect("engine");
         eng.audit(s.num_vars()).expect("consistent engine state");
+    }
+
+    /// `simplify` followed by `solve`: the model of the original formula,
+    /// or `None` for UNSAT. Every UNSAT proof, simplification rounds
+    /// included, must replay against the original formula.
+    fn simplify_then_solve(f: &Cnf) -> Option<Vec<bool>> {
+        let mut s = Solver::from_cnf(f);
+        s.enable_proof();
+        let satisfiable = s.simplify();
+        let result = s.solve();
+        assert!(satisfiable || result.is_unsat(), "a refuted formula solved");
+        match result {
+            SolveResult::Sat(model) => Some(model),
+            SolveResult::Unsat => {
+                let proof = s.take_proof().expect("proof enabled");
+                check_proof(f, &proof).expect("simplification rounds replay");
+                None
+            }
+            SolveResult::Unknown => unreachable!("unlimited budget"),
+        }
+    }
+
+    #[test]
+    fn simplify_propagates_units() {
+        let f = cnf_of(&[&[1], &[-1, 2], &[-2, 3]]);
+        let mut s = Solver::from_cnf(&f);
+        assert!(s.simplify());
+        assert_eq!(s.db_stats().original_clauses, 0);
+        let model = s.solve().model().expect("sat").to_vec();
+        assert_eq!(model, [true, true, true]);
+    }
+
+    #[test]
+    fn simplify_refutes_a_unit_conflict() {
+        let f = cnf_of(&[&[1, 2], &[1, -2], &[-1, 3], &[-1, -3]]);
+        let mut s = Solver::from_cnf(&f);
+        s.enable_proof();
+        assert!(!s.simplify(), "resolution refutes the formula");
+        assert!(s.solve().is_unsat());
+        let proof = s.take_proof().expect("proof enabled");
+        check_proof(&f, &proof).expect("refutation replays");
+        assert!(simplify_then_solve(&cnf_of(&[&[1], &[-1]])).is_none());
+    }
+
+    #[test]
+    fn simplify_removes_subsumed_clauses() {
+        let f = cnf_of(&[&[1, 2], &[1, 2, 3], &[1, 2, 4]]);
+        let mut s = Solver::from_cnf(&f);
+        assert!(s.simplify());
+        // (1 2) subsumes both longer clauses; then x1 or x2 may be
+        // eliminated too — at most one clause remains.
+        assert!(s.db_stats().original_clauses <= 1);
+        assert!(s.inprocess_stats().expect("engine").subsumed >= 2);
+    }
+
+    #[test]
+    fn simplify_reconstructs_models_through_bve() {
+        // x2 is resolvable: (1 2)(−2 3) → (1 3)
+        let f = cnf_of(&[&[1, 2], &[-2, 3], &[-1, -3]]);
+        let m = simplify_then_solve(&f).expect("sat");
+        assert!(verify_model(&f, &m).is_ok());
+    }
+
+    #[test]
+    fn simplify_keeps_php_unsat_with_a_checked_proof() {
+        let f = crate::tests_support::php(4, 3);
+        assert!(simplify_then_solve(&f).is_none());
+    }
+
+    #[test]
+    fn simplify_passes_an_empty_formula_through() {
+        let f = Cnf::new(3);
+        let mut s = Solver::from_cnf(&f);
+        assert!(s.simplify());
+        assert_eq!(s.inprocess_stats().expect("engine").eliminated_vars, 0);
+        assert_eq!(s.solve().model().map(<[bool]>::len), Some(3));
+    }
+
+    #[test]
+    fn simplify_strengthens_clauses() {
+        // (1 2) strengthens (−1 2 3) to (2 3)
+        let f = cnf_of(&[&[1, 2], &[-1, 2, 3], &[-2, 4], &[-4, -2, 1]]);
+        let m = simplify_then_solve(&f).expect("sat");
+        assert!(verify_model(&f, &m).is_ok());
+    }
+
+    /// A solver that only ran `simplify` schedules no rounds during
+    /// search, and searches its simplified database like any other.
+    #[test]
+    fn simplify_schedules_no_periodic_rounds() {
+        let f = crate::tests_support::php(6, 5);
+        let mut s = Solver::new(
+            &f,
+            SolverConfig {
+                restart: 2,
+                inprocess_interval: 1,
+                ..SolverConfig::default()
+            },
+        );
+        assert!(s.simplify());
+        let after_simplify = s.inprocess_stats().expect("engine");
+        assert!(after_simplify.rounds > 0);
+        assert!(s.solve().is_unsat());
+        assert!(s.stats().restarts > 0);
+        assert_eq!(s.inprocess_stats(), Some(after_simplify));
+    }
+
+    // The simplification contract on random unit-heavy formulas: the
+    // verdict is unchanged, and on SAT the reconstruction round-trips to
+    // a model of the original.
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            #[test]
+            fn simplify_equisatisfiable_and_reconstructs(
+                raw in proptest::collection::vec(
+                    proptest::collection::vec(-6i32..=6, 1..4),
+                    1..24,
+                )
+            ) {
+                let mut f = Cnf::new(0);
+                for c in &raw {
+                    // 0 is not a literal in the DIMACS encoding; dropping
+                    // it biases toward short, unit-heavy clauses.
+                    let c: Vec<i32> = c.iter().copied().filter(|&l| l != 0).collect();
+                    if !c.is_empty() {
+                        f.add_dimacs(&c);
+                    }
+                }
+                let expected_sat = Solver::from_cnf(&f).solve().is_sat();
+                match simplify_then_solve(&f) {
+                    Some(m) => {
+                        prop_assert!(expected_sat, "simplification flipped UNSAT to SAT");
+                        prop_assert!(verify_model(&f, &m).is_ok(), "bad reconstruction");
+                    }
+                    None => prop_assert!(!expected_sat, "simplification flipped SAT to UNSAT"),
+                }
+            }
+        }
     }
 }

@@ -417,7 +417,7 @@ impl FromJson for DbStats {
 
 impl ToJson for PolicyKind {
     /// Serializes as the policy's display name (`"default"`,
-    /// `"prop-freq"`, `"prop-freq(α=…)"`, `"activity"`).
+    /// `"prop-freq"`, `"prop-freq(α=…)"`).
     fn to_json(&self) -> Json {
         Json::from(self.to_string())
     }
@@ -431,13 +431,17 @@ impl FromJson for PolicyKind {
         match name {
             "default" => Ok(PolicyKind::Default),
             "prop-freq" => Ok(PolicyKind::PropFreq),
-            "activity" => Ok(PolicyKind::Activity),
             other => {
                 let alpha = other
                     .strip_prefix("prop-freq(α=")
                     .and_then(|rest| rest.strip_suffix(')'))
                     .and_then(|a| a.parse::<f64>().ok())
                     .ok_or_else(|| FromJsonError::new(format!("unknown policy `{other}`")))?;
+                if !(0.0..=1.0).contains(&alpha) {
+                    return Err(FromJsonError::new(format!(
+                        "policy `{other}`: α must be in [0, 1]"
+                    )));
+                }
                 Ok(PolicyKind::PropFreqAlpha(alpha))
             }
         }
@@ -483,10 +487,21 @@ mod tests {
             PolicyKind::Default,
             PolicyKind::PropFreq,
             PolicyKind::PropFreqAlpha(0.625),
-            PolicyKind::Activity,
+            PolicyKind::PropFreqAlpha(0.0),
+            PolicyKind::PropFreqAlpha(1.0),
         ] {
             assert_eq!(PolicyKind::from_json(&policy.to_json()).unwrap(), policy);
         }
-        assert!(PolicyKind::from_json(&Json::from("no-such-policy")).is_err());
+        // Unknown names, and α outside [0, 1], which is refused where it
+        // enters the program rather than carried into a solver.
+        for bad in [
+            "no-such-policy",
+            "activity",
+            "prop-freq(α=1.5)",
+            "prop-freq(α=-0.1)",
+            "prop-freq(α=NaN)",
+        ] {
+            assert!(PolicyKind::from_json(&Json::from(bad)).is_err(), "{bad}");
+        }
     }
 }

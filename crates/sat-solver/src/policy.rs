@@ -2,15 +2,15 @@
 //!
 //! When the learned-clause database is reduced, every *reducible* learned
 //! clause is assigned a 64-bit score and the lowest-scoring half is deleted.
-//! Two policies are provided:
+//! [`PolicyKind`] names the paper's two policies and computes their scores:
 //!
-//! * [`DefaultPolicy`] — Kissat's default: glue (LBD) is the primary key and
-//!   size the secondary key, both negated so that *lower* glue/size yield
-//!   *higher* scores (Figure 5, top).
-//! * [`PropFreqPolicy`] — the paper's new policy: the clause's *propagation
-//!   frequency* `c.frequency = Σ_{v∈c} [f_v > α·f_max]` (Equation 2) becomes
-//!   the primary key, with negated glue and size as tie-breakers
-//!   (Figure 5, bottom).
+//! * [`PolicyKind::Default`] — Kissat's default: glue (LBD) is the primary
+//!   key and size the secondary key, both negated so that *lower* glue/size
+//!   yield *higher* scores (Figure 5, top).
+//! * [`PolicyKind::PropFreq`] — the paper's new policy: the clause's
+//!   *propagation frequency* `c.frequency = Σ_{v∈c} [f_v > α·f_max]`
+//!   (Equation 2) becomes the primary key, with negated glue and size as
+//!   tie-breakers (Figure 5, bottom).
 //!
 //! The exact bit widths in the paper's Figure 5 are illegible in print; this
 //! implementation uses `frequency(20) | ~glue(20) | ~size(24)` for the new
@@ -21,149 +21,31 @@ use crate::FrequencyTable;
 use cnf::Lit;
 use std::fmt;
 
-/// Everything a deletion policy may consult when scoring one clause.
-#[derive(Debug)]
-pub struct ClauseScoreCtx<'a> {
-    /// The clause's literals.
-    pub lits: &'a [Lit],
-    /// Literal block distance (glue) of the clause.
-    pub glue: u32,
-    /// Clause activity (conflict-analysis participation, decayed).
-    pub activity: f64,
-    /// Per-variable propagation counters since the last reduction.
-    pub freq: &'a FrequencyTable,
-}
-
-/// A clause-deletion policy: maps clause metadata to a keep-priority score.
-///
-/// Higher scores are kept; during reduction the reducible clauses are sorted
-/// by score and the lower half deleted. Implementations must be pure
-/// functions of the context so reductions are reproducible.
-pub trait DeletionPolicy: fmt::Debug + Send + Sync {
-    /// Stable human-readable policy name (used in experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Computes the 64-bit keep-priority score of one clause.
-    fn score(&self, ctx: &ClauseScoreCtx<'_>) -> u64;
-}
-
 const GLUE32_MASK: u64 = 0xFFFF_FFFF;
 const SIZE32_MASK: u64 = 0xFFFF_FFFF;
 const FREQ20_MAX: u64 = (1 << 20) - 1;
 const GLUE20_MASK: u64 = (1 << 20) - 1;
 const SIZE24_MASK: u64 = (1 << 24) - 1;
 
-/// Kissat's default clause scoring: `~glue | ~size` (Figure 5, top).
+/// The paper's hotness threshold α = 4/5 (Equation 2).
+const PAPER_ALPHA: f64 = 0.8;
+
+/// One of the paper's two clause-deletion policies.
 ///
-/// Lower glue wins; among equal glue, smaller clauses win.
+/// This is the type the NeuroSelect classifier outputs: label `0` is the
+/// default policy, label `1` the propagation-frequency policy.
 ///
 /// # Examples
 ///
 /// ```
-/// use sat_solver::{ClauseScoreCtx, DefaultPolicy, DeletionPolicy, FrequencyTable};
+/// use sat_solver::{FrequencyTable, PolicyKind};
 /// use cnf::Lit;
 /// let freq = FrequencyTable::new(4);
 /// let lits: Vec<Lit> = [1, 2].iter().map(|&d| Lit::from_dimacs(d)).collect();
-/// let low_glue = DefaultPolicy.score(&ClauseScoreCtx { lits: &lits, glue: 2, activity: 0.0, freq: &freq });
-/// let high_glue = DefaultPolicy.score(&ClauseScoreCtx { lits: &lits, glue: 9, activity: 0.0, freq: &freq });
+/// let low_glue = PolicyKind::Default.score(&lits, 2, &freq);
+/// let high_glue = PolicyKind::Default.score(&lits, 9, &freq);
 /// assert!(low_glue > high_glue);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DefaultPolicy;
-
-impl DeletionPolicy for DefaultPolicy {
-    fn name(&self) -> &'static str {
-        "default"
-    }
-
-    fn score(&self, ctx: &ClauseScoreCtx<'_>) -> u64 {
-        let neg_glue = !(ctx.glue as u64) & GLUE32_MASK;
-        let neg_size = !(ctx.lits.len() as u64) & SIZE32_MASK;
-        neg_glue << 32 | neg_size
-    }
-}
-
-/// The paper's propagation-frequency-guided scoring:
-/// `frequency | ~glue | ~size` (Figure 5, bottom; Equation 2).
-///
-/// A clause containing many *hot* variables — variables whose propagation
-/// count since the last reduction exceeds `α · f_max` — outranks any
-/// glue/size combination among clauses with fewer hot variables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PropFreqPolicy {
-    /// The hotness threshold α from Equation (2); the paper uses 4/5.
-    pub alpha: f64,
-}
-
-impl PropFreqPolicy {
-    /// Creates the policy with the paper's empirically chosen α = 4/5.
-    pub fn new() -> Self {
-        PropFreqPolicy { alpha: 0.8 }
-    }
-
-    /// Creates the policy with a custom hotness threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= alpha <= 1.0`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        PropFreqPolicy { alpha }
-    }
-
-    /// Equation (2): the number of literals whose variable is hot.
-    pub fn clause_frequency(&self, lits: &[Lit], freq: &FrequencyTable) -> u64 {
-        lits.iter()
-            .filter(|l| freq.is_hot(l.var(), self.alpha))
-            .count() as u64
-    }
-}
-
-impl Default for PropFreqPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeletionPolicy for PropFreqPolicy {
-    fn name(&self) -> &'static str {
-        "prop-freq"
-    }
-
-    fn score(&self, ctx: &ClauseScoreCtx<'_>) -> u64 {
-        let frequency = self.clause_frequency(ctx.lits, ctx.freq).min(FREQ20_MAX);
-        let neg_glue = !(ctx.glue as u64) & GLUE20_MASK;
-        let neg_size = !(ctx.lits.len() as u64) & SIZE24_MASK;
-        frequency << 44 | neg_glue << 24 | neg_size
-    }
-}
-
-/// MiniSat's classic deletion scoring: clauses that participated in recent
-/// conflict analyses (high decayed activity) are kept; size breaks ties.
-///
-/// Not part of the paper's two-policy selection problem, but included as a
-/// third reference point for ablations: it predates glue-based scoring and
-/// loses to it on most modern workloads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActivityPolicy;
-
-impl DeletionPolicy for ActivityPolicy {
-    fn name(&self) -> &'static str {
-        "activity"
-    }
-
-    fn score(&self, ctx: &ClauseScoreCtx<'_>) -> u64 {
-        // Activities are non-negative, so the IEEE-754 bit pattern is
-        // monotonic; the low mantissa bits make room for the size tiebreak.
-        let act_bits = ctx.activity.max(0.0).to_bits() >> 16;
-        act_bits << 16 | (!(ctx.lits.len() as u64) & 0xFFFF)
-    }
-}
-
-/// Selects one of the built-in deletion policies by value.
-///
-/// This is the type the NeuroSelect classifier outputs: label `0` is the
-/// default policy, label `1` the propagation-frequency policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PolicyKind {
     /// Kissat's default `~glue | ~size` scoring.
@@ -171,31 +53,53 @@ pub enum PolicyKind {
     Default,
     /// The propagation-frequency-guided scoring with α = 4/5.
     PropFreq,
-    /// The propagation-frequency-guided scoring with a custom α.
+    /// The propagation-frequency-guided scoring with a custom α, which
+    /// belongs in `[0, 1]`: the command line and the record parser reject
+    /// any other value.
     PropFreqAlpha(f64),
-    /// MiniSat-style activity scoring (ablation reference, not part of the
-    /// paper's two-policy selection).
-    Activity,
 }
 
 impl PolicyKind {
-    /// Instantiates the policy object.
-    pub fn instantiate(self) -> Box<dyn DeletionPolicy> {
+    /// Stable policy name used in records and experiment output:
+    /// `"default"`, or `"prop-freq"` whatever the α.
+    pub fn name(self) -> &'static str {
         match self {
-            PolicyKind::Default => Box::new(DefaultPolicy),
-            PolicyKind::PropFreq => Box::new(PropFreqPolicy::new()),
-            PolicyKind::PropFreqAlpha(a) => Box::new(PropFreqPolicy::with_alpha(a)),
-            PolicyKind::Activity => Box::new(ActivityPolicy),
+            PolicyKind::Default => "default",
+            PolicyKind::PropFreq | PolicyKind::PropFreqAlpha(_) => "prop-freq",
         }
     }
 
+    /// The 64-bit keep-priority score of one clause (Figure 5): higher
+    /// scores are kept, and a reduction deletes the lowest-scoring half of
+    /// the reducible clauses. A pure function of its arguments, so
+    /// reductions are reproducible.
+    ///
+    /// Under the propagation-frequency policies a clause containing more
+    /// *hot* variables — variables whose propagation count since the last
+    /// reduction exceeds `α · f_max` — outranks any glue/size combination
+    /// among clauses with fewer hot variables.
+    pub fn score(self, lits: &[Lit], glue: u32, freq: &FrequencyTable) -> u64 {
+        let alpha = match self {
+            PolicyKind::Default => {
+                let neg_glue = !u64::from(glue) & GLUE32_MASK;
+                let neg_size = !(lits.len() as u64) & SIZE32_MASK;
+                return neg_glue << 32 | neg_size;
+            }
+            PolicyKind::PropFreq => PAPER_ALPHA,
+            PolicyKind::PropFreqAlpha(alpha) => alpha,
+        };
+        // Equation (2): the number of literals whose variable is hot.
+        let frequency = lits.iter().filter(|l| freq.is_hot(l.var(), alpha)).count() as u64;
+        let neg_glue = !u64::from(glue) & GLUE20_MASK;
+        let neg_size = !(lits.len() as u64) & SIZE24_MASK;
+        frequency.min(FREQ20_MAX) << 44 | neg_glue << 24 | neg_size
+    }
+
     /// The classifier label encoding used throughout the paper
-    /// (`0` = default, `1` = propagation-frequency). The activity ablation
-    /// policy maps to `0` (it is a glue-free variant of "not the paper's
-    /// new policy").
+    /// (`0` = default, `1` = propagation-frequency).
     pub fn label(self) -> u8 {
         match self {
-            PolicyKind::Default | PolicyKind::Activity => 0,
+            PolicyKind::Default => 0,
             PolicyKind::PropFreq | PolicyKind::PropFreqAlpha(_) => 1,
         }
     }
@@ -213,10 +117,8 @@ impl PolicyKind {
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PolicyKind::Default => write!(f, "default"),
-            PolicyKind::PropFreq => write!(f, "prop-freq"),
             PolicyKind::PropFreqAlpha(a) => write!(f, "prop-freq(α={a})"),
-            PolicyKind::Activity => write!(f, "activity"),
+            _ => f.write_str(self.name()),
         }
     }
 }
@@ -230,25 +132,16 @@ mod tests {
         ds.iter().map(|&d| Lit::from_dimacs(d)).collect()
     }
 
-    fn ctx<'a>(l: &'a [Lit], glue: u32, freq: &'a FrequencyTable) -> ClauseScoreCtx<'a> {
-        ClauseScoreCtx {
-            lits: l,
-            glue,
-            activity: 0.0,
-            freq,
-        }
-    }
-
     #[test]
     fn default_orders_by_glue_then_size() {
         let freq = FrequencyTable::new(10);
         let short = lits(&[1, 2]);
         let long = lits(&[1, 2, 3, 4]);
-        let p = DefaultPolicy;
+        let p = PolicyKind::Default;
         // lower glue beats bigger glue regardless of size
-        assert!(p.score(&ctx(&long, 2, &freq)) > p.score(&ctx(&short, 3, &freq)));
+        assert!(p.score(&long, 2, &freq) > p.score(&short, 3, &freq));
         // equal glue: smaller clause wins
-        assert!(p.score(&ctx(&short, 3, &freq)) > p.score(&ctx(&long, 3, &freq)));
+        assert!(p.score(&short, 3, &freq) > p.score(&long, 3, &freq));
     }
 
     #[test]
@@ -260,21 +153,21 @@ mod tests {
             freq.bump(Var::new(1));
         }
         freq.bump(Var::new(2));
-        let p = PropFreqPolicy::new();
+        let p = PolicyKind::PropFreq;
         let hot = lits(&[1, 2]); // both hot
         let cold = lits(&[3, 4]); // none hot
                                   // hot clause with terrible glue still outranks cold clause with glue 2
-        assert!(p.score(&ctx(&hot, 50, &freq)) > p.score(&ctx(&cold, 2, &freq)));
+        assert!(p.score(&hot, 50, &freq) > p.score(&cold, 2, &freq));
     }
 
     #[test]
     fn prop_freq_ties_break_by_glue_then_size() {
         let freq = FrequencyTable::new(10); // nothing hot
-        let p = PropFreqPolicy::new();
+        let p = PolicyKind::PropFreq;
         let short = lits(&[1, 2]);
         let long = lits(&[1, 2, 3]);
-        assert!(p.score(&ctx(&short, 2, &freq)) > p.score(&ctx(&short, 5, &freq)));
-        assert!(p.score(&ctx(&short, 5, &freq)) > p.score(&ctx(&long, 5, &freq)));
+        assert!(p.score(&short, 2, &freq) > p.score(&short, 5, &freq));
+        assert!(p.score(&short, 5, &freq) > p.score(&long, 5, &freq));
     }
 
     #[test]
@@ -287,48 +180,31 @@ mod tests {
             freq.bump(Var::new(1));
         }
         freq.bump(Var::new(2));
-        let p = PropFreqPolicy::with_alpha(0.8);
         // f_max = 10; hot needs > 8: vars 0 (10) and 1 (9)
-        assert_eq!(p.clause_frequency(&lits(&[1, 2, 3, 4]), &freq), 2);
+        let score = PolicyKind::PropFreqAlpha(0.8).score(&lits(&[1, 2, 3, 4]), 3, &freq);
+        assert_eq!(score >> 44, 2);
+        assert_eq!(
+            score,
+            PolicyKind::PropFreq.score(&lits(&[1, 2, 3, 4]), 3, &freq)
+        );
     }
 
+    /// The Figure 5 bit layouts, pinned word for word.
     #[test]
-    fn activity_orders_by_activity_then_size() {
-        let freq = FrequencyTable::new(4);
-        let short = lits(&[1, 2]);
-        let long = lits(&[1, 2, 3]);
-        let p = ActivityPolicy;
-        let hot = ClauseScoreCtx {
-            lits: &long,
-            glue: 30,
-            activity: 5.0,
-            freq: &freq,
-        };
-        let cold = ClauseScoreCtx {
-            lits: &short,
-            glue: 2,
-            activity: 0.5,
-            freq: &freq,
-        };
-        // glue is ignored; activity dominates
-        assert!(p.score(&hot) > p.score(&cold));
-        // ties broken by size
-        let small = ClauseScoreCtx {
-            lits: &short,
-            glue: 9,
-            activity: 0.5,
-            freq: &freq,
-        };
-        assert!(p.score(&small) > p.score(&cold) || short.len() >= short.len());
-        let big = ClauseScoreCtx {
-            lits: &long,
-            glue: 9,
-            activity: 0.5,
-            freq: &freq,
-        };
-        assert!(p.score(&small) > p.score(&big));
-        assert_eq!(PolicyKind::Activity.label(), 0);
-        assert_eq!(PolicyKind::Activity.to_string(), "activity");
+    fn scores_match_the_figure_5_layouts() {
+        let mut freq = FrequencyTable::new(4);
+        for _ in 0..10 {
+            freq.bump(Var::new(0));
+        }
+        let clause = lits(&[1, 2, 3]);
+        assert_eq!(
+            PolicyKind::Default.score(&clause, 5, &freq),
+            0xFFFF_FFFA_FFFF_FFFC
+        );
+        assert_eq!(
+            PolicyKind::PropFreq.score(&clause, 5, &freq),
+            0x0000_1FFF_FAFF_FFFC
+        );
     }
 
     #[test]
@@ -345,16 +221,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn alpha_validated() {
-        let _ = PropFreqPolicy::with_alpha(1.5);
-    }
-
-    #[test]
     fn display_names() {
         assert_eq!(PolicyKind::Default.to_string(), "default");
         assert_eq!(PolicyKind::PropFreq.to_string(), "prop-freq");
-        assert_eq!(DefaultPolicy.name(), "default");
-        assert_eq!(PropFreqPolicy::new().name(), "prop-freq");
+        assert_eq!(
+            PolicyKind::PropFreqAlpha(0.7).to_string(),
+            "prop-freq(α=0.7)"
+        );
+        assert_eq!(PolicyKind::Default.name(), "default");
+        assert_eq!(PolicyKind::PropFreqAlpha(0.7).name(), "prop-freq");
     }
 }

@@ -1,4 +1,4 @@
-//! Restart strategies: Luby sequences and glue-EMA (Glucose-style).
+//! Luby restarts.
 
 /// The `i`-th element (1-based) of the Luby sequence
 /// 1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, …
@@ -28,91 +28,33 @@ pub fn luby(i: u64) -> u64 {
     1u64 << seq
 }
 
-/// Restart scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RestartStrategy {
-    /// Restart after `scale * luby(n)` conflicts since the last restart.
-    Luby {
-        /// Base conflict interval (Kissat/MiniSat use 100–1024).
-        scale: u64,
-    },
-    /// Glucose-style: restart when the short-term average glue of learned
-    /// clauses exceeds `margin` times the long-term average.
-    GlueEma {
-        /// Trigger threshold; Glucose uses 1.25.
-        margin: f64,
-        /// Minimum conflicts between restarts.
-        min_interval: u64,
-    },
-    /// Never restart (for experiments).
-    Never,
-}
-
-impl Default for RestartStrategy {
-    fn default() -> Self {
-        RestartStrategy::Luby { scale: 128 }
-    }
-}
-
-/// Tracks conflicts and glue averages and decides when to restart.
+/// Counts conflicts and decides when to restart: after
+/// `scale * luby(n)` conflicts since the `n-1`-th restart.
 #[derive(Debug, Clone)]
-pub struct RestartScheduler {
-    strategy: RestartStrategy,
+pub(crate) struct RestartScheduler {
+    scale: u64,
     restarts: u64,
     conflicts_since_restart: u64,
-    fast_ema: f64,
-    slow_ema: f64,
-    initialized: bool,
 }
 
 impl RestartScheduler {
-    /// Creates a scheduler with the given strategy.
-    pub fn new(strategy: RestartStrategy) -> Self {
+    /// A scheduler with the given Luby scale (base conflict interval).
+    pub(crate) fn new(scale: u64) -> Self {
         RestartScheduler {
-            strategy,
+            scale,
             restarts: 0,
             conflicts_since_restart: 0,
-            fast_ema: 0.0,
-            slow_ema: 0.0,
-            initialized: false,
         }
     }
 
-    /// Number of restarts performed so far.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Records a conflict with the glue of the clause just learned and
-    /// returns whether the solver should restart now.
-    pub fn on_conflict(&mut self, glue: u32) -> bool {
+    /// Records a conflict and returns whether the solver should restart now.
+    pub(crate) fn on_conflict(&mut self) -> bool {
         self.conflicts_since_restart += 1;
-        let g = glue as f64;
-        if self.initialized {
-            self.fast_ema += (g - self.fast_ema) / 32.0;
-            self.slow_ema += (g - self.slow_ema) / 4096.0;
-        } else {
-            self.fast_ema = g;
-            self.slow_ema = g;
-            self.initialized = true;
-        }
-        match self.strategy {
-            RestartStrategy::Luby { scale } => {
-                self.conflicts_since_restart >= scale * luby(self.restarts + 1)
-            }
-            RestartStrategy::GlueEma {
-                margin,
-                min_interval,
-            } => {
-                self.conflicts_since_restart >= min_interval
-                    && self.fast_ema > margin * self.slow_ema
-            }
-            RestartStrategy::Never => false,
-        }
+        self.conflicts_since_restart >= self.scale.saturating_mul(luby(self.restarts + 1))
     }
 
     /// Notifies the scheduler that a restart was performed.
-    pub fn on_restart(&mut self) {
+    pub(crate) fn on_restart(&mut self) {
         self.restarts += 1;
         self.conflicts_since_restart = 0;
     }
@@ -140,10 +82,10 @@ mod tests {
 
     #[test]
     fn luby_scheduler_intervals() {
-        let mut s = RestartScheduler::new(RestartStrategy::Luby { scale: 2 });
+        let mut s = RestartScheduler::new(2);
         let mut restart_points = Vec::new();
         for c in 1..=20u64 {
-            if s.on_conflict(3) {
+            if s.on_conflict() {
                 restart_points.push(c);
                 s.on_restart();
             }
@@ -153,33 +95,13 @@ mod tests {
         assert_eq!(restart_points, vec![2, 4, 8, 10, 12, 16]);
     }
 
-    #[test]
-    fn glue_ema_restarts_on_degradation() {
-        let mut s = RestartScheduler::new(RestartStrategy::GlueEma {
-            margin: 1.25,
-            min_interval: 10,
-        });
-        // long run of good (low) glue
-        for _ in 0..2000 {
-            assert!(!s.on_conflict(3) || s.conflicts_since_restart >= 10);
-        }
-        // now a burst of terrible glue should trigger
-        let mut triggered = false;
-        for _ in 0..200 {
-            if s.on_conflict(30) {
-                triggered = true;
-                break;
-            }
-        }
-        assert!(triggered);
-    }
-
+    /// A scale beyond any conflict count the solve reaches never restarts.
     #[test]
     fn never_strategy_never_restarts() {
-        let mut s = RestartScheduler::new(RestartStrategy::Never);
+        let mut s = RestartScheduler::new(u64::MAX);
         for _ in 0..10_000 {
-            assert!(!s.on_conflict(10));
+            assert!(!s.on_conflict());
         }
-        assert_eq!(s.restarts(), 0);
+        assert_eq!(s.restarts, 0);
     }
 }

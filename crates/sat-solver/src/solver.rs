@@ -4,14 +4,17 @@ use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
 use crate::instrument::{Recorder, SolverTelemetry};
 use crate::proof::ProofLogger;
+use crate::restart::RestartScheduler;
 use crate::varmap::{at, LitMap, VarMap};
 use crate::{
-    Budget, ClauseScoreCtx, DeletionPolicy, FrequencyTable, LBool, PolicyKind, RestartScheduler,
-    SolveResult, SolverConfig, SolverStats, StopCause,
+    Budget, FrequencyTable, LBool, PolicyKind, SolveResult, SolverConfig, SolverStats, StopCause,
 };
 use cnf::{Cnf, Lit, Var};
 use std::time::Instant;
 use telemetry::Phase;
+
+/// EVSIDS variable-activity decay factor, in `(0, 1)`.
+const VAR_DECAY: f64 = 0.95;
 
 /// One entry in a literal's watch list.
 #[derive(Clone, Copy, Debug)]
@@ -22,14 +25,14 @@ pub(crate) struct Watch {
     pub(crate) blocker: Lit,
 }
 
-/// A conflict-driven clause-learning SAT solver with pluggable
-/// clause-deletion policies.
+/// A conflict-driven clause-learning SAT solver whose clause-deletion
+/// policy is one of the paper's two.
 ///
 /// The architecture follows MiniSat/Kissat: two-watched-literal propagation,
 /// first-UIP conflict analysis with recursive clause minimization, EVSIDS
-/// decision heap, phase saving, Luby or glue-EMA restarts, and tiered
-/// clause-database reduction. The reduction scoring is delegated to a
-/// [`DeletionPolicy`], which is the extension point studied by the paper.
+/// decision heap, phase saving, Luby restarts, and tiered clause-database
+/// reduction. The reduction scores clauses by `config.policy`
+/// ([`PolicyKind::score`]), the choice studied by the paper.
 ///
 /// # Examples
 ///
@@ -66,14 +69,11 @@ pub struct Solver {
     var_inc: f64,
     pub(crate) heap: VarHeap,
     pub(crate) saved_phase: VarMap<bool>,
-    rng_state: u64,
     pub(crate) freq: FrequencyTable,
     /// `freq`'s counts folded in at each reset; with `freq` added back, the
     /// whole-run counts of [`cumulative_frequencies`](Self::cumulative_frequencies).
     pub(crate) freq_folded: FrequencyTable,
-    policy: Box<dyn DeletionPolicy>,
     restart: RestartScheduler,
-    cla_inc: f64,
     reduce_limit: usize,
     pub(crate) stats: SolverStats,
     pub(crate) config: SolverConfig,
@@ -96,7 +96,7 @@ pub struct Solver {
     glue_levels: Vec<u32>,
     pub(crate) proof: Option<ProofLogger>,
     /// The instrumentation spine (phase times, trace spans).
-    rec: Recorder,
+    pub(crate) rec: Recorder,
     /// Why the most recent `solve` call returned `Unknown`, if it did.
     stop_cause: Option<StopCause>,
     /// In-search inprocessing engine (see `inprocess.rs`); `None` unless
@@ -128,12 +128,9 @@ impl Solver {
             var_inc: 1.0,
             heap: VarHeap::new(n),
             saved_phase: VarMap::new(n, false),
-            rng_state: config.seed | 1,
             freq: FrequencyTable::new(n),
             freq_folded: FrequencyTable::new(n),
-            policy: config.policy.instantiate(),
             restart: RestartScheduler::new(config.restart),
-            cla_inc: 1.0,
             reduce_limit: config.reduce_init,
             stats: SolverStats::default(),
             config,
@@ -259,7 +256,7 @@ impl Solver {
 
     /// The active deletion policy's name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.config.policy.name()
     }
 
     /// The per-variable propagation-frequency table used by the deletion
@@ -715,21 +712,17 @@ impl Solver {
         self.heap.update(v, &self.activity);
     }
 
+    /// Protects a learned clause from the next reduction: it was just
+    /// learned or took part in conflict analysis.
     fn bump_clause(&mut self, cref: ClauseRef) {
-        if !self.db.is_learned(cref) {
-            return;
-        }
-        let activity = self.db.bump_activity(cref, self.cla_inc);
-        self.db.set_protected(cref, true);
-        if activity > 1e20 {
-            self.db.rescale_activity(1e-20);
-            self.cla_inc *= 1e-20;
+        if self.db.is_learned(cref) {
+            self.db.set_protected(cref, true);
         }
     }
 
+    /// EVSIDS decay: later bumps weigh `1 / VAR_DECAY` times more.
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     /// Undoes all assignments above `target_level`.
@@ -755,45 +748,16 @@ impl Solver {
         self.qhead = target_len;
     }
 
-    /// Picks the next decision literal, or `None` when fully assigned.
+    /// Picks the next decision literal (EVSIDS, saved phase), or `None`
+    /// when fully assigned.
     fn decide(&mut self) -> Option<Lit> {
-        let v = match self.config.branching {
-            Branching::Evsids => {
-                let mut picked = None;
-                while let Some(v) = self.heap.pop(&self.activity) {
-                    if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
-                        picked = Some(v);
-                        break;
-                    }
-                }
-                picked
-            }
-            Branching::Random => self.pick_random_unassigned(),
-        }?;
-        let phase = self.saved_phase.get(v);
-        Some(v.lit(!phase))
-    }
-
-    /// A uniformly random unassigned variable via an xorshift generator,
-    /// falling back to a linear scan when the rejection loop runs long.
-    fn pick_random_unassigned(&mut self) -> Option<Var> {
-        if self.num_vars == 0 {
-            return None;
-        }
-        for _ in 0..32 {
-            // xorshift64*
-            self.rng_state ^= self.rng_state >> 12;
-            self.rng_state ^= self.rng_state << 25;
-            self.rng_state ^= self.rng_state >> 27;
-            let r = (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32;
-            let v = Var::new(r % self.num_vars);
+        while let Some(v) = self.heap.pop(&self.activity) {
             if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
-                return Some(v);
+                let phase = self.saved_phase.get(v);
+                return Some(v.lit(!phase));
             }
         }
-        (0..self.num_vars)
-            .map(Var::new)
-            .find(|&v| !self.var_value(v).is_assigned() && !self.var_is_eliminated(v))
+        None
     }
 
     /// Deletes low-scoring reducible learned clauses (the REDUCE step whose
@@ -809,12 +773,10 @@ impl Solver {
             {
                 continue;
             }
-            let score = self.policy.score(&ClauseScoreCtx {
-                lits: self.db.lits(cref),
-                glue,
-                activity: self.db.activity(cref),
-                freq: &self.freq,
-            });
+            let score = self
+                .config
+                .policy
+                .score(self.db.lits(cref), glue, &self.freq);
             candidates.push((score, self.db.id(cref), cref));
         }
         // Lowest scores first; ties broken by clause id for determinism
@@ -1001,14 +963,14 @@ impl Solver {
     fn search(&mut self, budget: Budget, pick: Option<PolicyPick<'_>>) -> SolveResult {
         self.stop_cause = None;
         self.rec
-            .solve_started(self.policy.name(), self.num_vars, self.db.num_original());
+            .solve_started(self.policy_name(), self.num_vars, self.db.num_original());
         let result = self.search_loop(budget, pick);
         if self.rec.telemetry.is_some() {
             let db = self.db_stats();
             self.rec.solve_ended(
                 &result,
                 self.stop_cause,
-                self.policy.name(),
+                self.policy_name(),
                 &self.stats,
                 &db,
             );
@@ -1070,7 +1032,7 @@ impl Solver {
                 self.rec
                     .learned(glue, learned.len(), trail_depth, live, &self.stats);
                 self.decay_activities();
-                if self.restart.on_conflict(glue) {
+                if self.restart.on_conflict() {
                     let restarting = self.rec.begin(Phase::Restart);
                     self.restart.on_restart();
                     self.stats.restarts += 1;
@@ -1080,7 +1042,7 @@ impl Solver {
                     // deleted, or replaced without touching live decisions.
                     if self.inprocess_due() {
                         let round = self.rec.begin(Phase::Inprocess);
-                        let still_sat = self.inprocess_round();
+                        let still_sat = self.inprocess_round(None);
                         self.rec.end(round);
                         if !still_sat {
                             return SolveResult::Unsat;
@@ -1111,9 +1073,7 @@ impl Solver {
                 let reducible = self.db.num_learned().saturating_sub(self.num_reasons);
                 if reducible >= self.reduce_limit {
                     if let Some(pick) = pick.take() {
-                        let policy = pick();
-                        self.config.policy = policy;
-                        self.policy = policy.instantiate();
+                        self.config.policy = pick();
                     }
                     self.reduce_db();
                 }
@@ -1236,26 +1196,11 @@ impl std::fmt::Debug for Solver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Solver")
             .field("num_vars", &self.num_vars)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy_name())
             .field("stats", &self.stats)
             .field("ok", &self.ok)
             .finish()
     }
-}
-
-/// Decision-variable selection heuristic.
-///
-/// EVSIDS, Kissat's "stable"-mode heuristic, plus a seeded random
-/// baseline for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Branching {
-    /// Exponential VSIDS: pick the unassigned variable with the highest
-    /// decayed activity (the default).
-    #[default]
-    Evsids,
-    /// Uniformly random unassigned variable (seeded by
-    /// [`SolverConfig::seed`]) — an ablation baseline.
-    Random,
 }
 
 /// A position in the CDCL loop where the invariant auditor may run
@@ -1481,7 +1426,7 @@ mod tests {
 
     #[test]
     fn policy_pick_runs_once_at_the_first_reduction() {
-        let php = crate::preprocess::tests_support::php(7, 6);
+        let php = crate::tests_support::php(7, 6);
         for policy in [PolicyKind::Default, PolicyKind::PropFreq] {
             let mut eager = Solver::new(&php, SolverConfig::with_policy(policy));
             assert!(eager.solve().is_unsat());
@@ -1516,7 +1461,7 @@ mod tests {
 
     #[test]
     fn policy_pick_is_refused_after_a_reduction() {
-        let php = crate::preprocess::tests_support::php(7, 6);
+        let php = crate::tests_support::php(7, 6);
         let mut s = Solver::from_cnf(&php);
         assert!(s.solve_with_budget(Budget::conflicts(500)).is_unknown());
         assert!(s.stats().reductions > 0);
@@ -1534,7 +1479,7 @@ mod tests {
     fn compaction_keeps_the_search_and_every_invariant() {
         // php(8,7) garbage-collects the arena several times; php(7,6)
         // never fills half of it with garbage.
-        let php = crate::preprocess::tests_support::php(8, 7);
+        let php = crate::tests_support::php(8, 7);
         let mut plain = Solver::from_cnf(&php);
         #[cfg(feature = "checks")]
         plain.set_check_level(crate::CheckLevel::Off);

@@ -4,10 +4,7 @@
 
 use cnf::{verify_model, Cnf};
 use proptest::prelude::*;
-use sat_solver::{
-    check_proof, preprocess, Branching, Checkpoint, PolicyKind, PreprocessConfig, Preprocessed,
-    RestartStrategy, SolveResult, Solver, SolverConfig,
-};
+use sat_solver::{check_proof, Checkpoint, PolicyKind, SolveResult, Solver, SolverConfig};
 
 /// Brute-force satisfiability over up to 16 variables.
 fn brute_force_sat(f: &Cnf) -> bool {
@@ -43,7 +40,7 @@ fn config_with_tiny_reduce(policy: PolicyKind) -> SolverConfig {
         tier1_glue: 0,
         reduce_init: 2,
         reduce_inc: 1,
-        restart: RestartStrategy::Luby { scale: 4 },
+        restart: 4,
         ..SolverConfig::default()
     }
 }
@@ -109,9 +106,8 @@ proptest! {
     #[test]
     fn all_configurations_agree_with_brute_force(
         f in arb_cnf(8, 35),
-        policy_idx in 0usize..4,
+        policy_idx in 0usize..3,
         restart_idx in 0usize..3,
-        branching_idx in 0usize..2,
         fraction in prop_oneof![Just(0.25f64), Just(0.5), Just(1.0)],
         tier1 in 0u32..4,
     ) {
@@ -119,23 +115,17 @@ proptest! {
             PolicyKind::Default,
             PolicyKind::PropFreq,
             PolicyKind::PropFreqAlpha(0.3),
-            PolicyKind::Activity,
         ][policy_idx];
-        let restart = [
-            RestartStrategy::Luby { scale: 2 },
-            RestartStrategy::GlueEma { margin: 1.1, min_interval: 5 },
-            RestartStrategy::Never,
-        ][restart_idx];
-        let branching = [Branching::Evsids, Branching::Random][branching_idx];
+        // Luby scales; the last one exceeds any conflict count reached
+        // here, so that search never restarts.
+        let restart = [2, 16, u64::MAX][restart_idx];
         let config = SolverConfig {
             policy,
             restart,
-            branching,
             reduce_fraction: fraction,
             tier1_glue: tier1,
             reduce_init: 3,
             reduce_inc: 2,
-            seed: 42,
             ..SolverConfig::default()
         };
         let expected = brute_force_sat(&f);
@@ -149,62 +139,38 @@ proptest! {
             SolveResult::Unknown => prop_assert!(false),
         }
         if let Err(e) = solver.audit_invariants(Checkpoint::PostPropagate) {
-            prop_assert!(false, "invariant audit under {policy:?}/{restart:?}/{branching:?}: {e}");
+            prop_assert!(false, "invariant audit under {policy:?}/restart {restart}: {e}");
         }
     }
 
+    /// `simplify` (the engine behind `rsat --preprocess`) followed by
+    /// `solve`: the verdict matches brute force, SAT models satisfy the
+    /// original formula, and UNSAT proofs, simplification rounds
+    /// included, replay against it.
     #[test]
     fn preprocessing_preserves_satisfiability(f in arb_cnf(10, 45)) {
         let expected = brute_force_sat(&f);
-        match preprocess(&f, &PreprocessConfig::default()) {
-            Preprocessed::Unsat => prop_assert!(!expected, "preprocess refuted a SAT formula"),
-            Preprocessed::Simplified { cnf, reconstruction } => {
-                let mut solver = Solver::from_cnf(&cnf);
-                match solver.solve() {
-                    SolveResult::Sat(mut model) => {
-                        prop_assert!(expected, "SAT after preprocessing but UNSAT originally");
-                        model.resize(f.num_vars() as usize, false);
-                        reconstruction.extend_model(&mut model);
-                        prop_assert!(
-                            verify_model(&f, &model).is_ok(),
-                            "reconstructed model must satisfy the original formula"
-                        );
-                    }
-                    SolveResult::Unsat => prop_assert!(!expected),
-                    SolveResult::Unknown => prop_assert!(false),
-                }
+        let mut solver = Solver::from_cnf(&f);
+        solver.enable_proof();
+        let satisfiable = solver.simplify();
+        prop_assert!(satisfiable || !expected, "simplify refuted a SAT formula");
+        match solver.solve() {
+            SolveResult::Sat(model) => {
+                prop_assert!(expected, "SAT after simplification but UNSAT originally");
+                prop_assert!(
+                    verify_model(&f, &model).is_ok(),
+                    "reconstructed model must satisfy the original formula"
+                );
             }
+            SolveResult::Unsat => {
+                prop_assert!(!expected);
+                let proof = solver.take_proof().expect("proof enabled");
+                prop_assert_eq!(check_proof(&f, &proof), Ok(()));
+            }
+            SolveResult::Unknown => prop_assert!(false),
         }
-    }
-
-    #[test]
-    fn preprocessing_with_tight_limits_is_sound(
-        f in arb_cnf(8, 30),
-        occ_limit in 1usize..6,
-        growth in 0usize..3,
-        rounds in 1usize..4,
-    ) {
-        let config = PreprocessConfig {
-            bve_occurrence_limit: occ_limit,
-            bve_growth: growth,
-            max_rounds: rounds,
-        };
-        let expected = brute_force_sat(&f);
-        match preprocess(&f, &config) {
-            Preprocessed::Unsat => prop_assert!(!expected),
-            Preprocessed::Simplified { cnf, reconstruction } => {
-                let mut solver = Solver::from_cnf(&cnf);
-                match solver.solve() {
-                    SolveResult::Sat(mut model) => {
-                        prop_assert!(expected);
-                        model.resize(f.num_vars() as usize, false);
-                        reconstruction.extend_model(&mut model);
-                        prop_assert!(verify_model(&f, &model).is_ok());
-                    }
-                    SolveResult::Unsat => prop_assert!(!expected),
-                    SolveResult::Unknown => prop_assert!(false),
-                }
-            }
+        if let Err(e) = solver.audit_invariants(Checkpoint::PostPropagate) {
+            prop_assert!(false, "invariant audit after simplify and solve: {e}");
         }
     }
 

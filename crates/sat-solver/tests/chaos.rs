@@ -20,9 +20,7 @@
 #![cfg(feature = "faults")]
 
 use cnf::Cnf;
-use sat_solver::{
-    check_proof, Budget, RestartStrategy, SolveResult, Solver, SolverConfig, StopCause,
-};
+use sat_solver::{check_proof, Budget, SolveResult, Solver, SolverConfig, StopCause};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -76,7 +74,7 @@ fn inprocess_config() -> SolverConfig {
     SolverConfig {
         inprocess: true,
         inprocess_interval: 1,
-        restart: RestartStrategy::Luby { scale: 2 },
+        restart: 2,
         ..SolverConfig::default()
     }
 }

@@ -12,7 +12,7 @@
 //! assumable forever.
 
 use cnf::{Clause, Cnf, Lit, Var};
-use sat_solver::{run_isolated, Budget, RestartStrategy, SolveResult, Solver, SolverConfig};
+use sat_solver::{run_isolated, Budget, SolveResult, Solver, SolverConfig};
 
 /// Inprocessing-heavy configuration (mirrors the differential suite): a
 /// round at every restart with frequent restarts, so BVE gets many
@@ -24,7 +24,7 @@ fn inprocess_config() -> SolverConfig {
         tier1_glue: 2,
         reduce_init: 8,
         reduce_inc: 4,
-        restart: RestartStrategy::Luby { scale: 2 },
+        restart: 2,
         ..SolverConfig::default()
     }
 }

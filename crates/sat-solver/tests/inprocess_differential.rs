@@ -16,9 +16,7 @@
 
 use cnf::{Clause, Cnf, Lit, Var};
 use proptest::prelude::*;
-use sat_solver::{
-    check_proof, Checkpoint, InprocessStats, RestartStrategy, SolveResult, Solver, SolverConfig,
-};
+use sat_solver::{check_proof, Checkpoint, InprocessStats, SolveResult, Solver, SolverConfig};
 
 /// Inprocessing-heavy configuration: a round at every restart, frequent
 /// restarts, and aggressive reduction so rounds interleave with the
@@ -30,7 +28,7 @@ fn inprocess_config() -> SolverConfig {
         tier1_glue: 2,
         reduce_init: 8,
         reduce_inc: 4,
-        restart: RestartStrategy::Luby { scale: 2 },
+        restart: 2,
         ..SolverConfig::default()
     }
 }

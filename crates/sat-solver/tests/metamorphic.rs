@@ -15,7 +15,7 @@
 
 use cnf::{Clause, Cnf, Lit, Var};
 use proptest::prelude::*;
-use sat_solver::{PolicyKind, RestartStrategy, SolveResult, Solver, SolverConfig};
+use sat_solver::{PolicyKind, SolveResult, Solver, SolverConfig};
 
 /// Deterministic xorshift64* stream; proptest supplies only the seed so
 /// shrinking stays meaningful.
@@ -127,7 +127,7 @@ fn config_with_tiny_reduce(policy: PolicyKind) -> SolverConfig {
         tier1_glue: 0,
         reduce_init: 2,
         reduce_inc: 1,
-        restart: RestartStrategy::Luby { scale: 4 },
+        restart: 4,
         ..SolverConfig::default()
     }
 }

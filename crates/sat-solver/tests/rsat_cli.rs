@@ -191,3 +191,59 @@ fn stats_json_says_why_a_budgeted_solve_stopped() {
         other => panic!("last event should be solve_end, got {other:?}"),
     }
 }
+
+#[test]
+fn alpha_outside_the_unit_interval_is_a_usage_error() {
+    let cnf = temp_cnf("alpha", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n");
+    let path = cnf.to_str().unwrap();
+    for alpha in ["1.5", "-0.1", "NaN"] {
+        let out = run_rsat(&[path, "--policy", "prop-freq", "--alpha", alpha]);
+        assert_eq!(out.status.code(), Some(1), "--alpha {alpha}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("usage: rsat"),
+            "--alpha {alpha}: {stderr}"
+        );
+    }
+    let out = run_rsat(&[path, "--alpha", "0.5"]);
+    std::fs::remove_file(&cnf).ok();
+    assert_eq!(out.status.code(), Some(10));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("policy prop-freq(α=0.5)"), "{stdout}");
+}
+
+#[test]
+fn preprocess_with_check_proof_certifies_unsat() {
+    let cnf = temp_cnf("preprocess-unsat", &php_dimacs(4));
+    let out = run_rsat(&[cnf.to_str().unwrap(), "--preprocess", "--check-proof"]);
+    std::fs::remove_file(&cnf).ok();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(20), "{stdout}");
+    assert!(stdout.contains("c preprocessed to "), "{stdout}");
+    assert!(stdout.contains("s UNSATISFIABLE"), "{stdout}");
+    assert!(stdout.contains("c proof VERIFIED"), "{stdout}");
+}
+
+#[test]
+fn preprocess_prints_a_model_of_the_original_formula() {
+    // A chain whose middle variables bounded variable elimination removes,
+    // so the printed model goes through reconstruction.
+    let dimacs = "p cnf 6 7\n1 2 0\n-2 3 0\n-3 4 0\n-4 5 0\n-5 -1 2 0\n5 6 0\n-6 -1 0\n";
+    let cnf = temp_cnf("preprocess-sat", dimacs);
+    let out = run_rsat(&[cnf.to_str().unwrap(), "--preprocess"]);
+    std::fs::remove_file(&cnf).ok();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(10), "{stdout}");
+    assert!(!stdout.contains("(0 vars eliminated"), "{stdout}");
+    let formula = cnf::parse_dimacs_str(dimacs).unwrap();
+    let mut model = vec![false; formula.num_vars() as usize];
+    let lits = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("v "))
+        .flat_map(str::split_whitespace)
+        .map(|t| t.parse::<i64>().expect("integer literal"));
+    for lit in lits.take_while(|&l| l != 0) {
+        model[lit.unsigned_abs() as usize - 1] = lit > 0;
+    }
+    assert!(cnf::verify_model(&formula, &model).is_ok(), "{stdout}");
+}

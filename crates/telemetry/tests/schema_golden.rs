@@ -90,11 +90,10 @@ fn request_end_event_golden() {
     record.verdict = "unknown".to_string();
     record.stop_cause = Some("deadline".to_string());
     record.stats = Json::object().with("conflicts", Json::from(77u64));
-    record.degrade("daemon-degraded", "deadline");
     let event = Event::RequestEnd { record };
     assert_eq!(
         event.to_json().to_string(),
-        r#"{"schema_version":2,"event":"request_end","record":{"schema_version":2,"request_id":42,"session":7,"worker":1,"queue_wait_ms":2.5,"solve_ms":40.0,"verdict":"unknown","stop_cause":"deadline","error_kind":null,"stats":{"conflicts":77},"degradations":[{"kind":"daemon-degraded","detail":"deadline"}]}}"#
+        r#"{"schema_version":2,"event":"request_end","record":{"schema_version":2,"request_id":42,"session":7,"worker":1,"queue_wait_ms":2.5,"solve_ms":40.0,"verdict":"unknown","stop_cause":"deadline","error_kind":null,"stats":{"conflicts":77},"degradations":[]}}"#
     );
     let line = event.to_json().to_string();
     let parsed = Event::from_json(&Json::parse(&line).expect("parses")).expect("round-trips");
