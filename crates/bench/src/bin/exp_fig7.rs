@@ -75,9 +75,9 @@ fn main() {
             above += 1;
         }
         improvements.push(d - n);
-        // A solve that never reduced never read the policy, so the model
-        // made no pick for it: mark the row and leave its (zero) inference
-        // time out of the Figure 7(b) series.
+        // A solve that never deleted a clause never read the policy, so
+        // the model made no pick for it: mark the row and leave its (zero)
+        // inference time out of the Figure 7(b) series.
         let chosen = if out.policy_needed {
             inference_times.push(out.inference_time.as_secs_f64());
             out.chosen.to_string()
@@ -91,8 +91,8 @@ fn main() {
         );
     }
     println!(
-        "({no_pick} of {} solves ended before their first reduction and needed \
-         no pick: chosen \"-\")",
+        "({no_pick} of {} solves ended before a reduction deleted a clause and \
+         needed no pick: chosen \"-\")",
         test_set.len()
     );
 

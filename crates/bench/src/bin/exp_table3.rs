@@ -199,10 +199,10 @@ fn main() {
             log.push(&out.record);
         }
         let solved = !out.result.is_unknown();
-        // A solve that never reduced made no pick: it ran under the
-        // default policy and reports probability 0.0. It never read the
-        // policy, so the fixed-threshold re-solve below is the same run
-        // under either choice.
+        // A solve that never deleted a clause made no pick: it ran under
+        // the default policy and reports probability 0.0. It never read
+        // the policy, so the fixed-threshold re-solve below is the same
+        // run under either choice.
         picked += usize::from(out.policy_needed);
         if out.chosen == PolicyKind::PropFreq {
             switched += 1;
@@ -284,8 +284,8 @@ fn main() {
     );
     println!(
         "\nNeuroSelect chose the propagation-frequency policy on {switched}/{picked} \
-         picks; the other {} of {} instances ended before their first reduction \
-         and needed no pick. Its wall-clock column includes model inference.",
+         picks; the other {} of {} instances ended before a reduction deleted a \
+         clause and needed no pick. Its wall-clock column includes model inference.",
         test_set.len() - picked,
         test_set.len()
     );

@@ -22,7 +22,7 @@ pub enum PolicySource {
     /// The modelled deployment pipeline: classifier inference, including
     /// its by-design node-count cutoff (oversized instances use the
     /// default policy *deliberately*, which is not a degradation), or no
-    /// pick was needed (a solve that never reduced its clause database
+    /// pick was needed (a solve that never deleted a learned clause
     /// never read the policy, so the model was not consulted).
     Model,
     /// The static clause/variable-ratio heuristic (model unavailable).

@@ -5,9 +5,10 @@
 //! to delete is decided by a scoring policy. The paper introduces a second
 //! policy driven by *variable propagation frequency* (Equation 2) and
 //! trains a Hybrid Graph Transformer to pick, per instance, whichever of
-//! the two policies will solve it faster — one CPU inference, run when the
-//! solver first reduces its clause database, the one place it reads the
-//! policy (a solve that never reduces skips it).
+//! the two policies will solve it faster — one CPU inference, run when a
+//! clause-database reduction is first about to delete a clause, the one
+//! place the solver reads the policy (a solve that never deletes one skips
+//! it).
 //!
 //! This crate is the top of the workspace: it wires the
 //! [`sat_solver`] substrate (CDCL with pluggable deletion
@@ -21,8 +22,8 @@
 //!    baseline) with Adam, batch size 1.
 //! 3. **Evaluate** ([`evaluate`]): Table 2 metrics.
 //! 4. **Deploy** ([`NeuroSelectSolver`]): the solver starts at once, and one
-//!    inference selects the policy when the first reduction is due
-//!    (Table 3 / Figure 7).
+//!    inference selects the policy when the first reduction that will
+//!    delete a clause is due (Table 3 / Figure 7).
 //!
 //! # Examples
 //!

@@ -4,10 +4,12 @@
 //!
 //! The paper classifies before solving. Here the search starts at once and
 //! the model runs when the policy is first read, just before the first
-//! clause-database reduction ([`Solver::solve_with_policy_pick`]). The
-//! search before that reduction does not depend on the policy, so a solve
-//! that reduces gets the same pick, statistics and verdict as
-//! classify-then-solve, and a solve that never reduces skips inference.
+//! clause-database reduction that will delete a clause
+//! ([`Solver::solve_with_policy_pick`]). The policy only orders the clauses
+//! a reduction deletes, and the first reduction never deletes (every
+//! learned clause is protected until a reduction has passed it), so a
+//! solve that deletes gets the same pick, statistics and verdict as
+//! classify-then-solve, and a solve that never deletes skips inference.
 //! The rungs of the fallback ladder that need no inference (a sticky
 //! model fault, the node cutoff) still pick before the search.
 
@@ -54,12 +56,12 @@ pub struct SelectionOutcome {
     /// Degradations hit on the way to the pick (empty in normal
     /// operation); also recorded in [`SelectionOutcome::record`].
     pub degradations: Vec<DegradeReason>,
-    /// Whether the search reached a clause-database reduction, the one
-    /// place it reads the deletion policy. Under the model rung the pick
-    /// is made only then: when false, no inference ran. The rungs that
-    /// need no inference (a sticky model fault, the node cutoff) pick
-    /// before the search either way. Mirrored as `extra.policy_needed` in
-    /// the record.
+    /// Whether a clause-database reduction deleted a clause: the deletion
+    /// policy orders those deletions and nothing else. Under the model
+    /// rung the pick is made only then: when false, no inference ran. The
+    /// rungs that need no inference (a sticky model fault, the node
+    /// cutoff) pick before the search either way. Mirrored as
+    /// `extra.policy_needed` in the record.
     pub policy_needed: bool,
     /// Full telemetry record: solver phase timings and distributions plus
     /// the pipeline's `feature_extract` / `gnn_forward` / `policy_select`
@@ -269,9 +271,9 @@ impl NeuroSelectSolver {
     /// The O(1) rungs (a sticky model fault, the node cutoff) pick before
     /// the search starts. Otherwise the search starts at once under the
     /// default policy, and the inference rungs run only when the first
-    /// clause-database reduction is due
-    /// ([`Solver::solve_with_policy_pick`]); a solve that ends before then
-    /// never extracts features or runs the forward pass.
+    /// clause-database reduction that will delete a clause is due
+    /// ([`Solver::solve_with_policy_pick`]); a solve that never deletes
+    /// one never extracts features or runs the forward pass.
     ///
     /// The `solve_end` event emitted through the sink carries solver-side
     /// measurements only; the *returned* record is additionally enriched
@@ -319,7 +321,7 @@ impl NeuroSelectSolver {
             // the solve; fall back to an empty record rather than panicking.
             .unwrap_or_else(|| RunRecord::new(instance_id, ""));
         record.solve_time_s = (record.solve_time_s - lazy_time.as_secs_f64()).max(0.0);
-        let policy_needed = stats.reductions > 0;
+        let policy_needed = stats.deleted_clauses > 0;
         record.extra.set("policy_needed", Json::from(policy_needed));
         let picked = upfront
             .map(|decision| (decision, upfront_time, PhaseTimes::default()))

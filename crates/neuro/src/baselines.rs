@@ -7,6 +7,7 @@ use crate::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sat_graph::CsrMatrix;
 use std::rc::Rc;
 
 /// Hyperparameters shared by the baselines.
@@ -75,20 +76,17 @@ impl GinModel {
         g: &GraphTensors,
     ) -> NodeId {
         let d = self.config.hidden_dim;
+        let (sum_to_clause, sum_to_var) = unit_sums(g);
         let mut hv = tape.leaf(Matrix::full(g.num_vars.max(1), d, 1.0));
         let mut hc = tape.leaf(Matrix::zeros(g.num_clauses.max(1), d));
         for round in 0..self.config.rounds {
             // clause update: (1+ε)h_c + Σ_v h_v
-            let agg_c = tape.spmm(
-                Rc::clone(&g.sum_to_clause),
-                Rc::clone(&g.sum_to_clause_t),
-                hv,
-            );
+            let agg_c = tape.spmm(Rc::clone(&sum_to_clause), hv);
             let hc_scaled = tape.scale(hc, 1.0 + self.eps);
             let hc_in = tape.add(hc_scaled, agg_c);
             hc = self.clause_mlps[round].forward(tape, sess, store, hc_in);
             // variable update
-            let agg_v = tape.spmm(Rc::clone(&g.sum_to_var), Rc::clone(&g.sum_to_var_t), hc);
+            let agg_v = tape.spmm(Rc::clone(&sum_to_var), hc);
             let hv_scaled = tape.scale(hv, 1.0 + self.eps);
             let hv_in = tape.add(hv_scaled, agg_v);
             hv = self.var_mlps[round].forward(tape, sess, store, hv_in);
@@ -122,6 +120,15 @@ impl GinModel {
         adam.step(store, &tape, &sess, &grads);
         tape.value(loss).get(0, 0)
     }
+}
+
+/// GIN's unsigned, unnormalized sums into clause and into variable nodes.
+/// Every raw edge weight is ±1, so these are the sparsity patterns of
+/// [`GraphTensors::to_clause`] and [`GraphTensors::to_var`] with unit
+/// weights.
+fn unit_sums(g: &GraphTensors) -> (Rc<CsrMatrix>, Rc<CsrMatrix>) {
+    let unit = |m: &CsrMatrix| Rc::new(m.map_weights(|_| 1.0));
+    (unit(&g.to_clause), unit(&g.to_var))
 }
 
 /// A NeuroSAT-style classifier on the literal–clause graph with gated
@@ -165,12 +172,12 @@ impl NeuroSatModel {
         let mut hl = tape.leaf(Matrix::full(num_lits, d, 1.0));
         for _ in 0..self.config.rounds {
             // clauses aggregate literal states
-            let agg_c = tape.spmm(Rc::clone(&g.to_clause), Rc::clone(&g.to_clause_t), hl);
+            let agg_c = tape.spmm(Rc::clone(&g.to_clause), hl);
             let hc_lin = self.clause_update.forward(tape, sess, store, agg_c);
             let hc = tape.relu(hc_lin);
             // literals aggregate clause states plus their negation's state
-            let agg_l = tape.spmm(Rc::clone(&g.to_lit), Rc::clone(&g.to_lit_t), hc);
-            let flipped = tape.spmm(Rc::clone(&g.flip), Rc::clone(&g.flip), hl);
+            let agg_l = tape.spmm(Rc::clone(&g.to_lit), hc);
+            let flipped = tape.spmm(Rc::clone(&g.flip), hl);
             let flip_lin = self.lit_flip.forward(tape, sess, store, flipped);
             let gate_lin = self.lit_gate.forward(tape, sess, store, agg_l);
             let z = tape.sigmoid(gate_lin);
@@ -238,6 +245,14 @@ mod tests {
             rounds: 2,
             seed: 3,
         }
+    }
+
+    #[test]
+    fn gin_sums_are_unsigned_and_unnormalized() {
+        // Clause 1 = {x2, x3, x4}; x1 occurs in clauses 0 and 2.
+        let (to_clause, to_var) = unit_sums(&vcg("p cnf 4 3\n1 -2 0\n2 3 4 0\n-1 -4 0\n"));
+        assert_eq!(to_clause.row(1), &[(1, 1.0), (2, 1.0), (3, 1.0)][..]);
+        assert_eq!(to_var.row(0), &[(0, 1.0), (2, 1.0)][..]);
     }
 
     #[test]

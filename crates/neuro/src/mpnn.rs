@@ -8,6 +8,11 @@ use std::rc::Rc;
 
 /// Cached sparse operators for one bipartite variable–clause graph, shared
 /// across layers and passes.
+///
+/// These are exactly the operators the forward pass reads: no transposes
+/// (the tape's backward pass scatters through the operator itself, see
+/// [`Tape::spmm`]) and no GIN operators (the baseline builds its
+/// unit-weight sums from the same sparsity pattern).
 #[derive(Debug, Clone)]
 pub struct GraphTensors {
     /// Number of variable nodes.
@@ -16,20 +21,8 @@ pub struct GraphTensors {
     pub num_clauses: usize,
     /// Mean-normalized signed aggregation into clause nodes (`C × V`).
     pub to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`to_clause`](Self::to_clause).
-    pub to_clause_t: Rc<CsrMatrix>,
     /// Mean-normalized signed aggregation into variable nodes (`V × C`).
     pub to_var: Rc<CsrMatrix>,
-    /// Transpose of [`to_var`](Self::to_var).
-    pub to_var_t: Rc<CsrMatrix>,
-    /// Unnormalized |weight| aggregation into clause nodes (GIN baseline).
-    pub sum_to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`sum_to_clause`](Self::sum_to_clause).
-    pub sum_to_clause_t: Rc<CsrMatrix>,
-    /// Unnormalized |weight| aggregation into variable nodes (GIN baseline).
-    pub sum_to_var: Rc<CsrMatrix>,
-    /// Transpose of [`sum_to_var`](Self::sum_to_var).
-    pub sum_to_var_t: Rc<CsrMatrix>,
     /// Per-variable `(log-degree, positive-occurrence fraction)`.
     pub var_structure: Vec<(f32, f32)>,
     /// Per-clause `(log-length, positive-literal fraction)`.
@@ -47,8 +40,6 @@ impl GraphTensors {
         let nc = graph.num_clauses.max(1);
         let to_clause = Rc::new(graph.clause_to_var.row_normalized().padded(nc, nv));
         let to_var = Rc::new(graph.var_to_clause.row_normalized().padded(nv, nc));
-        let sum_to_clause = Rc::new(graph.clause_to_var.map_weights(f32::abs).padded(nc, nv));
-        let sum_to_var = Rc::new(graph.var_to_clause.map_weights(f32::abs).padded(nv, nc));
         let structure = |m: &CsrMatrix| -> Vec<(f32, f32)> {
             (0..m.rows())
                 .map(|r| {
@@ -64,14 +55,8 @@ impl GraphTensors {
             clause_structure: structure(&graph.clause_to_var),
             num_vars: graph.num_vars,
             num_clauses: graph.num_clauses,
-            to_clause_t: Rc::new(to_clause.transpose()),
-            to_var_t: Rc::new(to_var.transpose()),
-            sum_to_clause_t: Rc::new(sum_to_clause.transpose()),
-            sum_to_var_t: Rc::new(sum_to_var.transpose()),
             to_clause,
             to_var,
-            sum_to_clause,
-            sum_to_var,
         }
     }
 }
@@ -118,7 +103,7 @@ impl BipartiteMpnn {
     ) -> (NodeId, NodeId) {
         // Equation (6) for clauses: m_c = mean_{v ∈ c} w_vc · W(h_v)
         let hv_msg = self.msg_from_var.forward(tape, sess, store, x_var);
-        let m_c = tape.spmm(Rc::clone(&g.to_clause), Rc::clone(&g.to_clause_t), hv_msg);
+        let m_c = tape.spmm(Rc::clone(&g.to_clause), hv_msg);
         // Equation (7): h_c' = σ(W(m_c + W(h_c)))
         let hc_self = self.self_clause.forward(tape, sess, store, x_clause);
         let hc_sum = tape.add(m_c, hc_self);
@@ -127,7 +112,7 @@ impl BipartiteMpnn {
 
         // The symmetric update for variables, using fresh clause features.
         let hc_msg = self.msg_from_clause.forward(tape, sess, store, h_clause);
-        let m_v = tape.spmm(Rc::clone(&g.to_var), Rc::clone(&g.to_var_t), hc_msg);
+        let m_v = tape.spmm(Rc::clone(&g.to_var), hc_msg);
         let hv_self = self.self_var.forward(tape, sess, store, x_var);
         let hv_sum = tape.add(m_v, hv_self);
         let hv_out = self.out_var.forward(tape, sess, store, hv_sum);
@@ -171,13 +156,9 @@ pub struct LcgTensors {
     pub num_clauses: usize,
     /// Aggregation into clauses (`C × 2V`, mean-normalized).
     pub to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`to_clause`](Self::to_clause).
-    pub to_clause_t: Rc<CsrMatrix>,
     /// Aggregation into literals (`2V × C`, mean-normalized).
     pub to_lit: Rc<CsrMatrix>,
-    /// Transpose of [`to_lit`](Self::to_lit).
-    pub to_lit_t: Rc<CsrMatrix>,
-    /// The literal-flip permutation (`2V × 2V`), its own transpose.
+    /// The literal-flip permutation (`2V × 2V`).
     pub flip: Rc<CsrMatrix>,
 }
 
@@ -199,8 +180,6 @@ impl LcgTensors {
         LcgTensors {
             num_vars: graph.num_vars,
             num_clauses: graph.num_clauses,
-            to_clause_t: Rc::new(to_clause.transpose()),
-            to_lit_t: Rc::new(to_lit.transpose()),
             to_clause,
             to_lit,
             flip,
@@ -224,8 +203,7 @@ mod tests {
         assert_eq!(g.to_clause.rows(), 2);
         assert_eq!(g.to_clause.cols(), 3);
         assert_eq!(g.to_var.rows(), 3);
-        assert_eq!(g.to_clause_t.rows(), 3);
-        assert_eq!(g.sum_to_var.rows(), 3);
+        assert_eq!(g.to_var.cols(), 2);
     }
 
     #[test]
@@ -239,7 +217,6 @@ mod tests {
             let g = GraphTensors::new(&BipartiteGraph::from_cnf(&f));
             assert_eq!((g.to_clause.rows(), g.to_clause.cols()), shape, "{text:?}");
             assert_eq!((g.to_var.rows(), g.to_var.cols()), (shape.1, shape.0));
-            assert_eq!((g.sum_to_var_t.rows(), g.sum_to_var_t.cols()), shape);
             assert_eq!(g.to_clause.nnz(), 0);
         }
     }
@@ -249,8 +226,8 @@ mod tests {
         let g = GraphTensors::new(&tiny_graph());
         // clause 0 = {x1, ¬x2}: mean over 2 vars with signs +, -
         assert_eq!(g.to_clause.row(0), &[(0, 0.5), (1, -0.5)][..]);
-        // GIN aggregation is unsigned and unnormalized
-        assert_eq!(g.sum_to_clause.row(0), &[(0, 1.0), (1, 1.0)][..]);
+        // x2 = {¬x2 in clause 0, x2 in clause 1}
+        assert_eq!(g.to_var.row(1), &[(0, -0.5), (1, 0.5)][..]);
     }
 
     #[test]

@@ -268,20 +268,16 @@ impl Tape {
         self.push(v, Op::SumAll(a))
     }
 
-    /// Sparse–dense product `A · x`, where `A` is a constant CSR matrix and
-    /// `at` its transpose (used for the backward pass).
+    /// Sparse–dense product `A · x`, where `A` is a constant CSR matrix.
+    /// The backward pass scatters the gradient back through `A`'s rows,
+    /// so no transpose is stored.
     ///
     /// # Panics
     ///
-    /// Panics if shapes are inconsistent (including `at` not matching `A`).
-    pub fn spmm(&mut self, a: Rc<CsrMatrix>, at: Rc<CsrMatrix>, x: NodeId) -> NodeId {
+    /// Panics if `A.cols()` does not match `x`'s row count.
+    pub fn spmm(&mut self, a: Rc<CsrMatrix>, x: NodeId) -> NodeId {
         let v = spmm(&a, self.value(x));
-        assert_eq!(
-            (at.rows(), at.cols()),
-            (a.cols(), a.rows()),
-            "at must be Aᵀ"
-        );
-        self.push(v, Op::Spmm(at, x))
+        self.push(v, Op::Spmm(a, x))
     }
 
     /// Fused sigmoid + binary cross-entropy against a constant target
@@ -412,10 +408,10 @@ impl Tape {
                     let (n, d) = self.value(*a).shape();
                     accumulate(&mut grads, *a, Matrix::full(n, d, g.get(0, 0)));
                 }
-                Op::Spmm(at, x) => {
+                Op::Spmm(a, x) => {
                     let d = g.cols();
-                    let dx = at.matmul_dense(g.as_slice(), d);
-                    accumulate(&mut grads, *x, Matrix::from_vec(at.rows(), d, dx));
+                    let dx = a.transpose_matmul_dense(g.as_slice(), d);
+                    accumulate(&mut grads, *x, Matrix::from_vec(a.cols(), d, dx));
                 }
                 Op::BceWithLogits(z, target) => {
                     let zv = self.value(*z).get(0, 0);
@@ -582,11 +578,10 @@ mod tests {
             3,
             &[(0, 0, 1.0), (0, 2, -2.0), (1, 1, 0.5)],
         ));
-        let at = Rc::new(a.transpose());
         grad_check(
             &[m(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])],
             move |t, ids| {
-                let y = t.spmm(Rc::clone(&a), Rc::clone(&at), ids[0]);
+                let y = t.spmm(Rc::clone(&a), ids[0]);
                 let y2 = t.mul(y, y);
                 t.sum_all(y2)
             },

@@ -125,6 +125,32 @@ impl CsrMatrix {
         y
     }
 
+    /// Dense `y = selfᵀ · x` where `x` is row-major `rows × d`; returns
+    /// row-major `cols × d`, without building the transpose.
+    ///
+    /// Each row of `x` is scattered through the matching row of `self`, in
+    /// ascending row order, so every output row sums its terms in the order
+    /// [`transpose`](Self::transpose)`().matmul_dense(x, d)` does, and the
+    /// two agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows * d`.
+    pub fn transpose_matmul_dense(&self, x: &[f32], d: usize) -> Vec<f32> {
+        assert_eq!(x.len(), self.rows * d, "dimension mismatch");
+        let mut y = vec![0.0f32; self.cols * d];
+        for r in 0..self.rows {
+            let xr = &x[r * d..(r + 1) * d];
+            for &(c, w) in self.row(r) {
+                let out = &mut y[c as usize * d..(c as usize + 1) * d];
+                for (o, xi) in out.iter_mut().zip(xr) {
+                    *o += w * xi;
+                }
+            }
+        }
+        y
+    }
+
     /// The transpose, as a new CSR matrix. Row `c` of the transpose lists
     /// the entries of column `c` in ascending source-row order.
     pub fn transpose(&self) -> CsrMatrix {
@@ -323,6 +349,31 @@ mod tests {
         let x = [1.0, 10.0, 2.0, 20.0, 3.0, 30.0];
         let y = m.matmul_dense(&x, 2);
         assert_eq!(y, vec![7.0, 70.0, -2.0, -20.0]);
+    }
+
+    #[test]
+    fn transpose_matmul_matches_the_transpose_bit_for_bit() {
+        // Column 1 collects three entries, two from the same row (a
+        // tautological clause keeps both signed edges), so the order of
+        // the sum matters.
+        let m = CsrMatrix::from_triplets(
+            3,
+            4,
+            &[
+                (0, 1, 0.1),
+                (0, 3, -0.7),
+                (1, 1, 0.3),
+                (1, 0, 1.5),
+                (1, 1, -0.9),
+                (2, 2, 0.25),
+            ],
+        );
+        let x = [1e-3, 7.0, -2.5, 0.3, 1e4, -1.1];
+        let scattered = m.transpose_matmul_dense(&x, 2);
+        let gathered = m.transpose().matmul_dense(&x, 2);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scattered), bits(&gathered));
+        assert_eq!(scattered.len(), 4 * 2);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! `faults` feature; without it the flag is a polite error.
 //!
 //! `--alpha` sets the propagation-frequency policy's hotness threshold α,
-//! which must lie in `[0, 1]`. `--preprocess` simplifies the formula at
-//! the root before search with the solver's inprocessing engine
-//! ([`Solver::simplify`]); the simplification is DRAT-logged, so it
-//! combines with `--proof` and `--check-proof`.
+//! which must lie in `[0, 1]`; it implies `--policy prop-freq` and is a
+//! usage error next to `--policy default`. `--preprocess` simplifies the
+//! formula at the root before search with the solver's inprocessing
+//! engine ([`Solver::simplify`]); the simplification is DRAT-logged, so
+//! it combines with `--proof` and `--check-proof`.
 //!
 //! A `c`-comment statistics block is printed by default (`--no-stats`
 //! silences it). `--stats-json` streams structured telemetry events
@@ -35,7 +36,8 @@
 //! polite error.
 //!
 //! Exit codes follow the SAT-competition convention: 10 = SAT,
-//! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error.
+//! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error. A
+//! closed stdout does not change them: the report just ends there.
 
 use sat_solver::{
     check_proof, Budget, CheckLevel, Checkpoint, PolicyKind, SolveResult, Solver, SolverConfig,
@@ -46,6 +48,17 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 use telemetry::{Event, JsonlSink, Phase, Sink};
+
+/// `println!` for the report on stdout, without its panic on a write
+/// error: a closed stdout (`rsat … | head`) ends the output, not the run,
+/// so a proof is still written and checked and the exit code still
+/// reports the verdict.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        // Every later write fails the same way, so the output just ends.
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 struct Options {
     file: String,
@@ -95,11 +108,11 @@ fn print_model(model: &[bool]) {
         }
         line.push_str(&(i + 1).to_string());
         if line.len() > 72 {
-            println!("{line}");
+            say!("{line}");
             line = String::from("v");
         }
     }
-    println!("{line} 0");
+    say!("{line} 0");
 }
 
 /// Streams progress heartbeats to stdout as DIMACS `c` comments; used
@@ -135,7 +148,7 @@ impl Sink for CommentSink {
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     let mut file = None;
-    let mut policy = PolicyKind::Default;
+    let mut policy = None;
     let mut alpha: Option<f64> = None;
     let mut budget = Budget::unlimited();
     let mut proof_path = None;
@@ -162,8 +175,8 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--policy" => {
                 policy = match args.next().as_deref() {
-                    Some("default") => PolicyKind::Default,
-                    Some("prop-freq") => PolicyKind::PropFreq,
+                    Some("default") => Some(PolicyKind::Default),
+                    Some("prop-freq") => Some(PolicyKind::PropFreq),
                     _ => usage(),
                 }
             }
@@ -245,9 +258,12 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
-    if let Some(a) = alpha {
-        policy = PolicyKind::PropFreqAlpha(a);
-    }
+    // α belongs to prop-freq: with `--policy default` it would be ignored.
+    let policy = match (policy, alpha) {
+        (Some(PolicyKind::Default), Some(_)) => usage(),
+        (_, Some(a)) => PolicyKind::PropFreqAlpha(a),
+        (policy, None) => policy.unwrap_or_default(),
+    };
     Options {
         file: file.unwrap_or_else(|| usage()),
         policy,
@@ -288,7 +304,7 @@ fn arm_fault_plan(opts: &Options) -> Result<(), String> {
     #[cfg(feature = "faults")]
     {
         match faults::install_from_env() {
-            Ok(true) => println!("c fault plan armed from ${}", faults::ENV_VAR),
+            Ok(true) => say!("c fault plan armed from ${}", faults::ENV_VAR),
             Ok(false) => {}
             Err(e) => return Err(format!("bad ${}: {e}", faults::ENV_VAR)),
         }
@@ -297,7 +313,7 @@ fn arm_fault_plan(opts: &Options) -> Result<(), String> {
                 .parse::<faults::FaultPlan>()
                 .map_err(|e| format!("bad --fault-plan: {e}"))?;
             faults::install_global(plan);
-            println!("c fault plan armed from --fault-plan");
+            say!("c fault plan armed from --fault-plan");
         }
         Ok(())
     }
@@ -346,7 +362,7 @@ fn write_trace(opts: &Options) -> Result<(), String> {
         .and_then(|()| w.write_all(b"\n"))
         .and_then(|()| w.flush())
         .map_err(|e| format!("{path}: {e}"))?;
-    println!("c trace written to {path} ({} lanes)", logs.len());
+    say!("c trace written to {path} ({} lanes)", logs.len());
     Ok(())
 }
 
@@ -396,7 +412,7 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    println!(
+    say!(
         "c rsat | {} vars, {} clauses | policy {}",
         formula.num_vars(),
         formula.num_clauses(),
@@ -411,7 +427,7 @@ fn main() -> ExitCode {
     if let Some(every) = opts.inprocess {
         solver_config.inprocess = true;
         solver_config.inprocess_interval = every;
-        println!("c inprocessing enabled (rounds every {every} restarts)");
+        say!("c inprocessing enabled (rounds every {every} restarts)");
     }
     let mut solver = Solver::new(&formula, solver_config);
     if opts.proof_path.is_some() || check_proof_on_unsat {
@@ -421,12 +437,12 @@ fn main() -> ExitCode {
         #[cfg(feature = "checks")]
         {
             solver.set_check_level(level);
-            println!("c invariant checks: {level:?} (in-search checkpoints active)");
+            say!("c invariant checks: {level:?} (in-search checkpoints active)");
         }
         #[cfg(not(feature = "checks"))]
         {
             let _ = level;
-            println!(
+            say!(
                 "c note: built without the `checks` feature; in-search checkpoints \
                  are disabled (end-of-solve audit and proof replay still run)"
             );
@@ -438,7 +454,7 @@ fn main() -> ExitCode {
     if opts.preprocess {
         let satisfiable = solver.simplify();
         let ip = solver.inprocess_stats().unwrap_or_default();
-        println!(
+        say!(
             "c preprocessed to {} clauses ({} vars eliminated, {} units derived){}",
             solver.db_stats().original_clauses,
             ip.eliminated_vars,
@@ -483,12 +499,12 @@ fn main() -> ExitCode {
             eprintln!("rsat: end-of-solve invariant audit FAILED: {e}");
             return ExitCode::from(1);
         }
-        println!("c end-of-solve invariant audit passed");
+        say!("c end-of-solve invariant audit passed");
     }
 
     if opts.stats {
         let s = solver.stats();
-        println!(
+        say!(
             "c decisions {} | propagations {} | conflicts {} | restarts {} | \
              reductions {} | learned {} | deleted {}",
             s.decisions,
@@ -500,7 +516,7 @@ fn main() -> ExitCode {
             s.deleted_clauses
         );
         if let Some(ip) = solver.inprocess_stats() {
-            println!(
+            say!(
                 "c inprocess rounds {} (skipped {}, aborted {}) | subsumed {} | \
                  strengthened {} | eliminated {} | vivified {}",
                 ip.rounds,
@@ -526,18 +542,18 @@ fn main() -> ExitCode {
             ] {
                 let calls = tel.phases().calls(phase);
                 if calls > 0 {
-                    println!(
+                    say!(
                         "c time {:<9} {:>9.4}s ({calls} calls)",
                         phase.name(),
                         tel.phases().elapsed(phase).as_secs_f64()
                     );
                 }
             }
-            println!("c peak learned clauses {}", tel.peak_learned_clauses());
+            say!("c peak learned clauses {}", tel.peak_learned_clauses());
         }
         drop(tel.into_record()); // flushes the JSONL stream
         if let Some(path) = &opts.stats_json {
-            println!("c telemetry written to {path}");
+            say!("c telemetry written to {path}");
         }
     }
 
@@ -547,19 +563,19 @@ fn main() -> ExitCode {
                 eprintln!("rsat: internal error: model failed verification");
                 return ExitCode::from(1);
             }
-            println!("s SATISFIABLE");
+            say!("s SATISFIABLE");
             print_model(model);
             10
         }
         SolveResult::Unsat => {
-            println!("s UNSATISFIABLE");
+            say!("s UNSATISFIABLE");
             20
         }
         SolveResult::Unknown => {
             if let Some(cause) = solver.stop_cause() {
-                println!("c stop: {}", cause.as_str());
+                say!("c stop: {}", cause.as_str());
             }
-            println!("s UNKNOWN");
+            say!("s UNKNOWN");
             0
         }
     };
@@ -572,7 +588,7 @@ fn main() -> ExitCode {
                         eprintln!("rsat: failed to write proof to {path}");
                         return ExitCode::from(1);
                     }
-                    println!("c proof written to {path}");
+                    say!("c proof written to {path}");
                 }
                 Err(e) => {
                     eprintln!("rsat: {path}: {e}");
@@ -582,7 +598,7 @@ fn main() -> ExitCode {
         }
         if check_proof_on_unsat && result.is_unsat() {
             match check_proof(&formula, &proof) {
-                Ok(()) => println!("c proof VERIFIED by the built-in RUP checker"),
+                Ok(()) => say!("c proof VERIFIED by the built-in RUP checker"),
                 Err(e) => {
                     eprintln!("rsat: proof check FAILED: {e}");
                     return ExitCode::from(1);

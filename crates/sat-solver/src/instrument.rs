@@ -284,7 +284,7 @@ impl Recorder {
     }
 
     /// A `solve` call starts.
-    pub(crate) fn solve_started(&mut self, policy: &str, num_vars: u32, num_clauses: usize) {
+    pub(crate) fn solve_started(&mut self, policy: PolicyKind, num_vars: u32, num_clauses: usize) {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
@@ -304,7 +304,7 @@ impl Recorder {
         &mut self,
         result: &SolveResult,
         stop_cause: Option<StopCause>,
-        policy: &'static str,
+        policy: PolicyKind,
         stats: &SolverStats,
         db: &DbStats,
     ) {
@@ -312,7 +312,7 @@ impl Recorder {
             return;
         };
         let solve_time_s = t.started.take().map_or(0.0, |s| s.elapsed().as_secs_f64());
-        let mut record = RunRecord::new(t.instance_id.clone(), policy);
+        let mut record = RunRecord::new(t.instance_id.clone(), policy.to_string());
         record.result = result.verdict().to_string();
         record.stop_cause = stop_cause.map(|c| c.as_str().to_string());
         record.solve_time_s = solve_time_s;

@@ -60,15 +60,6 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Stable policy name used in records and experiment output:
-    /// `"default"`, or `"prop-freq"` whatever the α.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Default => "default",
-            PolicyKind::PropFreq | PolicyKind::PropFreqAlpha(_) => "prop-freq",
-        }
-    }
-
     /// The 64-bit keep-priority score of one clause (Figure 5): higher
     /// scores are kept, and a reduction deletes the lowest-scoring half of
     /// the reducible clauses. A pure function of its arguments, so
@@ -114,11 +105,15 @@ impl PolicyKind {
     }
 }
 
+/// The policy's name in records and experiment output: `"default"`,
+/// `"prop-freq"`, or `"prop-freq(α=…)"` for a custom α, which the record
+/// parser reads back.
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PolicyKind::Default => f.write_str("default"),
+            PolicyKind::PropFreq => f.write_str("prop-freq"),
             PolicyKind::PropFreqAlpha(a) => write!(f, "prop-freq(α={a})"),
-            _ => f.write_str(self.name()),
         }
     }
 }
@@ -228,7 +223,5 @@ mod tests {
             PolicyKind::PropFreqAlpha(0.7).to_string(),
             "prop-freq(α=0.7)"
         );
-        assert_eq!(PolicyKind::Default.name(), "default");
-        assert_eq!(PolicyKind::PropFreqAlpha(0.7).name(), "prop-freq");
     }
 }

@@ -254,9 +254,10 @@ impl Solver {
         &self.stats
     }
 
-    /// The active deletion policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.config.policy.name()
+    /// The active deletion policy's name, as records carry it (the
+    /// [`PolicyKind`] display form, which names a custom α).
+    pub fn policy_name(&self) -> String {
+        self.config.policy.to_string()
     }
 
     /// The per-variable propagation-frequency table used by the deletion
@@ -768,11 +769,10 @@ impl Solver {
         let scoring = self.rec.trace_span("reduce-score");
         let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
         for cref in self.db.iter_learned() {
-            let glue = self.db.glue(cref);
-            if glue <= self.config.tier1_glue || self.db.is_protected(cref) || self.is_reason(cref)
-            {
+            if !self.is_reduce_candidate(cref) {
                 continue;
             }
+            let glue = self.db.glue(cref);
             let score = self
                 .config
                 .policy
@@ -783,7 +783,7 @@ impl Solver {
         // (ids are unique, so the handle never takes part).
         candidates.sort_unstable();
         drop(scoring);
-        let delete_count = (candidates.len() as f64 * self.config.reduce_fraction).floor() as usize;
+        let delete_count = self.delete_count(candidates.len());
         for &(_, _, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {
                 p.delete(self.db.lits(cref));
@@ -810,6 +810,30 @@ impl Solver {
             self.db.num_learned(),
         );
         self.checkpoint(Checkpoint::PostReduce);
+    }
+
+    /// Whether a reduction may delete this learned clause: its glue is
+    /// above tier 1, it is not protected, and it is no current reason.
+    fn is_reduce_candidate(&self, cref: ClauseRef) -> bool {
+        self.db.glue(cref) > self.config.tier1_glue
+            && !self.db.is_protected(cref)
+            && !self.is_reason(cref)
+    }
+
+    /// How many of `candidates` reduce candidates a reduction deletes.
+    fn delete_count(&self, candidates: usize) -> usize {
+        (candidates as f64 * self.config.reduce_fraction).floor() as usize
+    }
+
+    /// Whether the reduction due now will delete a clause, the one place
+    /// the search reads the deletion policy.
+    fn reduction_deletes(&self) -> bool {
+        let candidates = self
+            .db
+            .iter_learned()
+            .filter(|&cref| self.is_reduce_candidate(cref))
+            .count();
+        self.delete_count(candidates) > 0
     }
 
     /// Compacts the clause arena and rewrites every reference into it:
@@ -864,19 +888,22 @@ impl Solver {
 
     /// Like [`solve_with_budget`](Self::solve_with_budget), but the
     /// deletion policy is picked where it is first read: `pick` runs once,
-    /// when the first clause-database reduction is due, and the policy it
-    /// returns is installed (also as `config.policy`) before that
-    /// reduction scores a clause. A solve that ends before its first
-    /// reduction never calls `pick`.
+    /// when the first reduction that will delete a clause is due, and the
+    /// policy it returns is installed (also as `config.policy`) before
+    /// that reduction scores a clause. A solve that never deletes a clause
+    /// never calls `pick`.
     ///
-    /// The search before the first reduction does not read the policy, so
-    /// a solve that reduces takes exactly the path of a solver built with
-    /// the picked policy, and the solve-end record names it. The
-    /// solve-start event names the policy installed when the search
-    /// starts.
+    /// The policy only orders the clauses a reduction deletes. Every
+    /// learned clause is protected when it is learned, and a reduction
+    /// unprotects the survivors, so the first reduction has no candidate
+    /// and deletes nothing; a later one may delete nothing too. Until a
+    /// reduction deletes, the policy orders nothing, so a solve that
+    /// deletes takes exactly the path of a solver built with the picked
+    /// policy, and the solve-end record names it. The solve-start event
+    /// names the policy installed when the search starts.
     ///
-    /// This is for a solver that has not reduced yet. On one that has,
-    /// the pick is refused: `pick` is never called and the installed
+    /// This is for a solver that has not deleted a clause yet. On one that
+    /// has, the pick is refused: `pick` is never called and the installed
     /// policy stays.
     ///
     /// # Examples
@@ -900,7 +927,7 @@ impl Solver {
         pick: impl FnOnce() -> PolicyKind,
     ) -> SolveResult {
         self.assumptions.clear();
-        let pick = (self.stats.reductions == 0).then(|| Box::new(pick) as PolicyPick<'_>);
+        let pick = (self.stats.deleted_clauses == 0).then(|| Box::new(pick) as PolicyPick<'_>);
         self.search(budget, pick)
     }
 
@@ -963,14 +990,14 @@ impl Solver {
     fn search(&mut self, budget: Budget, pick: Option<PolicyPick<'_>>) -> SolveResult {
         self.stop_cause = None;
         self.rec
-            .solve_started(self.policy_name(), self.num_vars, self.db.num_original());
+            .solve_started(self.config.policy, self.num_vars, self.db.num_original());
         let result = self.search_loop(budget, pick);
         if self.rec.telemetry.is_some() {
             let db = self.db_stats();
             self.rec.solve_ended(
                 &result,
                 self.stop_cause,
-                self.policy_name(),
+                self.config.policy,
                 &self.stats,
                 &db,
             );
@@ -1072,7 +1099,7 @@ impl Solver {
                 }
                 let reducible = self.db.num_learned().saturating_sub(self.num_reasons);
                 if reducible >= self.reduce_limit {
-                    if let Some(pick) = pick.take() {
+                    if let Some(pick) = pick.take_if(|_| self.reduction_deletes()) {
                         self.config.policy = pick();
                     }
                     self.reduce_db();
@@ -1425,7 +1452,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_pick_runs_once_at_the_first_reduction() {
+    fn policy_pick_runs_once_at_the_first_deleting_reduction() {
         let php = crate::tests_support::php(7, 6);
         for policy in [PolicyKind::Default, PolicyKind::PropFreq] {
             let mut eager = Solver::new(&php, SolverConfig::with_policy(policy));
@@ -1439,11 +1466,11 @@ mod tests {
             });
             assert!(result.is_unsat());
             assert_eq!(calls, 1, "{policy}: one pick per solve");
-            assert!(lazy.stats().reductions > 0);
+            assert!(lazy.stats().deleted_clauses > 0);
             assert_eq!(lazy.stats(), eager.stats(), "{policy}: same search");
             assert_eq!(lazy.config.policy, policy);
             let record = lazy.take_telemetry().and_then(SolverTelemetry::into_record);
-            assert_eq!(record.map(|r| r.policy), Some(eager.policy_name().into()));
+            assert_eq!(record.map(|r| r.policy), Some(eager.policy_name()));
         }
 
         // A solve that never reduces never picks.
@@ -1457,14 +1484,31 @@ mod tests {
         assert!(result.is_sat());
         assert_eq!((calls, short.stats().reductions), (0, 0));
         assert_eq!(short.policy_name(), "default");
+
+        // Nor does one that reduces but deletes nothing: the first
+        // reduction finds every learned clause protected.
+        let mut once = Solver::from_cnf(&php);
+        let mut calls = 0;
+        let result = once.solve_with_policy_pick(Budget::conflicts(REDUCES_ONCE), || {
+            calls += 1;
+            PolicyKind::PropFreq
+        });
+        assert!(result.is_unknown());
+        let stats = once.stats();
+        assert_eq!((calls, stats.reductions, stats.deleted_clauses), (0, 1, 0));
+        assert_eq!(once.policy_name(), "default");
     }
 
+    /// A conflict budget under which php(7,6) stops after its first
+    /// reduction and before its second.
+    const REDUCES_ONCE: u64 = 150;
+
     #[test]
-    fn policy_pick_is_refused_after_a_reduction() {
+    fn policy_pick_is_refused_after_a_deletion() {
         let php = crate::tests_support::php(7, 6);
         let mut s = Solver::from_cnf(&php);
         assert!(s.solve_with_budget(Budget::conflicts(500)).is_unknown());
-        assert!(s.stats().reductions > 0);
+        assert!(s.stats().deleted_clauses > 0);
         let mut calls = 0;
         let result = s.solve_with_policy_pick(Budget::unlimited(), || {
             calls += 1;
@@ -1473,6 +1517,21 @@ mod tests {
         assert!(result.is_unsat());
         assert_eq!(calls, 0);
         assert_eq!(s.policy_name(), "default");
+
+        // A reduction that deleted nothing does not refuse the pick.
+        let mut s = Solver::from_cnf(&php);
+        assert!(s
+            .solve_with_budget(Budget::conflicts(REDUCES_ONCE))
+            .is_unknown());
+        assert_eq!((s.stats().reductions, s.stats().deleted_clauses), (1, 0));
+        let mut calls = 0;
+        let result = s.solve_with_policy_pick(Budget::unlimited(), || {
+            calls += 1;
+            PolicyKind::PropFreq
+        });
+        assert!(result.is_unsat());
+        assert_eq!(calls, 1);
+        assert_eq!(s.policy_name(), "prop-freq");
     }
 
     #[test]

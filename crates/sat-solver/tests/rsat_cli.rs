@@ -2,6 +2,7 @@
 //! SAT-competition exit codes and `c`-comment stats out, and the
 //! `--stats-json` JSONL telemetry stream.
 
+use sat_solver::PolicyKind;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use telemetry::json::{FromJson, Json};
@@ -210,6 +211,108 @@ fn alpha_outside_the_unit_interval_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(10));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("policy prop-freq(α=0.5)"), "{stdout}");
+}
+
+#[test]
+fn alpha_next_to_policy_default_is_a_usage_error() {
+    let cnf = temp_cnf("alpha-default", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n");
+    let path = cnf.to_str().unwrap();
+    for args in [
+        ["--policy", "default", "--alpha", "0.5"],
+        ["--alpha", "0.5", "--policy", "default"],
+    ] {
+        let out = run_rsat(&[&[path][..], &args[..]].concat());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("usage: rsat"), "{args:?}: {stderr}");
+    }
+    let out = run_rsat(&[path, "--policy", "prop-freq", "--alpha", "0.5"]);
+    std::fs::remove_file(&cnf).ok();
+    assert_eq!(out.status.code(), Some(10));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("policy prop-freq(α=0.5)"), "{stdout}");
+}
+
+#[test]
+fn records_name_a_custom_alpha() {
+    let cnf = temp_cnf("alpha-records", &php_dimacs(4));
+    let mut names = Vec::new();
+    for alpha in ["0.5", "0.7"] {
+        let jsonl = std::env::temp_dir().join(format!(
+            "rsat-cli-{}-alpha-{alpha}.jsonl",
+            std::process::id()
+        ));
+        let out = run_rsat(&[
+            cnf.to_str().unwrap(),
+            "--alpha",
+            alpha,
+            "--stats-json",
+            jsonl.to_str().unwrap(),
+        ]);
+        let stream = std::fs::read_to_string(&jsonl).expect("read jsonl");
+        std::fs::remove_file(&jsonl).ok();
+        assert_eq!(out.status.code(), Some(20));
+        let events = parse_events(&stream);
+        let start = match events.first() {
+            Some(Event::SolveStart { policy, .. }) => policy.clone(),
+            other => panic!("first event should be solve_start, got {other:?}"),
+        };
+        let end = match events.last() {
+            Some(Event::SolveEnd { record }) => record.policy.clone(),
+            other => panic!("last event should be solve_end, got {other:?}"),
+        };
+        assert_eq!(start, end, "--alpha {alpha}");
+        let parsed = PolicyKind::from_json(&Json::from(end.as_str())).expect("policy parses");
+        assert_eq!(
+            parsed,
+            PolicyKind::PropFreqAlpha(alpha.parse().unwrap()),
+            "{end}"
+        );
+        names.push(end);
+    }
+    std::fs::remove_file(&cnf).ok();
+    assert_ne!(names[0], names[1]);
+}
+
+#[test]
+fn closed_stdout_ends_the_report_not_the_run() {
+    let cases = [
+        ("closed-unsat", php_dimacs(5), 20),
+        (
+            "closed-sat",
+            String::from("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"),
+            10,
+        ),
+    ];
+    for (name, dimacs, verdict) in cases {
+        let cnf = temp_cnf(name, &dimacs);
+        let drat =
+            std::env::temp_dir().join(format!("rsat-cli-{}-{name}.drat", std::process::id()));
+        // The read end is closed before `rsat` starts, so every write to
+        // its stdout fails, the verdict line included.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_rsat"))
+            .args([
+                cnf.to_str().unwrap(),
+                "--proof",
+                drat.to_str().unwrap(),
+                "--check-proof",
+            ])
+            .stdout(writer)
+            .output()
+            .expect("spawn rsat");
+        let proof = std::fs::read_to_string(&drat).unwrap_or_default();
+        std::fs::remove_file(&cnf).ok();
+        std::fs::remove_file(&drat).ok();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(verdict), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        // The proof is still written; an UNSAT one ends in the empty clause
+        // (and `--check-proof` accepted it, or the exit code would be 1).
+        let refuted = proof.lines().any(|l| l.trim() == "0");
+        assert_eq!(refuted, verdict == 20, "{name}: {proof}");
+    }
 }
 
 #[test]

@@ -23,9 +23,9 @@ pub enum Event {
         /// Instance identity (file name, generator tag, …).
         instance_id: String,
         /// Deletion policy installed when the search starts (display
-        /// name). A solve that picks its policy at the first reduction
-        /// starts under the default, and its `solve_end` record names the
-        /// policy it ended with.
+        /// name). A solve that picks its policy at its first deleting
+        /// reduction starts under the default, and its `solve_end` record
+        /// names the policy it ended with.
         policy: String,
         /// Variable count of the input formula.
         num_vars: u64,

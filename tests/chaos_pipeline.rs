@@ -96,19 +96,26 @@ fn inference_panic_falls_back_to_the_heuristic() {
 }
 
 #[test]
-fn inference_panic_at_the_first_reduction_falls_back_to_the_heuristic() {
+fn inference_panic_at_the_first_deleting_reduction_falls_back_to_the_heuristic() {
     let scope = faults::install("inference-panic(times=10)".parse().expect("plan"));
     let s = tiny_solver();
     // A solve that ends before its first reduction never runs inference,
-    // so the fault cannot fire.
+    // and neither does one whose only reduction deletes nothing, so the
+    // fault cannot fire.
     let short = neuroselect::sat_gen::planted_ksat(40, 160, 3, 1).0;
     let out = s.solve_recorded(&short, Budget::unlimited(), "short", None);
+    assert_eq!(out.stats.reductions, 0);
+    assert!(!out.policy_needed);
+    assert_eq!(out.source, PolicySource::Model);
+    let php65 = neuroselect::sat_gen::pigeonhole(6, 5);
+    let out = s.solve_recorded(&php65, Budget::unlimited(), "php-6-5", None);
+    assert_eq!((out.stats.reductions, out.stats.deleted_clauses), (1, 0));
     assert!(!out.policy_needed);
     assert_eq!(out.source, PolicySource::Model);
     assert_eq!(scope.fired(faults::site::INFERENCE_PANIC), 0);
 
-    // php(7,6) reduces: inference runs once, at the first reduction, and
-    // panics there.
+    // php(7,6) deletes clauses: inference runs once, at the first
+    // reduction that deletes, and panics there.
     let php = neuroselect::sat_gen::pigeonhole(7, 6);
     let out = s.solve_recorded(&php, Budget::unlimited(), "php-7-6", None);
     assert_eq!(scope.fired(faults::site::INFERENCE_PANIC), 1);

@@ -141,25 +141,35 @@ fn selection_respects_label_when_overfit() {
 
 #[test]
 fn inference_cost_is_recorded() {
-    // Inference runs when the first clause-database reduction is due, so
-    // it costs time exactly on the solves that reduce: php(6,5) does,
-    // php(3,2) ends before its first reduction.
+    // Inference runs when the first clause-database reduction that will
+    // delete a clause is due, so it costs time exactly on the solves that
+    // delete: php(7,6) does, php(6,5) reduces once but deletes nothing
+    // (the first reduction never does), and php(3,2) ends before its
+    // first reduction.
     let solver = NeuroSelectSolver::new(NeuroSelectClassifier::new(tiny_model(), 1e-3));
-    let mut reduced = Vec::new();
-    for (name, f) in [("php-6-5", pigeonhole(6, 5)), ("php-3-2", pigeonhole(3, 2))] {
+    let mut seen = Vec::new();
+    for (name, f) in [
+        ("php-7-6", pigeonhole(7, 6)),
+        ("php-6-5", pigeonhole(6, 5)),
+        ("php-3-2", pigeonhole(3, 2)),
+    ] {
         let start = Instant::now();
         let out = solver.solve(&f, Budget::propagations(50_000_000));
         let wall = start.elapsed();
-        let reduces = out.stats.reductions > 0;
-        reduced.push(reduces);
-        assert_eq!(out.inference_time > Duration::ZERO, reduces, "{name}");
-        assert_eq!(out.record.inference_time_s.is_some(), reduces, "{name}");
-        assert_eq!(out.policy_needed, reduces, "{name}");
+        let deletes = out.stats.deleted_clauses > 0;
+        seen.push((out.stats.reductions > 0, deletes));
+        assert_eq!(out.inference_time > Duration::ZERO, deletes, "{name}");
+        assert_eq!(out.record.inference_time_s.is_some(), deletes, "{name}");
+        assert_eq!(out.policy_needed, deletes, "{name}");
         // Inference inside the search is not also counted as solving.
         assert!(out.total_time() <= wall, "{name}");
         let recorded = out.record.solve_time_s + out.record.inference_time_s.unwrap_or(0.0);
         assert!(recorded <= wall.as_secs_f64(), "{name}");
         certify(&f, &out.result, name);
     }
-    assert_eq!(reduced, [true, false], "one formula of each kind");
+    assert_eq!(
+        seen,
+        [(true, true), (true, false), (false, false)],
+        "one formula of each kind"
+    );
 }

@@ -1,9 +1,10 @@
 //! Differential test of the lazy policy pick: `solve_recorded` starts the
 //! search at once and classifies only when the first clause-database
-//! reduction is due. Against classify-then-solve (`decide_policy`, then a
-//! solver built with that policy) it must give the same verdict and the
-//! same `SolverStats` on every formula, the same pick wherever the solver
-//! reduced, and no inference wherever it did not.
+//! reduction that will delete a clause is due. Against classify-then-solve
+//! (`decide_policy`, then a solver built with that policy) it must give the
+//! same verdict and the same `SolverStats` on every formula, the same pick
+//! wherever the solver deleted a clause, and no inference wherever it did
+//! not, whether it reduced or not.
 
 use neuroselect::cnf::Cnf;
 use neuroselect::logic_circuit::RandomCircuitSpec;
@@ -31,8 +32,9 @@ fn tiny_solver(threshold: f32) -> NeuroSelectSolver {
     s
 }
 
-/// Every `sat-gen` family, at sizes where some formulas reduce and some
-/// end before their first reduction.
+/// Every `sat-gen` family, at sizes where some formulas delete clauses,
+/// some reduce without deleting one, and some end before their first
+/// reduction.
 fn formulas() -> Vec<(String, Cnf)> {
     let spec = |gates| RandomCircuitSpec {
         num_inputs: 12,
@@ -75,7 +77,7 @@ fn kinds(degradations: &[DegradeReason]) -> Vec<&'static str> {
 #[test]
 fn lazy_pick_matches_classify_then_solve() {
     let budget = Budget::conflicts(50_000);
-    let (mut reduced, mut unreduced) = (0, 0);
+    let (mut deleted, mut reduced_only, mut unreduced) = (0, 0, 0);
     // The tiny model's probabilities sit near 0.8: -1.0 and 0.5 pick
     // prop-freq everywhere, and 2.0 picks the default everywhere.
     for threshold in [0.5, -1.0, 2.0] {
@@ -95,8 +97,9 @@ fn lazy_pick_matches_classify_then_solve() {
                 Some(lazy.policy_needed),
                 "{case}"
             );
-            if lazy.stats.reductions > 0 {
-                reduced += 1;
+            assert_eq!(lazy.policy_needed, lazy.stats.deleted_clauses > 0, "{case}");
+            if lazy.policy_needed {
+                deleted += 1;
                 assert!(lazy.policy_needed, "{case}");
                 assert_eq!(lazy.chosen, eager_pick.policy, "{case}: pick");
                 assert_eq!(
@@ -114,8 +117,11 @@ fn lazy_pick_matches_classify_then_solve() {
                 assert!(lazy.record.inference_time_s.is_some(), "{case}");
                 assert_eq!(lazy.record.policy, eager.policy_name(), "{case}");
             } else {
-                unreduced += 1;
-                assert!(!lazy.policy_needed, "{case}");
+                if lazy.stats.reductions > 0 {
+                    reduced_only += 1;
+                } else {
+                    unreduced += 1;
+                }
                 assert_eq!(lazy.chosen, PolicyKind::Default, "{case}");
                 assert_eq!(lazy.probability, 0.0, "{case}");
                 assert_eq!(lazy.inference_time, Duration::ZERO, "{case}");
@@ -127,6 +133,7 @@ fn lazy_pick_matches_classify_then_solve() {
             }
         }
     }
-    assert!(reduced > 0, "no formula reduced");
+    assert!(deleted > 0, "no formula deleted a clause");
+    assert!(reduced_only > 0, "no formula reduced without deleting");
     assert!(unreduced > 0, "every formula reduced");
 }
