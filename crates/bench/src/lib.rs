@@ -12,7 +12,6 @@
 
 pub mod amortize;
 pub mod perf;
-pub mod trace_report;
 
 use neuroselect::sat_gen::{competition_batch, test_batch, Batch, DatasetConfig};
 use neuroselect::{label_batch, LabeledInstance, LabelingConfig};

@@ -143,26 +143,16 @@ pub fn static_heuristic_policy(formula: &Cnf) -> PolicyKind {
 /// Runs the rungs below the model: the static heuristic in panic
 /// isolation, then the unconditional default.
 pub(crate) fn degraded_decision(formula: &Cnf, reason: DegradeReason) -> PolicyDecision {
-    // Each ladder step leaves an instant in the trace: the triggering
-    // cause (its stable kind string) and the rung the pick landed on
-    // (1 = heuristic, 2 = default).
-    telemetry::trace::instant(reason.kind());
     let mut degradations = vec![reason];
     match run_isolated(|| static_heuristic_policy(formula)) {
-        Ok(policy) => {
-            telemetry::trace::instant_with("fallback-rung", &[("rung", 1)]);
-            PolicyDecision {
-                policy,
-                probability: 0.0,
-                source: PolicySource::Heuristic,
-                degradations,
-            }
-        }
+        Ok(policy) => PolicyDecision {
+            policy,
+            probability: 0.0,
+            source: PolicySource::Heuristic,
+            degradations,
+        },
         Err(crash) => {
-            let heuristic_panic = DegradeReason::HeuristicPanic(crash.message);
-            telemetry::trace::instant(heuristic_panic.kind());
-            telemetry::trace::instant_with("fallback-rung", &[("rung", 2)]);
-            degradations.push(heuristic_panic);
+            degradations.push(DegradeReason::HeuristicPanic(crash.message));
             PolicyDecision {
                 policy: PolicyKind::Default,
                 probability: 0.0,

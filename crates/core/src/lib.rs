@@ -57,7 +57,6 @@ mod classifier;
 mod fallback;
 mod label;
 mod metrics;
-mod parallel;
 mod select;
 
 pub use calibrate::{calibrate_threshold, calibrated_solver, Calibration};
@@ -70,7 +69,6 @@ pub use label::{
     label_batch, label_cnf, positive_rate, LabelOutcome, LabeledInstance, LabelingConfig,
 };
 pub use metrics::{mean, median, BoxPlot, ClassifierMetrics, RuntimeSummary};
-pub use parallel::{par_map, solve_batch, solve_batch_recorded};
 pub use select::{NeuroSelectSolver, SelectionOutcome};
 
 // Re-export the substrate crates so downstream users need only one

@@ -153,13 +153,6 @@ impl NeuroSelectSolver {
         self.model_fault.as_ref()
     }
 
-    /// Picks the deletion policy for a formula (one model inference),
-    /// returning the policy, probability, and inference time.
-    pub fn select_policy(&self, formula: &Cnf) -> (PolicyKind, f32, Duration) {
-        let (decision, elapsed) = self.decide_policy(formula);
-        (decision.policy, decision.probability, elapsed)
-    }
-
     /// Picks the deletion policy through the full degradation ladder,
     /// returning the [`PolicyDecision`] (policy, source rung, and any
     /// degradations hit) together with the selection wall time.
@@ -215,13 +208,9 @@ impl NeuroSelectSolver {
             let mut inner = PhaseTimes::default();
             let prepared = {
                 let _guard = inner.scope(Phase::FeatureExtract);
-                let _span = telemetry::trace::span("feature-extract");
                 self.classifier.prepare(formula)
             };
-            let (probability, forward_time) = {
-                let _span = telemetry::trace::span("gnn-forward");
-                self.classifier.predict_timed(&prepared)
-            };
+            let (probability, forward_time) = self.classifier.predict_timed(&prepared);
             inner.add(Phase::GnnForward, forward_time);
             (probability, inner)
         });
@@ -241,13 +230,10 @@ impl NeuroSelectSolver {
             }
         }
         let select_start = Instant::now();
-        let chosen = {
-            let _span = telemetry::trace::span("policy-select");
-            if probability > self.threshold {
-                PolicyKind::PropFreq
-            } else {
-                PolicyKind::Default
-            }
+        let chosen = if probability > self.threshold {
+            PolicyKind::PropFreq
+        } else {
+            PolicyKind::Default
         };
         phases.add(Phase::PolicySelect, select_start.elapsed());
         let decision = PolicyDecision {
@@ -396,9 +382,9 @@ mod tests {
         let f = sat_gen::phase_transition_3sat(30, 4);
         let mut s = tiny_solver();
         s.node_cutoff = 1; // force the cutoff path
-        let (policy, prob, _) = s.select_policy(&f);
-        assert_eq!(policy, PolicyKind::Default);
-        assert_eq!(prob, 0.0);
+        let (decision, _) = s.decide_policy(&f);
+        assert_eq!(decision.policy, PolicyKind::Default);
+        assert_eq!(decision.probability, 0.0);
     }
 
     #[test]
@@ -482,8 +468,8 @@ mod tests {
         let f = sat_gen::phase_transition_3sat(20, 1);
         let mut s = tiny_solver();
         s.threshold = -1.0; // everything above: always prop-freq
-        assert_eq!(s.select_policy(&f).0, PolicyKind::PropFreq);
+        assert_eq!(s.decide_policy(&f).0.policy, PolicyKind::PropFreq);
         s.threshold = 2.0; // never
-        assert_eq!(s.select_policy(&f).0, PolicyKind::Default);
+        assert_eq!(s.decide_policy(&f).0.policy, PolicyKind::Default);
     }
 }

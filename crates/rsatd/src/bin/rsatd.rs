@@ -66,7 +66,6 @@ struct Args {
     transport: Transport,
     config: DaemonConfig,
     fault_plan: Option<String>,
-    trace_out: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
@@ -83,8 +82,6 @@ fn usage() -> &'static str {
        --retry-after-ms N   busy-rejection retry hint (default 100)\n\
        --records FILE       append one RunRecord JSONL line per solve\n\
        --records-out FILE   append one RequestRecord JSONL line per admitted request\n\
-       --trace-out FILE     write a Chrome trace of worker span lanes on exit\n\
-     \x20                    (requires the `trace` feature)\n\
        --fault-plan PLAN    install a fault plan (requires the `faults` feature)\n"
 }
 
@@ -93,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
     let mut transport = None;
     let mut config = DaemonConfig::default();
     let mut fault_plan = None;
-    let mut trace_out = None;
 
     let parse_num = |flag: &str, value: Option<String>| -> Result<u64, String> {
         value
@@ -114,7 +110,9 @@ fn parse_args() -> Result<Args, String> {
                 config.max_sessions = parse_num("--max-sessions", args.next())? as usize
             }
             "--mem-limit-mb" => {
-                config.max_memory_bytes = parse_num("--mem-limit-mb", args.next())? << 20
+                // Saturates: a cap past u64::MAX bytes is no cap.
+                config.max_memory_bytes =
+                    parse_num("--mem-limit-mb", args.next())?.saturating_mul(1 << 20)
             }
             "--idle-timeout-s" => {
                 config.idle_timeout =
@@ -141,16 +139,6 @@ fn parse_args() -> Result<Args, String> {
                     args.next().ok_or("--records-out expects a path")?,
                 ))
             }
-            "--trace-out" => {
-                let path = args.next().ok_or("--trace-out expects a path")?;
-                if !telemetry::trace::enabled() {
-                    return Err(
-                        "--trace-out needs the `trace` feature; rebuild with --features trace"
-                            .into(),
-                    );
-                }
-                trace_out = Some(PathBuf::from(path));
-            }
             "--fault-plan" => fault_plan = Some(args.next().ok_or("--fault-plan expects a plan")?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
@@ -161,21 +149,7 @@ fn parse_args() -> Result<Args, String> {
         transport,
         config,
         fault_plan,
-        trace_out,
     })
-}
-
-/// Exports the drained worker span lanes as a Perfetto-loadable Chrome
-/// trace. Best-effort: a write failure is reported, never fatal.
-fn write_trace(path: &PathBuf) {
-    let doc = telemetry::trace::chrome_trace(&telemetry::trace::drain());
-    if let Err(e) = std::fs::write(path, doc.to_string()) {
-        let _ = writeln!(
-            std::io::stderr(),
-            "rsatd: could not write trace to {}: {e}",
-            path.display()
-        );
-    }
 }
 
 #[cfg(feature = "faults")]
@@ -210,11 +184,6 @@ fn main() -> ExitCode {
     }
 
     sig::install();
-    if args.trace_out.is_some() {
-        // Armed before the workers take their first job so every
-        // queue-wait/solve/reply span lands in a worker lane.
-        telemetry::trace::arm(0);
-    }
     let daemon = Daemon::start(args.config);
 
     match args.transport {
@@ -235,9 +204,6 @@ fn main() -> ExitCode {
             stop.store(true, Ordering::Release);
             let _ = bridge.join();
             daemon.shutdown();
-            if let Some(out) = &args.trace_out {
-                write_trace(out);
-            }
             if let Err(e) = served {
                 let _ = writeln!(std::io::stderr(), "rsatd: socket error: {e}");
                 return ExitCode::FAILURE;
@@ -248,9 +214,6 @@ fn main() -> ExitCode {
             let stdout = std::io::stdout();
             serve_connection(&daemon, stdin.lock(), stdout);
             daemon.shutdown();
-            if let Some(out) = &args.trace_out {
-                write_trace(out);
-            }
         }
     }
     ExitCode::SUCCESS

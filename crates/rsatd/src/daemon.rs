@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use cnf::{Cnf, Lit, Var};
 use sat_solver::{run_isolated, Budget, SolveResult, Solver, SolverConfig, SolverTelemetry};
 use telemetry::json::{Json, ToJson};
-use telemetry::trace;
 use telemetry::{Event, JsonlSink, RequestRecord, Sink};
 
 /// Tuning knobs of a [`Daemon`].
@@ -320,9 +319,6 @@ struct Job {
     deadline_at: Instant,
     /// Wall-clock admission time, for queue-wait accounting.
     admitted_at: Instant,
-    /// Trace-epoch admission time (0 when tracing is disarmed), for the
-    /// retroactive `queue-wait` span.
-    admit_ns: u64,
     seq: u64,
     cb: SolveCallback,
 }
@@ -497,7 +493,7 @@ impl Daemon {
         let solver = Box::new(Solver::new(&Cnf::new(num_vars), config));
         let mem = solver.approx_memory_bytes();
         // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
-        if self.mem_admit(&mut sessions, mem, now).is_err() {
+        if self.mem_admit(&mut sessions, mem).is_err() {
             // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
             self.count_rejected();
             return Err(DaemonError::Busy {
@@ -652,7 +648,7 @@ impl Daemon {
             }
         }
         // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
-        if self.mem_admit(&mut sessions, 0, now).is_err() {
+        if self.mem_admit(&mut sessions, 0).is_err() {
             // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
             self.count_rejected();
             return Err(DaemonError::Busy {
@@ -677,7 +673,6 @@ impl Daemon {
             assumptions: lits,
             deadline_at: now + timeout,
             admitted_at: now,
-            admit_ns: trace::epoch_ns(),
             seq: inner.solve_seq.fetch_add(1, Ordering::AcqRel),
             cb,
         };
@@ -699,7 +694,6 @@ impl Daemon {
         drop(queue);
         inner.queue_cv.notify_one();
         inner.stats.admitted.fetch_add(1, Ordering::AcqRel);
-        trace::instant_with("daemon-admit", &[("request", request_id), ("session", sid)]);
         Ok(request_id)
     }
 
@@ -957,7 +951,6 @@ impl Daemon {
 
     fn count_rejected(&self) {
         self.inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
-        trace::instant("daemon-reject");
     }
 
     fn count_evicted(&self) {
@@ -988,12 +981,7 @@ impl Daemon {
 
     /// Memory admission: ensures `extra` more bytes fit under the cap,
     /// evicting least-recently-used idle sessions if needed.
-    fn mem_admit(
-        &self,
-        sessions: &mut HashMap<u64, Session>,
-        extra: u64,
-        now: Instant,
-    ) -> Result<(), ()> {
+    fn mem_admit(&self, sessions: &mut HashMap<u64, Session>, extra: u64) -> Result<(), ()> {
         let cap = self.inner.cfg.max_memory_bytes;
         let over = |total: u64| total.saturating_add(extra) > cap;
         if !over(self.inner.mem_total.load(Ordering::Acquire)) {
@@ -1019,7 +1007,6 @@ impl Daemon {
             self.inner.mem_total.fetch_sub(mem, Ordering::AcqRel);
             self.count_evicted();
         }
-        let _ = now;
         if over(self.inner.mem_total.load(Ordering::Acquire)) {
             Err(())
         } else {
@@ -1094,19 +1081,7 @@ fn next_job(inner: &Arc<Inner>) -> Option<Job> {
 }
 
 fn worker_loop(inner: &Arc<Inner>, worker_id: u64) {
-    loop {
-        let Some(job) = next_job(inner) else {
-            // Move this worker's trace ring into the collector so a
-            // post-drain export sees its lane.
-            trace::flush();
-            return;
-        };
-        if trace::armed() {
-            // Tagged per job, not per thread: tracing may be armed
-            // after the pool boots. Workers render one Chrome lane
-            // each, offset past the coordinator's pid 0.
-            trace::set_lane(worker_id as u32 + 1, &format!("daemon-worker-{worker_id}"));
-        }
+    while let Some(job) = next_job(inner) {
         inner.running.fetch_add(1, Ordering::AcqRel);
         let taken = inner.jobs_taken.fetch_add(1, Ordering::AcqRel) + 1;
         inject_scheduler_stall(taken);
@@ -1122,13 +1097,10 @@ fn run_job(inner: &Arc<Inner>, job: Job, worker_id: u64) {
         inner: Arc::clone(inner),
     };
     let request_id = job.request_id;
-    let outcome = execute_solve(&daemon, inner, job, worker_id);
-    let (cb, result) = outcome;
+    let (cb, result) = execute_solve(&daemon, inner, job, worker_id);
     // The callback is foreign code (e.g. a connection writer); its
     // panics must not kill the worker.
-    let reply_span = trace::span_with("reply", &[("request", request_id)]);
     let _ = run_isolated(move || cb(request_id, result));
-    drop(reply_span);
 }
 
 type SolveOutcome = (SolveCallback, Result<SolveReply, DaemonError>);
@@ -1140,20 +1112,13 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
         assumptions,
         deadline_at,
         admitted_at,
-        admit_ns,
         seq,
         cb,
     } = job;
 
-    // The request reached a worker: measure its queue wait, mark it
-    // running, and lay the retroactive queue-wait span into this
-    // worker's lane so the trace shows wait and solve back to back.
+    // The request reached a worker: measure its queue wait and mark it
+    // running.
     let queue_wait_ms = admitted_at.elapsed().as_secs_f64() * 1e3;
-    trace::span_retro(
-        "queue-wait",
-        admit_ns,
-        &[("request", request_id), ("session", sid)],
-    );
     {
         let mut inflight = lock(&inner.inflight);
         if let Some(entry) = inflight.get_mut(&request_id) {
@@ -1231,13 +1196,11 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
 
     let before = *solver.stats();
     let started = Instant::now();
-    let solve_span = trace::span_with("solve", &[("request", request_id), ("session", sid)]);
     let isolated = run_isolated(move || {
         inject_session_panic(sid, seq);
         let result = solver.solve_with_assumptions(&assumptions, budget);
         (solver, result)
     });
-    drop(solve_span);
     let solve_ms = started.elapsed().as_secs_f64() * 1e3;
     record.solve_ms = solve_ms;
     let duration_ms = solve_ms as u64;

@@ -1,10 +1,10 @@
 //! Per-request observability: daemon-minted request ids on the wire,
 //! terminal `RequestRecord` JSONL emission, and the `introspect` RPC.
 //!
-//! The binary round-trip test doubles as the CI smoke: it spawns the
-//! real `rsatd` binary over stdio with `--records-out`, drives a mixed
-//! batch of solves (including a forced pre-admission rejection), and
-//! proves every reply's `request_id` appears in exactly one record.
+//! The binary round-trip test spawns the real `rsatd` binary over stdio
+//! with `--records-out`, drives a mixed batch of solves (including a
+//! forced pre-admission rejection), and proves every reply's
+//! `request_id` appears in exactly one record.
 
 use std::io::BufReader;
 use std::process::{Command, Stdio};
@@ -152,17 +152,13 @@ fn binary_round_trips_request_ids_from_replies_to_records() {
     let _ = std::fs::remove_file(&records_path);
 }
 
-/// With the `trace` feature, `--trace-out` exports a Chrome trace whose
-/// worker lanes carry the queue-wait/solve/reply spans `bench`'s
-/// `trace-report --daemon` consumes.
-#[cfg(feature = "trace")]
+/// `--mem-limit-mb` saturates at `u64::MAX` bytes instead of dropping
+/// the high bits: 2^44 MiB is 2^64 bytes, which a plain shift wraps to a
+/// zero cap that answers every `open` with `busy`.
 #[test]
-fn trace_out_writes_worker_span_lanes() {
-    let trace_path = temp_path("trace");
+fn a_mem_limit_past_u64_bytes_is_no_cap() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_rsatd"))
-        .arg("--stdio")
-        .arg("--trace-out")
-        .arg(&trace_path)
+        .args(["--stdio", "--mem-limit-mb", "17592186044416"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -172,32 +168,14 @@ fn trace_out_writes_worker_span_lanes() {
     let stdout = BufReader::new(child.stdout.take().unwrap());
     let mut client = Client::new(stdout, stdin);
 
-    let sid = client.open(3, false, &sat_clauses(), &[2]).expect("open");
-    for _ in 0..4 {
-        client.solve(sid, &[], None).expect("solve");
-    }
+    let sid = client
+        .open(3, false, &sat_clauses(), &[2])
+        .expect("open is admitted under a saturated cap");
+    let reply = client.solve(sid, &[], None).expect("solve");
+    assert_eq!(reply.verdict, "sat");
     client.shutdown().expect("shutdown");
     drop(client);
     assert!(child.wait().expect("child exits").success());
-
-    let raw = std::fs::read_to_string(&trace_path).expect("trace written");
-    let doc = Json::parse(&raw).expect("trace is valid JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .expect("Chrome trace shape");
-    let names: Vec<&str> = events
-        .iter()
-        .filter_map(|ev| ev.get("name").and_then(Json::as_str))
-        .collect();
-    for expected in ["queue-wait", "solve", "reply", "daemon-admit"] {
-        assert!(names.contains(&expected), "missing {expected} events");
-    }
-    assert!(
-        raw.contains("daemon-worker-0"),
-        "worker lanes are labelled for Perfetto"
-    );
-    let _ = std::fs::remove_file(&trace_path);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!               [--timeout SECS] [--mem-limit MB]
 //!               [--check-proof] [--check[=off|light|full]] [--preprocess]
 //!               [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]
-//!               [--fault-plan PLAN] [--trace-out FILE.json]
+//!               [--fault-plan PLAN]
 //! ```
 //!
 //! `--timeout` and `--mem-limit` are *cooperative* resource ceilings
@@ -28,12 +28,6 @@
 //! (solve start/end, reduction snapshots, progress heartbeats) as JSON
 //! Lines; `--progress` prints heartbeats every SECS seconds — to the
 //! JSONL stream when one is open, as `c progress` comments otherwise.
-//!
-//! `--trace-out` records span traces into a per-thread ring buffer and
-//! writes a Chrome trace-event JSON file at exit, loadable in Perfetto /
-//! `chrome://tracing` and summarized by the `trace-report` tool. It
-//! requires a build with the `trace` feature; without it the flag is a
-//! polite error.
 //!
 //! Exit codes follow the SAT-competition convention: 10 = SAT,
 //! 20 = UNSAT, 0 = unknown/indeterminate, 1 = usage or I/O error. A
@@ -81,8 +75,6 @@ struct Options {
     /// Approximate memory ceiling in MiB.
     mem_limit_mb: Option<u64>,
     fault_plan: Option<String>,
-    /// Chrome trace-event output path (requires the `trace` feature).
-    trace_out: Option<String>,
 }
 
 fn usage() -> ! {
@@ -93,7 +85,7 @@ fn usage() -> ! {
          \x20             [--check-proof] [--check[=off|light|full]] [--preprocess]\n\
          \x20             [--inprocess[=EVERY]]\n\
          \x20             [--no-stats] [--stats-json FILE.jsonl] [--progress SECS]\n\
-         \x20             [--fault-plan PLAN] [--trace-out FILE.json]"
+         \x20             [--fault-plan PLAN]"
     );
     std::process::exit(1)
 }
@@ -162,7 +154,6 @@ fn parse_args() -> Options {
     let mut timeout = None;
     let mut mem_limit_mb = None;
     let mut fault_plan = None;
-    let mut trace_out = None;
     let parse_timeout = |v: Option<String>| -> Option<Duration> {
         let secs: f64 = v.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
         if secs >= 0.0 && secs.is_finite() {
@@ -215,10 +206,6 @@ fn parse_args() -> Options {
             "--fault-plan" => fault_plan = Some(args.next().unwrap_or_else(|| usage())),
             p if p.starts_with("--fault-plan=") => {
                 fault_plan = Some(p["--fault-plan=".len()..].to_string());
-            }
-            "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
-            t if t.starts_with("--trace-out=") => {
-                trace_out = Some(t["--trace-out=".len()..].to_string());
             }
             "--proof" => proof_path = Some(args.next().unwrap_or_else(|| usage())),
             "--check-proof" => check = true,
@@ -279,7 +266,6 @@ fn parse_args() -> Options {
         timeout,
         mem_limit_mb,
         fault_plan,
-        trace_out,
     }
 }
 
@@ -329,43 +315,6 @@ fn arm_fault_plan(opts: &Options) -> Result<(), String> {
     }
 }
 
-/// Arms span tracing when `--trace-out` is given. Requesting a trace from
-/// a binary built without the `trace` feature is a usage error, not a
-/// silently empty file: a benchmark harness that thinks it is recording
-/// but is not would draw conclusions from a blank trace.
-fn arm_trace(opts: &Options) -> Result<(), String> {
-    if opts.trace_out.is_none() {
-        return Ok(());
-    }
-    if !telemetry::trace::enabled() {
-        return Err(String::from(
-            "--trace-out requested, but this rsat was built without the \
-             `trace` feature (rebuild with `--features trace`)",
-        ));
-    }
-    telemetry::trace::arm(0);
-    Ok(())
-}
-
-/// Drains every trace ring buffer and writes the Chrome trace-event file.
-/// Called right after solving.
-fn write_trace(opts: &Options) -> Result<(), String> {
-    let Some(path) = &opts.trace_out else {
-        return Ok(());
-    };
-    telemetry::trace::disarm();
-    let logs = telemetry::trace::drain();
-    let doc = telemetry::trace::chrome_trace(&logs);
-    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut w = BufWriter::new(file);
-    w.write_all(doc.to_string().as_bytes())
-        .and_then(|()| w.write_all(b"\n"))
-        .and_then(|()| w.flush())
-        .map_err(|e| format!("{path}: {e}"))?;
-    say!("c trace written to {path} ({} lanes)", logs.len());
-    Ok(())
-}
-
 /// Opens and parses the DIMACS input. The `dimacs-io` fault point swaps
 /// the file for one that fails mid-stream, exercising the same graceful
 /// diagnostic path a real disk/network failure would take.
@@ -398,10 +347,6 @@ fn write_drat_file(proof: &sat_solver::ProofLogger, file: File) -> std::io::Resu
 fn main() -> ExitCode {
     let opts = parse_args();
     if let Err(e) = arm_fault_plan(&opts) {
-        eprintln!("rsat: {e}");
-        return ExitCode::from(1);
-    }
-    if let Err(e) = arm_trace(&opts) {
         eprintln!("rsat: {e}");
         return ExitCode::from(1);
     }
@@ -485,14 +430,7 @@ fn main() -> ExitCode {
         solver.set_telemetry(tel);
     }
 
-    let result = {
-        let _solve_span = telemetry::trace::span("solve");
-        solver.solve_with_budget(armed_budget(&opts))
-    };
-    if let Err(e) = write_trace(&opts) {
-        eprintln!("rsat: {e}");
-        return ExitCode::from(1);
-    }
+    let result = solver.solve_with_budget(armed_budget(&opts));
 
     if opts.check_level.is_some() {
         if let Err(e) = solver.audit_invariants(Checkpoint::PostPropagate) {

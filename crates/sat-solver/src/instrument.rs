@@ -2,10 +2,9 @@
 //!
 //! [`Recorder`] is the solver's single instrumentation spine: every phase
 //! boundary and search event goes through it, and it feeds the opt-in
-//! [`SolverTelemetry`] recorder and the trace ring. An installed recorder
-//! never changes search behaviour — it only reads counters the solver
-//! maintains anyway; the invariance tests in `tests/telemetry.rs` and
-//! `tests/trace.rs` pin that guarantee.
+//! [`SolverTelemetry`] recorder. An installed recorder never changes
+//! search behaviour — it only reads counters the solver maintains anyway;
+//! the invariance tests in `tests/telemetry.rs` pin that guarantee.
 //!
 //! This module also gives the solver's public statistics types a stable
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
@@ -174,10 +173,10 @@ impl SolverTelemetry {
 /// brackets each solver [`Phase`] with [`begin`](Self::begin) /
 /// [`end`](Self::end) and reports a few typed events; the recorder feeds
 /// them to the installed [`SolverTelemetry`] (runtime opt-in: without one
-/// no phase clock is read) and the trace ring (`trace` feature). Its
-/// `PhaseTimes` are exclusive: a phase ending inside another (minimize in
-/// analyze, inprocess in restart) counts for the inner one only, so they
-/// add up to at most the solve's wall time.
+/// no phase clock is read). Its `PhaseTimes` are exclusive: a phase
+/// ending inside another (minimize in analyze, inprocess in restart)
+/// counts for the inner one only, so they add up to at most the solve's
+/// wall time.
 #[derive(Default)]
 pub(crate) struct Recorder {
     pub(crate) telemetry: Option<Box<SolverTelemetry>>,
@@ -187,27 +186,17 @@ pub(crate) struct Recorder {
 }
 
 /// A phase opened by [`Recorder::begin`]. Dropping it without
-/// [`Recorder::end`] (an early return) ends its trace span only.
+/// [`Recorder::end`] (an early return) records nothing.
 #[must_use]
 pub(crate) struct OpenPhase {
     phase: Phase,
     /// `None` without a recorder installed: no clock was read.
     start: Option<Instant>,
     ended_before: Duration,
-    #[cfg(feature = "trace")]
-    _span: telemetry::trace::SpanGuard,
-}
-
-/// A trace-only span (`reduce-score`), ended by dropping it.
-#[must_use]
-pub(crate) struct TraceSpan {
-    #[cfg(feature = "trace")]
-    _span: telemetry::trace::SpanGuard,
 }
 
 impl Recorder {
-    /// Opens `phase`: starts its clock (recorder installed) and its trace
-    /// span (`trace`).
+    /// Opens `phase`: starts its clock if a recorder is installed.
     #[inline]
     pub(crate) fn begin(&self, phase: Phase) -> OpenPhase {
         let start = self.telemetry.as_ref().map(|_| Instant::now());
@@ -215,8 +204,6 @@ impl Recorder {
             phase,
             start,
             ended_before: self.ended,
-            #[cfg(feature = "trace")]
-            _span: telemetry::trace::span(phase.name()),
         }
     }
 
@@ -228,17 +215,6 @@ impl Recorder {
             let nested = self.ended.saturating_sub(open.ended_before);
             t.phases.add(open.phase, inclusive.saturating_sub(nested));
             self.ended = open.ended_before + inclusive;
-        }
-    }
-
-    /// Opens a trace-only span.
-    #[inline]
-    pub(crate) fn trace_span(&self, name: &'static str) -> TraceSpan {
-        #[cfg(not(feature = "trace"))]
-        let _ = name;
-        TraceSpan {
-            #[cfg(feature = "trace")]
-            _span: telemetry::trace::span(name),
         }
     }
 

@@ -95,7 +95,7 @@ pub struct Solver {
     min_visited: Vec<Var>,
     glue_levels: Vec<u32>,
     pub(crate) proof: Option<ProofLogger>,
-    /// The instrumentation spine (phase times, trace spans).
+    /// The instrumentation spine (phase times, events).
     pub(crate) rec: Recorder,
     /// Why the most recent `solve` call returned `Unknown`, if it did.
     stop_cause: Option<StopCause>,
@@ -766,7 +766,6 @@ impl Solver {
     fn reduce_db(&mut self) {
         let reducing = self.rec.begin(Phase::Reduce);
         self.stats.reductions += 1;
-        let scoring = self.rec.trace_span("reduce-score");
         let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
         for cref in self.db.iter_learned() {
             if !self.is_reduce_candidate(cref) {
@@ -782,7 +781,6 @@ impl Solver {
         // Lowest scores first; ties broken by clause id for determinism
         // (ids are unique, so the handle never takes part).
         candidates.sort_unstable();
-        drop(scoring);
         let delete_count = self.delete_count(candidates.len());
         for &(_, _, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {

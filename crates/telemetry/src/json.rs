@@ -523,7 +523,7 @@ impl Parser<'_> {
                     // Consume the whole run up to the next quote or escape,
                     // validating UTF-8 once per run — validating the full
                     // remaining input per character is quadratic on large
-                    // documents (a megabyte trace would take minutes).
+                    // documents (a megabyte document would take minutes).
                     let run = rest
                         .iter()
                         .position(|&c| c == b'"' || c == b'\\')
@@ -647,7 +647,7 @@ mod tests {
         );
         let err = Json::parse(&deep).expect_err("over-deep arrays must be rejected");
         assert_eq!(err.message, "nesting too deep");
-        // A pathological unclosed run (the original trace-report crash).
+        // A pathological unclosed run: recursion would overflow the stack.
         assert!(Json::parse(&"[".repeat(100_000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
         // Siblings don't accumulate depth: a wide flat document is fine.

@@ -17,9 +17,8 @@
 //!   schema-stable JSONL records);
 //! * [`RunRecord`] — the one-per-instance summary (instance id, policy,
 //!   result and stop cause, stats, per-phase timings, peak clause-DB
-//!   size);
-//! * [`trace`] — low-overhead span tracing into per-thread ring buffers
-//!   with Chrome trace-event export (behind the `trace` cargo feature).
+//!   size), and [`RequestRecord`], its counterpart for one `rsatd`
+//!   request (queue wait, solve time, worker).
 //!
 //! Serialization is handled by the self-contained [`json`] module (the
 //! build environment is offline, so `serde`/`serde_json` are replaced by
@@ -55,7 +54,6 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod trace;
 
 mod histogram;
 mod phase;

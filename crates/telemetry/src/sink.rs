@@ -204,8 +204,8 @@ impl FromJson for Event {
 
 /// A destination for [`Event`]s.
 ///
-/// Sinks must be `Send` so a solve can run on a worker thread (the
-/// parallel batch runner hands each worker its own sink). Implementations
+/// Sinks must be `Send` so a solver can move to a worker thread (`rsatd`
+/// hands each session's solver to one of its workers). Implementations
 /// should be cheap: the solver calls `emit` from inside its search loop
 /// for progress heartbeats.
 pub trait Sink: Send {

@@ -423,7 +423,7 @@ impl Graph {
         if let Some(&idx) = self.by_type.get(&(qualifier.to_string(), name.to_string())) {
             return Resolved::Edges(vec![idx], EdgeKind::Direct);
         }
-        // Module-path suffix match (`telemetry::trace::span`).
+        // Module-path suffix match (`cnf::dimacs::parse_dimacs`).
         let joined = segs.join("::");
         let hits: Vec<usize> = self
             .by_name
@@ -1090,9 +1090,9 @@ mod tests {
     #[test]
     fn cfg_gated_call_sites_and_fns_are_not_walked() {
         let solver = "pub struct Solver;\n\
-                      impl Solver {\n    fn propagate(&mut self) -> Option<u32> {\n        #[cfg(feature = \"trace\")]\n        traced(self);\n        None\n    }\n\
+                      impl Solver {\n    fn propagate(&mut self) -> Option<u32> {\n        #[cfg(feature = \"checks\")]\n        traced(self);\n        None\n    }\n\
                       fn analyze(&mut self) {}\n    fn lit_redundant(&mut self) -> bool { false }\n}\n\
-                      #[cfg(feature = \"trace\")]\nfn traced(_s: &mut Solver) { let v = vec![1]; drop(v); }";
+                      #[cfg(feature = \"checks\")]\nfn traced(_s: &mut Solver) { let v = vec![1]; drop(v); }";
         let varmap = "pub(crate) fn at() {}\n\
                       pub struct VarMap;\nimpl VarMap { pub fn get(&self) {} pub fn get_mut(&mut self) {} }\n\
                       pub struct LitMap;\nimpl LitMap { pub fn get_mut(&mut self) {} }";

@@ -1393,16 +1393,16 @@ mod tests {
     #[test]
     fn statement_level_cfg_gates_call_sites() {
         let src = "fn f() {\n\
-                   #[cfg(feature = \"trace\")]\n\
-                   telemetry::trace::instant(\"x\");\n\
-                   telemetry::trace::instant(\"y\");\n}";
+                   #[cfg(feature = \"checks\")]\n\
+                   crate::check::audit(\"x\");\n\
+                   crate::check::audit(\"y\");\n}";
         let f = extract("crates/sat-solver/src/solver.rs", src);
         let gates: Vec<Option<&str>> = f.fns[0]
             .calls
             .iter()
             .map(|c| c.cfg_feature.as_deref())
             .collect();
-        assert_eq!(gates, vec![Some("trace"), None]);
+        assert_eq!(gates, vec![Some("checks"), None]);
     }
 
     #[test]

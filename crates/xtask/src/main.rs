@@ -72,7 +72,7 @@ fn process_file(root: &Path, file: &Path) -> Result<FileResult, String> {
     let lexed = lexer::lex(&src);
     let tokens = lexer::strip_test_items(&lexed.tokens);
     let mut diags = Vec::new();
-    rules::lint_lexed(&rel, &src, &lexed, &tokens, &mut diags);
+    rules::lint_lexed(&rel, &lexed, &tokens, &mut diags);
     let facts = extract::extract_file(&rel, &src, tokens);
     Ok(FileResult {
         rel,

@@ -42,24 +42,15 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/sat-solver/src/varmap.rs",
 ];
 
-/// The solver's instrumentation recorder: the one place the search loop
-/// reaches `telemetry::trace`, so its call sites get the hot-path
-/// modules' feature-gate discipline.
-const RECORDER_MODULE: &str = "crates/sat-solver/src/instrument.rs";
-
 /// Modules whose state other threads may touch. `Ordering::Relaxed` is
 /// suspect here: a flag or slot that publishes one thread's writes to
 /// another needs a real happens-before edge (Release store / Acquire
 /// load), and a relaxed operation on one is a liveness or soundness bug
-/// that tests will rarely catch. Today `parallel.rs`'s work index is the
-/// only atomic in these modules, and the solver holds none; the solver
+/// that tests will rarely catch. The solver holds no atomic today; it
 /// stays listed so that any atomic added to it later is reviewed. Only
 /// pure counters may be relaxed, and every such site must be individually
 /// annotated with `// xtask: allow(atomic-ordering) <why>`.
-const CONCURRENCY_MODULES: &[&str] = &[
-    "crates/sat-solver/src/solver.rs",
-    "crates/core/src/parallel.rs",
-];
+const CONCURRENCY_MODULES: &[&str] = &["crates/sat-solver/src/solver.rs"];
 
 /// Crates on the deterministic solving path: iterating a `HashMap` or
 /// `HashSet` here would make runs irreproducible.
@@ -107,26 +98,17 @@ fn is_lib_source(path: &str) -> bool {
 pub fn lint_file(path: &str, src: &str, diags: &mut Vec<Diagnostic>) {
     let lexed = lex(src);
     let tokens = strip_test_items(&lexed.tokens);
-    lint_lexed(path, src, &lexed, &tokens, diags);
+    lint_lexed(path, &lexed, &tokens, diags);
 }
 
 /// Pre-lexed variant of [`lint_file`], so the driver can lex each file
 /// once and share the token stream with the call-graph extractor.
-pub fn lint_lexed(
-    path: &str,
-    src: &str,
-    lexed: &Lexed,
-    tokens: &[Token],
-    diags: &mut Vec<Diagnostic>,
-) {
+pub fn lint_lexed(path: &str, lexed: &Lexed, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
     let mut found = Vec::new();
     if is_hot_path(path) {
         no_panic(path, tokens, &mut found);
         no_index(path, tokens, &mut found);
         no_hard_assert(path, tokens, &mut found);
-    }
-    if is_hot_path(path) || path == RECORDER_MODULE {
-        trace_feature_gate(path, src, tokens, &mut found);
     }
     if is_concurrency_module(path) {
         atomic_ordering(path, tokens, &mut found);
@@ -253,110 +235,6 @@ fn no_hard_assert(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                     "`{}!` in a hot-path module; use `debug_assert!` instead",
                     t.text
                 ),
-            );
-        }
-    }
-}
-
-/// `trace-feature-gate`: in hot-path modules and the solver's
-/// instrumentation recorder, every `trace::` call site must sit under a
-/// `#[cfg(feature = "trace")]` gate. Elsewhere the tracer may rely on its
-/// disarmed fast path (one relaxed atomic load), but BCP and conflict
-/// analysis run millions of times per second — default builds must
-/// compile to literally zero trace code there.
-///
-/// The lexer normalizes string literals to `""`, so the attribute's feature
-/// name is confirmed against the raw source lines spanning the attribute.
-fn trace_feature_gate(path: &str, src: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let lines: Vec<&str> = src.lines().collect();
-    let quoted = "\"trace\"";
-    // Pass 1: token ranges gated by `#[cfg(... feature = "trace" ...)]`
-    // — the attribute plus the item, statement, or field it covers (up to
-    // the `}` closing its first brace, a `;` or `,` outside brackets, or
-    // the bracket closing the enclosing struct or literal).
-    let mut gated: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !(tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("["))) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let mut depth = 0usize;
-        let mut saw_cfg = false;
-        let mut saw_feature_str = false;
-        let mut j = i + 1;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            if t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct("]") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if t.is_ident("cfg") {
-                saw_cfg = true;
-            } else if t.is_ident("feature")
-                && tokens.get(j + 1).is_some_and(|n| n.is_punct("="))
-                && tokens.get(j + 2).is_some_and(|n| n.kind == TokenKind::Str)
-            {
-                saw_feature_str = true;
-            }
-            j += 1;
-        }
-        if j >= tokens.len() {
-            break;
-        }
-        let names_feature = (tokens[start].line..=tokens[j].line).any(|l| {
-            lines
-                .get(l as usize - 1)
-                .is_some_and(|raw| raw.contains(quoted))
-        });
-        if !(saw_cfg && saw_feature_str && names_feature) {
-            i = j + 1;
-            continue;
-        }
-        // Walk the gated item/statement/field: ends at `;` or `,` outside
-        // brackets, at the `}` closing the first opened brace (fn bodies,
-        // gated blocks, gated `if` statements), or at an unmatched closing
-        // bracket (a gated last field with no trailing comma).
-        let mut depth = 0i32;
-        let mut k = j + 1;
-        let mut end = tokens.len().saturating_sub(1);
-        while k < tokens.len() {
-            let t = &tokens[k];
-            if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") {
-                depth -= 1;
-                if depth < 0 || (depth == 0 && t.is_punct("}")) {
-                    end = k;
-                    break;
-                }
-            } else if (t.is_punct(";") || t.is_punct(",")) && depth == 0 {
-                end = k;
-                break;
-            }
-            k += 1;
-        }
-        gated.push((start, end));
-        i = j + 1;
-    }
-    // Pass 2: `trace ::` paths outside every gated range.
-    for (idx, t) in tokens.iter().enumerate() {
-        if t.is_ident("trace")
-            && tokens.get(idx + 1).is_some_and(|n| n.is_punct("::"))
-            && !gated.iter().any(|&(s, e)| idx >= s && idx <= e)
-        {
-            diag(
-                out,
-                "trace-feature-gate",
-                path,
-                t.line,
-                "`trace::` call in a hot-path module outside a \
-                 `#[cfg(feature = \"trace\")]` gate; wrap the statement so \
-                 default builds keep zero telemetry overhead",
             );
         }
     }
@@ -858,56 +736,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_feature_gate_requires_cfg_on_hot_path_trace_calls() {
-        let ungated =
-            "fn f(s: &mut Solver) {\n    let _g = telemetry::trace::span(\"propagate\");\n}";
-        let d = run(HOT, ungated);
-        assert_eq!(rules(&d), vec!["trace-feature-gate"]);
-        assert_eq!(d[0].line, 2);
-        // Outside hot-path modules the rule does not apply.
-        assert!(run("crates/sat-solver/src/proof.rs", ungated).is_empty());
-    }
-
-    #[test]
-    fn trace_feature_gate_accepts_gated_statements_and_items() {
-        // Gated `let`, gated `if` statement, and a gated fn are all fine;
-        // a second ungated site in the same file is still caught.
-        let src = "fn f(s: &mut Solver) {\n    #[cfg(feature = \"trace\")]\n    let span = telemetry::trace::span(\"analyze\");\n    #[cfg(feature = \"trace\")]\n    if s.imported {\n        telemetry::trace::instant_with(\"import-use\", &[(\"glue\", 3)]);\n    }\n    #[cfg(feature = \"trace\")]\n    drop(span);\n}\n#[cfg(feature = \"trace\")]\nfn g() {\n    telemetry::trace::instant(\"reduce\");\n}\nfn h() {\n    telemetry::trace::instant(\"oops\");\n}";
-        let d = run(HOT, src);
-        assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
-        assert_eq!(d[0].line, 16);
-        // A cfg gate naming a *different* feature does not count.
-        let wrong = "fn f() {\n    #[cfg(feature = \"checks\")]\n    let _g = telemetry::trace::span(\"propagate\");\n}";
-        assert_eq!(rules(&run(HOT, wrong)), vec!["trace-feature-gate"]);
-        // An audited site can be annotated inline.
-        let allowed = "fn f() {\n    telemetry::trace::instant(\"x\"); // xtask: allow(trace-feature-gate) cold slow path\n}";
-        assert!(run(HOT, allowed).is_empty());
-    }
-
-    #[test]
-    fn feature_gates_cover_the_recorder_and_end_at_gated_fields() {
-        const RECORDER: &str = "crates/sat-solver/src/instrument.rs";
-        let ungated = "fn f() {\n    telemetry::trace::instant(\"x\");\n}";
-        assert_eq!(rules(&run(RECORDER, ungated)), vec!["trace-feature-gate"]);
-        // A gated field covers itself only: neither the rest of the struct
-        // nor the fn after it inherit the gate.
-        let field = "struct S {\n    #[cfg(feature = \"trace\")]\n    g: telemetry::trace::SpanGuard,\n    n: u32,\n}\nfn f() {\n    telemetry::trace::instant(\"oops\");\n}";
-        let d = run(RECORDER, field);
-        assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
-        assert_eq!(d[0].line, 7);
-        // Same for a gated last field of a struct literal (no trailing comma).
-        let literal = "fn f() -> S {\n    let s = S {\n        n: 1,\n        #[cfg(feature = \"trace\")]\n        g: telemetry::trace::span(\"a\")\n    };\n    telemetry::trace::instant(\"oops\");\n    s\n}";
-        let d = run(RECORDER, literal);
-        assert_eq!(rules(&d), vec!["trace-feature-gate"], "{d:?}");
-        assert_eq!(d[0].line, 7);
-        // The recorder is not a hot-path module: no panic/index rules.
-        assert!(run(RECORDER, "fn f(v: &[u8]) -> u8 { v[0] }").is_empty());
-    }
-
-    #[test]
     fn atomic_ordering_flags_relaxed_in_concurrency_modules() {
         let src = "use std::sync::atomic::{AtomicBool, Ordering};\nfn f(stop: &AtomicBool) {\n    stop.store(true, Ordering::Relaxed);\n    let _ = stop.load(Ordering::Acquire);\n    stop.store(false, std::sync::atomic::Ordering::Relaxed);\n}";
-        let d = run("crates/core/src/parallel.rs", src);
+        let d = run("crates/sat-solver/src/solver.rs", src);
         assert_eq!(rules(&d), vec!["atomic-ordering", "atomic-ordering"]);
         assert_eq!(d[0].line, 3);
         assert_eq!(d[1].line, 5); // fully qualified path is caught too
@@ -916,7 +747,7 @@ mod tests {
     #[test]
     fn atomic_ordering_respects_inline_allow_and_scope() {
         let allowed = "fn f(n: &std::sync::atomic::AtomicU64) {\n    n.fetch_add(1, Ordering::Relaxed); // xtask: allow(atomic-ordering) statistics counter\n}";
-        assert!(run("crates/core/src/parallel.rs", allowed).is_empty());
+        assert!(run("crates/sat-solver/src/solver.rs", allowed).is_empty());
         // Outside the concurrency modules the rule does not apply.
         let elsewhere =
             "fn f(n: &std::sync::atomic::AtomicU64) { n.fetch_add(1, Ordering::Relaxed); }";
@@ -929,7 +760,7 @@ mod tests {
     #[test]
     fn no_unwind_escape_confines_reraise_to_the_resilience_module() {
         let src = "fn f(p: Box<dyn std::any::Any + Send>) {\n    std::panic::resume_unwind(p);\n}\nfn g() {\n    std::process::abort();\n}";
-        let d = run("crates/core/src/parallel.rs", src);
+        let d = run("crates/core/src/select.rs", src);
         assert_eq!(rules(&d), vec!["no-unwind-escape", "no-unwind-escape"]);
         assert_eq!(d[0].line, 2);
         assert_eq!(d[1].line, 5);
@@ -937,10 +768,10 @@ mod tests {
         assert!(run("crates/sat-solver/src/resilience.rs", src).is_empty());
         // An audited site can be annotated inline.
         let allowed = "fn f(p: Box<dyn std::any::Any + Send>) {\n    std::panic::resume_unwind(p); // xtask: allow(no-unwind-escape) audited\n}";
-        assert!(run("crates/core/src/parallel.rs", allowed).is_empty());
+        assert!(run("crates/core/src/select.rs", allowed).is_empty());
         // `abort` as an ordinary method name is not flagged.
         let method = "fn f(tx: &Transaction) { tx.abort(); }";
-        assert!(run("crates/core/src/parallel.rs", method).is_empty());
+        assert!(run("crates/core/src/select.rs", method).is_empty());
     }
 
     #[test]

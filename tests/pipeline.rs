@@ -133,8 +133,13 @@ fn selection_respects_label_when_overfit() {
     if metrics.accuracy() == 1.0 {
         let solver = NeuroSelectSolver::new(classifier);
         for inst in &data {
-            let (policy, _, _) = solver.select_policy(&inst.instance.cnf);
-            assert_eq!(policy.label(), inst.label(), "{}", inst.instance.name);
+            let (decision, _) = solver.decide_policy(&inst.instance.cnf);
+            assert_eq!(
+                decision.policy.label(),
+                inst.label(),
+                "{}",
+                inst.instance.name
+            );
         }
     }
 }
