@@ -33,9 +33,9 @@ fn main() {
     let mut timeouts = 0;
     for inst in &batch.instances {
         let (r_def, s_def, rec_def) =
-            solve_with_policy_recorded(&inst.cnf, PolicyKind::Default, budget, &inst.name, None);
+            solve_with_policy_recorded(&inst.cnf, PolicyKind::Default, budget, &inst.name);
         let (r_new, s_new, rec_new) =
-            solve_with_policy_recorded(&inst.cnf, PolicyKind::PropFreq, budget, &inst.name, None);
+            solve_with_policy_recorded(&inst.cnf, PolicyKind::PropFreq, budget, &inst.name);
         if let Some(log) = records.as_mut() {
             log.push(&rec_def);
             log.push(&rec_new);

@@ -187,7 +187,6 @@ fn main() {
             PolicyKind::Default,
             budget,
             &inst.instance.name,
-            None,
         );
         let solved = !r.is_unknown();
         base_props.push(solved.then_some(s.propagations as f64));
@@ -266,7 +265,7 @@ fn main() {
             rows("NeuroSelect calibrated", np, ns),
         ],
     );
-    println!("\npropagation percentiles over solved instances (bucket-interpolated):");
+    println!("\npropagation percentiles over solved instances (interpolated):");
     for (name, line) in &pct_lines {
         match line {
             Some(line) => println!("  {name:<22} {line}"),

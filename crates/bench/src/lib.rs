@@ -136,7 +136,8 @@ pub fn mixed_batch(name: &str, config: &DatasetConfig, seed: u64) -> Batch {
 ///
 /// Lets the `exp_*` binaries double as data producers — the printed table
 /// stays the human-facing summary while the JSONL stream carries the full
-/// per-run telemetry (phase times, histograms, stats) for offline analysis.
+/// per-run telemetry (phase times, stats, the clause-database snapshot)
+/// for offline analysis.
 pub struct RecordLog {
     writer: std::io::BufWriter<std::fs::File>,
     path: String,
@@ -179,21 +180,20 @@ impl Drop for RecordLog {
     }
 }
 
-/// Formats interpolated p50/p90/p99/p999 of a cost distribution, routing
-/// the values through a [`telemetry::Histogram`] with exponential buckets
-/// (the same quantile machinery the solver's in-flight histograms use).
-/// Values are clamped at zero; returns `None` when the iterator is empty.
+/// Formats p50/p90/p99/p999 of a cost distribution, each interpolated
+/// between the two nearest values ([`neuroselect::quantile`]); returns
+/// `None` when the iterator is empty.
 pub fn percentile_line(values: impl IntoIterator<Item = f64>) -> Option<String> {
-    let mut h = telemetry::Histogram::exponential(1, 2, 48);
-    for v in values {
-        h.record(v.max(0.0) as u64);
-    }
-    match (h.p50(), h.p90(), h.p99(), h.p999()) {
-        (Some(p50), Some(p90), Some(p99), Some(p999)) => Some(format!(
-            "p50 {p50:.0} | p90 {p90:.0} | p99 {p99:.0} | p999 {p999:.0}"
-        )),
-        _ => None,
-    }
+    let mut sorted: Vec<f64> = values.into_iter().collect();
+    sorted.sort_by(f64::total_cmp);
+    let q = |p| neuroselect::quantile(&sorted, p);
+    Some(format!(
+        "p50 {:.3} | p90 {:.3} | p99 {:.3} | p999 {:.3}",
+        q(0.5)?,
+        q(0.9)?,
+        q(0.99)?,
+        q(0.999)?
+    ))
 }
 
 /// Prints a plain-text table: a header row and aligned columns.
@@ -257,17 +257,22 @@ mod tests {
     #[test]
     fn percentile_line_reports_interpolated_quantiles() {
         assert_eq!(percentile_line(std::iter::empty()), None);
-        let line = percentile_line((1..=100).map(f64::from)).expect("non-empty");
-        assert!(line.starts_with("p50 "), "{line}");
-        assert!(line.contains("| p90 ") && line.contains("| p99 "), "{line}");
-        assert!(line.contains("| p999 "), "{line}");
-        // Uniform 1..=100 should place p50 near the middle of the range.
+        // Order does not matter: the values are sorted first.
+        let line = percentile_line((1..=100).rev().map(f64::from)).expect("non-empty");
+        assert_eq!(line, "p50 50.500 | p90 90.100 | p99 99.010 | p999 99.901");
+    }
+
+    #[test]
+    fn percentile_line_keeps_sub_millisecond_values() {
+        // Per-bound latencies under a millisecond (exp_amortize) must not
+        // collapse to 0.
+        let line = percentile_line([0.25, 0.5, 0.75]).expect("non-empty");
         let p50: f64 = line
             .split_whitespace()
             .nth(1)
             .and_then(|v| v.parse().ok())
             .expect("p50 value");
-        assert!((30.0..=70.0).contains(&p50), "{line}");
+        assert_eq!(p50, 0.5, "{line}");
     }
 
     #[test]

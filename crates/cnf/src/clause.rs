@@ -54,11 +54,6 @@ impl Clause {
         self.lits.is_empty()
     }
 
-    /// Whether the clause contains exactly one literal.
-    pub fn is_unit(&self) -> bool {
-        self.lits.len() == 1
-    }
-
     /// The literals of this clause.
     pub fn lits(&self) -> &[Lit] {
         &self.lits
@@ -67,11 +62,6 @@ impl Clause {
     /// Mutable access to the literals.
     pub fn lits_mut(&mut self) -> &mut Vec<Lit> {
         &mut self.lits
-    }
-
-    /// Consumes the clause, returning its literal vector.
-    pub fn into_lits(self) -> Vec<Lit> {
-        self.lits
     }
 
     /// Appends a literal.

@@ -74,13 +74,6 @@ impl Cnf {
         self.add_clause(Clause::from_dimacs(lits));
     }
 
-    /// Grows the variable range to at least `num_vars` and returns the
-    /// formula's (possibly larger) current count.
-    pub fn reserve_vars(&mut self, num_vars: u32) -> u32 {
-        self.num_vars = self.num_vars.max(num_vars);
-        self.num_vars
-    }
-
     /// Allocates and returns a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.num_vars);

@@ -9,7 +9,7 @@
 //! optimal threshold simply minimizes total expected cost — a one-line
 //! sweep that often beats 0.5 substantially.
 
-use crate::{Classifier, LabeledInstance, NeuroSelectClassifier, NeuroSelectSolver};
+use crate::{Classifier, LabeledInstance, NeuroSelectClassifier};
 
 /// The outcome of a threshold sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,18 +110,6 @@ pub fn calibrate_threshold(
     }
 }
 
-/// Builds a [`NeuroSelectSolver`] whose threshold was calibrated on a
-/// validation set.
-pub fn calibrated_solver(
-    classifier: NeuroSelectClassifier,
-    validation: &[LabeledInstance],
-) -> (NeuroSelectSolver, Calibration) {
-    let calibration = calibrate_threshold(&classifier, validation);
-    let mut solver = NeuroSelectSolver::new(classifier);
-    solver.threshold = calibration.threshold;
-    (solver, calibration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,12 +170,5 @@ mod tests {
         assert_eq!(cal.calibrated_cost, 200);
         assert_eq!(cal.oracle_cost, 200);
         assert_eq!(cal.oracle_efficiency(), 1.0);
-    }
-
-    #[test]
-    fn calibrated_solver_uses_the_threshold() {
-        let data = vec![fake_instance("a", 100, 50)];
-        let (solver, cal) = calibrated_solver(tiny_classifier(), &data);
-        assert_eq!(solver.threshold, cal.threshold);
     }
 }

@@ -261,40 +261,6 @@ pub fn train<C: Classifier>(
     history
 }
 
-/// One epoch's record from [`train_with_validation`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochRecord {
-    /// Mean training loss of the epoch.
-    pub train_loss: f32,
-    /// Validation metrics after the epoch.
-    pub validation: ClassifierMetrics,
-}
-
-/// Trains like [`train`] but evaluates on `validation` after every epoch,
-/// returning the full history — the standard way to pick an epoch budget
-/// and detect overfitting.
-pub fn train_with_validation<C: Classifier>(
-    classifier: &mut C,
-    data: &[LabeledInstance],
-    validation: &[LabeledInstance],
-    config: &TrainConfig,
-) -> Vec<EpochRecord> {
-    let mut history = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        let one = TrainConfig {
-            epochs: 1,
-            seed: config.seed.wrapping_add(epoch as u64),
-            balance: config.balance,
-        };
-        let losses = train(classifier, data, &one);
-        history.push(EpochRecord {
-            train_loss: losses[0],
-            validation: evaluate(classifier, validation),
-        });
-    }
-    history
-}
-
 /// Evaluates `classifier` on held-out labelled instances (Table 2 row).
 pub fn evaluate<C: Classifier>(classifier: &C, data: &[LabeledInstance]) -> ClassifierMetrics {
     ClassifierMetrics::from_pairs(data.iter().map(|d| {
@@ -433,25 +399,6 @@ mod tests {
             0.01,
         );
         assert_eq!(c2.name(), "NeuroSelect w/o attention");
-    }
-
-    #[test]
-    fn validation_history_has_one_record_per_epoch() {
-        let data = tiny_data();
-        let mut c = NeuroSelectClassifier::new(tiny_ns_config(), 0.01);
-        let history = train_with_validation(
-            &mut c,
-            &data,
-            &data,
-            &TrainConfig {
-                epochs: 4,
-                seed: 2,
-                balance: true,
-            },
-        );
-        assert_eq!(history.len(), 4);
-        assert!(history.iter().all(|r| r.train_loss.is_finite()));
-        assert!(history.iter().all(|r| r.validation.total() == 2));
     }
 
     #[test]

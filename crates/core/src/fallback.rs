@@ -1,20 +1,18 @@
 //! The degradation ladder behind policy selection: model → static
-//! heuristic → default policy.
+//! heuristic.
 //!
 //! The NeuroSelect pipeline treats the learned classifier as an
 //! *optimisation*, never a requirement: when the model cannot be
-//! consulted — its weights failed to load, inference panicked, or
-//! inference blew past the configured deadline — policy selection steps
-//! down to [`static_heuristic_policy`] (a clause/variable-ratio rule
-//! computed in O(1) from the parsed formula), and if even that panics, to
-//! [`PolicyKind::Default`]. Every step down is recorded as a
-//! [`DegradeReason`] so telemetry (`RunRecord` degradations) shows *why*
-//! a run was degraded, and the solve itself proceeds normally: a broken
-//! model can cost solving time, never a verdict.
+//! consulted — its weights failed to load, or inference panicked —
+//! policy selection steps down to [`static_heuristic_policy`] (a
+//! clause/variable-ratio rule computed in O(1) from the parsed formula).
+//! Every step down is recorded as a [`DegradeReason`] so telemetry
+//! (`RunRecord` degradations) shows *why* a run was degraded, and the
+//! solve itself proceeds normally: a broken model can cost solving time,
+//! never a verdict.
 
 use cnf::Cnf;
-use sat_solver::{run_isolated, PolicyKind};
-use std::time::Duration;
+use sat_solver::PolicyKind;
 
 /// Which rung of the selection ladder produced the policy pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +25,6 @@ pub enum PolicySource {
     Model,
     /// The static clause/variable-ratio heuristic (model unavailable).
     Heuristic,
-    /// The hard-coded default policy (the heuristic also failed).
-    Default,
 }
 
 impl PolicySource {
@@ -37,12 +33,11 @@ impl PolicySource {
         match self {
             PolicySource::Model => "model",
             PolicySource::Heuristic => "heuristic",
-            PolicySource::Default => "default",
         }
     }
 }
 
-/// Why policy selection stepped down a rung.
+/// Why policy selection stepped down to the heuristic.
 #[derive(Debug, Clone)]
 pub enum DegradeReason {
     /// The model's weights could not be loaded; the error is sticky and
@@ -50,17 +45,6 @@ pub enum DegradeReason {
     ModelLoad(String),
     /// Inference panicked (caught; the panic message is kept).
     InferencePanic(String),
-    /// Inference finished but exceeded the configured deadline, so its
-    /// answer is discarded: a model this slow is not worth its amortised
-    /// cost (Section 5.3 budgets inference against solving time).
-    InferenceDeadline {
-        /// The configured ceiling.
-        limit: Duration,
-        /// What inference actually took.
-        elapsed: Duration,
-    },
-    /// The static heuristic itself panicked.
-    HeuristicPanic(String),
 }
 
 impl DegradeReason {
@@ -69,22 +53,13 @@ impl DegradeReason {
         match self {
             DegradeReason::ModelLoad(_) => "model-load-error",
             DegradeReason::InferencePanic(_) => "inference-panic",
-            DegradeReason::InferenceDeadline { .. } => "inference-deadline",
-            DegradeReason::HeuristicPanic(_) => "heuristic-panic",
         }
     }
 
     /// Human-readable detail, used as the `RunRecord` degradation `detail`.
     pub fn detail(&self) -> String {
         match self {
-            DegradeReason::ModelLoad(e)
-            | DegradeReason::InferencePanic(e)
-            | DegradeReason::HeuristicPanic(e) => e.clone(),
-            DegradeReason::InferenceDeadline { limit, elapsed } => format!(
-                "inference took {:.3}s, deadline {:.3}s",
-                elapsed.as_secs_f64(),
-                limit.as_secs_f64()
-            ),
+            DegradeReason::ModelLoad(e) | DegradeReason::InferencePanic(e) => e.clone(),
         }
     }
 }
@@ -127,10 +102,6 @@ impl PolicyDecision {
 /// heuristic picks [`PolicyKind::PropFreq`]; sparser formulas keep
 /// [`PolicyKind::Default`].
 pub fn static_heuristic_policy(formula: &Cnf) -> PolicyKind {
-    #[cfg(feature = "faults")]
-    if faults::fire(faults::site::HEURISTIC_PANIC, &[]).is_some() {
-        panic!("injected fault: heuristic policy pick panicked");
-    }
     let vars = formula.num_vars().max(1) as f64;
     let ratio = formula.num_clauses() as f64 / vars;
     if ratio >= 4.0 {
@@ -140,26 +111,14 @@ pub fn static_heuristic_policy(formula: &Cnf) -> PolicyKind {
     }
 }
 
-/// Runs the rungs below the model: the static heuristic in panic
-/// isolation, then the unconditional default.
+/// The rung below the model: the static heuristic's pick, recording why
+/// the model was passed over.
 pub(crate) fn degraded_decision(formula: &Cnf, reason: DegradeReason) -> PolicyDecision {
-    let mut degradations = vec![reason];
-    match run_isolated(|| static_heuristic_policy(formula)) {
-        Ok(policy) => PolicyDecision {
-            policy,
-            probability: 0.0,
-            source: PolicySource::Heuristic,
-            degradations,
-        },
-        Err(crash) => {
-            degradations.push(DegradeReason::HeuristicPanic(crash.message));
-            PolicyDecision {
-                policy: PolicyKind::Default,
-                probability: 0.0,
-                source: PolicySource::Default,
-                degradations,
-            }
-        }
+    PolicyDecision {
+        policy: static_heuristic_policy(formula),
+        probability: 0.0,
+        source: PolicySource::Heuristic,
+        degradations: vec![reason],
     }
 }
 
@@ -190,22 +149,9 @@ mod tests {
         let reasons = [
             DegradeReason::ModelLoad(String::from("x")),
             DegradeReason::InferencePanic(String::from("x")),
-            DegradeReason::InferenceDeadline {
-                limit: Duration::from_millis(1),
-                elapsed: Duration::from_millis(2),
-            },
-            DegradeReason::HeuristicPanic(String::from("x")),
         ];
         let kinds: Vec<&str> = reasons.iter().map(DegradeReason::kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                "model-load-error",
-                "inference-panic",
-                "inference-deadline",
-                "heuristic-panic"
-            ]
-        );
+        assert_eq!(kinds, ["model-load-error", "inference-panic"]);
         assert!(reasons.iter().all(|r| !r.detail().is_empty()));
     }
 }

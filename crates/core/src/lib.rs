@@ -59,16 +59,16 @@ mod label;
 mod metrics;
 mod select;
 
-pub use calibrate::{calibrate_threshold, calibrated_solver, Calibration};
+pub use calibrate::{calibrate_threshold, Calibration};
 pub use classifier::{
-    evaluate, train, train_with_validation, Classifier, EpochRecord, GinClassifier,
-    NeuroSatClassifier, NeuroSelectClassifier, TrainConfig,
+    evaluate, train, Classifier, GinClassifier, NeuroSatClassifier, NeuroSelectClassifier,
+    TrainConfig,
 };
 pub use fallback::{static_heuristic_policy, DegradeReason, PolicyDecision, PolicySource};
 pub use label::{
     label_batch, label_cnf, positive_rate, LabelOutcome, LabeledInstance, LabelingConfig,
 };
-pub use metrics::{mean, median, BoxPlot, ClassifierMetrics, RuntimeSummary};
+pub use metrics::{mean, median, quantile, BoxPlot, ClassifierMetrics, RuntimeSummary};
 pub use select::{NeuroSelectSolver, SelectionOutcome};
 
 // Re-export the substrate crates so downstream users need only one

@@ -157,6 +157,18 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of `sorted`, which must be sorted
+/// ascending: linear interpolation at position `p · (n − 1)` between the
+/// two nearest order statistics. `None` for an empty slice.
+pub fn quantile(sorted: &[f64], p: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    let idx = p * last as f64;
+    let lo = idx.floor() as usize;
+    let hi = idx.ceil() as usize;
+    let frac = idx - lo as f64;
+    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+}
+
 /// Five-number summary (min, q1, median, q3, max) for box-and-whisker plots
 /// (the paper's Figure 7(b)).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,24 +188,14 @@ pub struct BoxPlot {
 impl BoxPlot {
     /// Computes the five-number summary. Returns `None` for empty input.
     pub fn from_values(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
         let mut v = values.to_vec();
         v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN values"));
-        let q = |p: f64| -> f64 {
-            let idx = p * (v.len() - 1) as f64;
-            let lo = idx.floor() as usize;
-            let hi = idx.ceil() as usize;
-            let frac = idx - lo as f64;
-            v[lo] * (1.0 - frac) + v[hi] * frac
-        };
         Some(BoxPlot {
-            min: v[0],
-            q1: q(0.25),
-            median: q(0.5),
-            q3: q(0.75),
-            max: v[v.len() - 1],
+            min: *v.first()?,
+            q1: quantile(&v, 0.25)?,
+            median: quantile(&v, 0.5)?,
+            q3: quantile(&v, 0.75)?,
+            max: *v.last()?,
         })
     }
 }

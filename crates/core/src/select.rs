@@ -63,7 +63,7 @@ pub struct SelectionOutcome {
     /// cutoff) pick before the search either way. Mirrored as
     /// `extra.policy_needed` in the record.
     pub policy_needed: bool,
-    /// Full telemetry record: solver phase timings and distributions plus
+    /// Full telemetry record: solver phase timings and counters plus
     /// the pipeline's `feature_extract` / `gnn_forward` / `policy_select`
     /// phases and the inference time (null without a pick).
     pub record: RunRecord,
@@ -77,23 +77,20 @@ impl SelectionOutcome {
     }
 }
 
+/// Graph size (variables + clauses) above which inference is skipped and
+/// the default policy used unselected: the paper's 400 000-node cutoff, a
+/// GPU-memory limit kept here for fidelity.
+const NODE_CUTOFF: usize = 400_000;
+
 /// A trained NeuroSelect classifier wrapped as a policy-selecting solver
 /// front end.
 ///
 /// Mirrors the paper's deployment: instances whose graph exceeds
-/// `node_cutoff` skip inference and use the default policy (the paper uses
-/// 400 000 nodes, a GPU-memory limit kept here for fidelity).
+/// 400 000 nodes skip inference and use the default policy.
 pub struct NeuroSelectSolver {
     classifier: NeuroSelectClassifier,
-    /// Graph-size cutoff above which the default policy is used unselected.
-    pub node_cutoff: usize,
     /// Decision threshold on the predicted probability.
     pub threshold: f32,
-    /// Ceiling on inference wall time. When inference finishes but took
-    /// longer than this, its answer is discarded and the static heuristic
-    /// picks instead (recorded as an `inference-deadline` degradation).
-    /// `None` (the default) imposes no ceiling.
-    pub inference_deadline: Option<Duration>,
     /// Sticky model fault (e.g. a failed weight load): while set, every
     /// selection skips inference and degrades to the static heuristic.
     model_fault: Option<DegradeReason>,
@@ -104,9 +101,7 @@ impl NeuroSelectSolver {
     pub fn new(classifier: NeuroSelectClassifier) -> Self {
         NeuroSelectSolver {
             classifier,
-            node_cutoff: 400_000,
             threshold: 0.5,
-            inference_deadline: None,
             model_fault: None,
         }
     }
@@ -159,8 +154,7 @@ impl NeuroSelectSolver {
     ///
     /// This classifies up front, for callers that need the pick before
     /// they build a solver: the O(1) rungs (a sticky model fault, the node
-    /// cutoff), then the inference rungs (inference, the deadline, the
-    /// threshold).
+    /// cutoff), then the inference rungs (inference, the threshold).
     pub fn decide_policy(&self, formula: &Cnf) -> (PolicyDecision, Duration) {
         let start = Instant::now();
         let decision = self
@@ -170,65 +164,48 @@ impl NeuroSelectSolver {
     }
 
     /// The rungs that need no inference, each O(1): a sticky model fault
-    /// steps down to the static heuristic, and a graph above
-    /// [`node_cutoff`](Self::node_cutoff) takes the default policy.
-    /// `None` means the pick needs the model.
+    /// steps down to the static heuristic, and a graph above the node
+    /// cutoff takes the default policy. `None` means the pick needs the
+    /// model.
     fn decide_without_inference(&self, formula: &Cnf) -> Option<PolicyDecision> {
         if let Some(reason) = &self.model_fault {
             return Some(degraded_decision(formula, reason.clone()));
         }
         let nodes = formula.num_vars() as usize + formula.num_clauses();
         // By-design cutoff (the paper's GPU-memory limit), not a fault.
-        (nodes > self.node_cutoff).then(PolicyDecision::unconsulted)
+        (nodes > NODE_CUTOFF).then(PolicyDecision::unconsulted)
     }
 
-    /// The inference rungs: inference in panic isolation, then
-    /// [`inference_deadline`](Self::inference_deadline), then the
-    /// threshold. A panic or an inference time beyond the deadline steps
-    /// down to the static heuristic (and, should that panic too, to the
-    /// default policy) — a broken model degrades the pick, never the run.
-    /// Also returns the per-phase timing: `feature_extract` (formula →
-    /// graph tensors), `gnn_forward` (model forward pass), and
-    /// `policy_select` (thresholding).
+    /// The inference rungs: inference in panic isolation, then the
+    /// threshold. A panic steps down to the static heuristic — a broken
+    /// model degrades the pick, never the run. Also returns the per-phase
+    /// timing: `feature_extract` (formula → graph tensors), `gnn_forward`
+    /// (model forward pass), and `policy_select` (thresholding).
     fn decide_by_inference(&self, formula: &Cnf) -> (PolicyDecision, PhaseTimes) {
-        let start = Instant::now();
-        let mut phases = PhaseTimes::default();
         // `run_isolated` is sound here: on panic the prepared tensors are
         // dropped mid-unwind and never touched again, and the classifier's
         // forward pass does not mutate shared state.
         let inference = run_isolated(|| {
             #[cfg(feature = "faults")]
-            if let Some(cfg) = faults::fire(faults::site::INFERENCE_STALL, &[]) {
-                std::thread::sleep(Duration::from_millis(cfg.get_u64("delay_ms", 50)));
-            }
-            #[cfg(feature = "faults")]
             if faults::fire(faults::site::INFERENCE_PANIC, &[]).is_some() {
                 panic!("injected fault: model inference panicked");
             }
-            let mut inner = PhaseTimes::default();
+            let mut phases = PhaseTimes::default();
             let prepared = {
-                let _guard = inner.scope(Phase::FeatureExtract);
+                let _guard = phases.scope(Phase::FeatureExtract);
                 self.classifier.prepare(formula)
             };
             let (probability, forward_time) = self.classifier.predict_timed(&prepared);
-            inner.add(Phase::GnnForward, forward_time);
-            (probability, inner)
+            phases.add(Phase::GnnForward, forward_time);
+            (probability, phases)
         });
-        let (probability, inner) = match inference {
+        let (probability, mut phases) = match inference {
             Ok(out) => out,
             Err(crash) => {
                 let reason = DegradeReason::InferencePanic(crash.message);
-                return (degraded_decision(formula, reason), phases);
+                return (degraded_decision(formula, reason), PhaseTimes::default());
             }
         };
-        phases.merge(&inner);
-        let elapsed = start.elapsed();
-        if let Some(limit) = self.inference_deadline {
-            if elapsed > limit {
-                let reason = DegradeReason::InferenceDeadline { limit, elapsed };
-                return (degraded_decision(formula, reason), phases);
-            }
-        }
         let select_start = Instant::now();
         let chosen = if probability > self.threshold {
             PolicyKind::PropFreq
@@ -379,12 +356,14 @@ mod tests {
 
     #[test]
     fn oversized_instances_skip_inference() {
-        let f = sat_gen::phase_transition_3sat(30, 4);
-        let mut s = tiny_solver();
-        s.node_cutoff = 1; // force the cutoff path
-        let (decision, _) = s.decide_policy(&f);
+        // One node past the cutoff: 400 001 variables and no clauses.
+        let f = cnf::parse_dimacs_str("p cnf 400001 0\n").unwrap();
+        assert_eq!(f.num_vars() as usize, NODE_CUTOFF + 1);
+        let (decision, _) = tiny_solver().decide_policy(&f);
         assert_eq!(decision.policy, PolicyKind::Default);
         assert_eq!(decision.probability, 0.0);
+        assert_eq!(decision.source, PolicySource::Model);
+        assert!(decision.degradations.is_empty());
     }
 
     #[test]
@@ -437,19 +416,6 @@ mod tests {
         let f = sat_gen::phase_transition_3sat(20, 1);
         assert_eq!(s.decide_policy(&f).0.source, PolicySource::Model);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn zero_inference_deadline_degrades_every_pick() {
-        let f = sat_gen::phase_transition_3sat(20, 1);
-        let mut s = tiny_solver();
-        s.inference_deadline = Some(Duration::ZERO);
-        let (decision, _) = s.decide_policy(&f);
-        assert_eq!(decision.source, PolicySource::Heuristic);
-        assert_eq!(
-            decision.degradations.first().unwrap().kind(),
-            "inference-deadline"
-        );
     }
 
     #[test]

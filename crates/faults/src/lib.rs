@@ -71,14 +71,8 @@ pub mod site {
     pub const DIMACS_IO: &str = "dimacs-io";
     /// Fail the model-parameter input stream after `after` bytes.
     pub const MODEL_IO: &str = "model-io";
-    /// Stall model inference for `delay_ms` milliseconds (exercises the
-    /// pipeline's inference deadline).
-    pub const INFERENCE_STALL: &str = "inference-stall";
     /// Panic inside model inference.
     pub const INFERENCE_PANIC: &str = "inference-panic";
-    /// Panic inside the static-feature fallback heuristic (exercises the
-    /// final default-policy link of the fallback chain).
-    pub const HEURISTIC_PANIC: &str = "heuristic-panic";
     /// Corrupt an inprocessing round once the solver's round counter
     /// reaches `at`: the engine detects the corruption up front and must
     /// degrade to a clean skip (param: `at` — the round counter).
@@ -103,13 +97,11 @@ pub mod site {
 
     /// Every site above: the only names a [`FaultPlan`](crate::FaultPlan)
     /// accepts.
-    pub const ALL: [&str; 11] = [
+    pub const ALL: [&str; 9] = [
         DRAT_TRUNCATE,
         DIMACS_IO,
         MODEL_IO,
-        INFERENCE_STALL,
         INFERENCE_PANIC,
-        HEURISTIC_PANIC,
         INPROCESS_CORRUPT,
         INPROCESS_STALL,
         SESSION_PANIC,
@@ -530,7 +522,13 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_sites() {
-        for unknown in ["no-such-site(at=5)", "stall", "drat_truncate(after=1)"] {
+        for unknown in [
+            "no-such-site(at=5)",
+            "stall",
+            "drat_truncate(after=1)",
+            "inference-stall(delay_ms=80)",
+            "heuristic-panic",
+        ] {
             let err = unknown.parse::<FaultPlan>().expect_err(unknown);
             assert!(err.to_string().contains("unknown fault site"), "{err}");
         }

@@ -48,11 +48,6 @@ impl SequentialCircuit {
         self.transition.inputs().len() - self.num_state
     }
 
-    /// Number of bad-state monitors.
-    pub fn num_monitors(&self) -> usize {
-        self.transition.outputs().len() - self.num_state
-    }
-
     /// Simulates `steps` frames from `initial`, returning `true` if any
     /// monitor fires (reference semantics for the unrolling).
     ///
@@ -325,7 +320,6 @@ mod tests {
     fn interface_accessors() {
         let seq = gated_counter(4);
         assert_eq!(seq.num_primary_inputs(), 1);
-        assert_eq!(seq.num_monitors(), 1);
     }
 
     #[test]

@@ -160,31 +160,19 @@ pub struct Adam {
     pub beta2: f32,
     /// Numerical-stability epsilon.
     pub eps: f32,
-    /// Decoupled weight decay (AdamW); 0 disables it.
-    pub weight_decay: f32,
     t: u64,
 }
 
 impl Adam {
-    /// Creates Adam with the given learning rate, standard betas
-    /// (0.9, 0.999), and no weight decay.
+    /// Creates Adam with the given learning rate and standard betas
+    /// (0.9, 0.999).
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
-        }
-    }
-
-    /// Creates AdamW: Adam with decoupled weight decay
-    /// (Loshchilov & Hutter).
-    pub fn with_weight_decay(lr: f32, weight_decay: f32) -> Self {
-        Adam {
-            weight_decay,
-            ..Adam::new(lr)
         }
     }
 
@@ -221,9 +209,7 @@ impl Adam {
             for ((wi, &mi), &vi) in w.iter_mut().zip(m.as_slice()).zip(v.as_slice()) {
                 let mhat = mi / bc1;
                 let vhat = vi / bc2;
-                // decoupled decay (AdamW): applied directly to the weight,
-                // not through the moment estimates
-                *wi -= self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * *wi);
+                *wi -= self.lr * (mhat / (vhat.sqrt() + self.eps));
             }
         }
     }
@@ -261,33 +247,6 @@ mod tests {
             store.value(w).get(0, 0)
         );
         assert_eq!(adam.steps(), 300);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_unused_parameters() {
-        // a parameter with zero gradient should decay toward zero under
-        // AdamW and stay put under plain Adam
-        let run = |decay: f32| -> f32 {
-            let mut store = ParamStore::new();
-            let w = store.add(Matrix::from_vec(1, 1, vec![1.0]));
-            let dead = store.add(Matrix::from_vec(1, 1, vec![1.0]));
-            let mut adam = Adam::with_weight_decay(0.01, decay);
-            for _ in 0..100 {
-                let mut tape = Tape::new();
-                let mut sess = Session::new(&store);
-                let wn = sess.bind_value(&mut tape, w, store.value(w).clone());
-                let dn = sess.bind_value(&mut tape, dead, store.value(dead).clone());
-                let zero = tape.scale(dn, 0.0);
-                let sum = tape.add(wn, zero);
-                let sq = tape.mul(sum, sum);
-                let loss = tape.sum_all(sq);
-                let grads = tape.backward(loss);
-                adam.step(&mut store, &tape, &sess, &grads);
-            }
-            store.value(dead).get(0, 0)
-        };
-        assert!((run(0.0) - 1.0).abs() < 1e-6, "no decay: untouched");
-        assert!(run(0.1) < 0.95, "decay pulls dead weights down");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct DaemonConfig {
     /// Retry hint (milliseconds) attached to `busy` rejections.
     pub retry_after_ms: u64,
     /// When set, one JSONL [`telemetry::RunRecord`] is appended here per
-    /// completed solve.
+    /// completed solve; when unset, solves run with no recorder.
     pub records_path: Option<PathBuf>,
     /// When set, one JSONL [`telemetry::RequestRecord`] is appended here
     /// per *admitted* request — the daemon-side sibling of the solver's
@@ -1192,7 +1192,11 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     budget.deadline = Some(deadline_at);
     budget.max_memory_bytes = Some(headroom);
 
-    solver.set_telemetry(SolverTelemetry::new(format!("session-{sid}/solve-{seq}")));
+    // The recorder reads the phase clocks and, at solve end, walks the
+    // clause arena for its record: only worth it when the record is kept.
+    if inner.records.is_some() {
+        solver.set_telemetry(SolverTelemetry::new(format!("session-{sid}/solve-{seq}")));
+    }
 
     let before = *solver.stats();
     let started = Instant::now();
@@ -1336,13 +1340,11 @@ fn quarantine_session(daemon: &Daemon, sid: u64, message: &str) {
     inner.stats.crashed.fetch_add(1, Ordering::AcqRel);
 }
 
-/// Appends the solve's [`telemetry::RunRecord`] to the records sink. An
-/// `UNKNOWN` solve's record says why in its `stop_cause`.
+/// Appends the solve's [`telemetry::RunRecord`] to the records sink (the
+/// recorder is installed only while that sink is open). An `UNKNOWN`
+/// solve's record says why in its `stop_cause`.
 fn emit_record(inner: &Inner, solver: &mut Solver) {
-    let Some(telemetry) = solver.take_telemetry() else {
-        return;
-    };
-    let Some(records) = &inner.records else {
+    let (Some(records), Some(telemetry)) = (&inner.records, solver.take_telemetry()) else {
         return;
     };
     if let Some(record) = telemetry.into_record() {

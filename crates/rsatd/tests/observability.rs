@@ -4,14 +4,16 @@
 //! The binary round-trip test spawns the real `rsatd` binary over stdio
 //! with `--records-out`, drives a mixed batch of solves (including a
 //! forced pre-admission rejection), and proves every reply's
-//! `request_id` appears in exactly one record.
+//! `request_id` appears in exactly one record, each of which renders
+//! exactly the fields `RequestRecord` pins.
 
 use std::io::BufReader;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use rsatd::{Client, ClientError, Daemon, DaemonConfig, Verdict};
-use telemetry::json::Json;
+use telemetry::json::{FromJson, Json, ToJson};
+use telemetry::RequestRecord;
 
 /// 3 variables, satisfiable, forced `x2 = true`; UNSAT under `-2`.
 const SAT_CLAUSES: &[&[i64]] = &[&[1, 2], &[-1, 2], &[2, 3]];
@@ -129,6 +131,10 @@ fn binary_round_trips_request_ids_from_replies_to_records() {
                 Some("request_end")
             );
             let record = parsed.get("record").expect("record body");
+            // The binary writes the wire format the schema goldens pin:
+            // no field missing, renamed or extra.
+            let typed = RequestRecord::from_json(record).expect("a RequestRecord");
+            assert_eq!(&typed.to_json(), record, "{line}");
             assert!(
                 matches!(
                     record.get("verdict").and_then(Json::as_str),

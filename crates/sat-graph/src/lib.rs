@@ -276,16 +276,6 @@ impl BipartiteGraph {
     pub fn num_edges(&self) -> usize {
         self.var_to_clause.nnz()
     }
-
-    /// Initial variable-node features: all ones (`num_vars × dim`).
-    pub fn initial_var_features(&self, dim: usize) -> Vec<f32> {
-        vec![1.0; self.num_vars * dim]
-    }
-
-    /// Initial clause-node features: all zeros (`num_clauses × dim`).
-    pub fn initial_clause_features(&self, dim: usize) -> Vec<f32> {
-        vec![0.0; self.num_clauses * dim]
-    }
 }
 
 /// The NeuroSAT-style literal–clause graph: one node per literal
@@ -400,13 +390,6 @@ mod tests {
         assert_eq!(g.var_to_clause.row(0), &[(0, 1.0)][..]);
         assert_eq!(g.var_to_clause.row(1), &[(0, -1.0), (1, 1.0)][..]);
         assert_eq!(g.clause_to_var.row(1), &[(1, 1.0), (2, 1.0)][..]);
-    }
-
-    #[test]
-    fn bipartite_initial_features() {
-        let g = BipartiteGraph::from_cnf(&example());
-        assert_eq!(g.initial_var_features(2), vec![1.0; 6]);
-        assert_eq!(g.initial_clause_features(4), vec![0.0; 8]);
     }
 
     #[test]

@@ -354,16 +354,6 @@ impl Solver {
         self.inprocess.as_ref().map(|e| e.stats())
     }
 
-    /// Enables in-search inprocessing on an already-constructed solver,
-    /// as if [`SolverConfig::inprocess`](crate::SolverConfig::inprocess)
-    /// had been set.
-    pub fn enable_inprocessing(&mut self) {
-        self.config.inprocess = true;
-        if self.inprocess.is_none() {
-            self.inprocess = Some(Box::new(InprocessEngine::new(self.num_vars)));
-        }
-    }
-
     /// Panics if `lits` mentions an eliminated variable — the documented
     /// API contract of the incremental interface: clauses and assumptions
     /// over eliminated variables cannot be interpreted against the
@@ -1188,16 +1178,6 @@ mod tests {
             }
             other => panic!("expected SAT, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn enable_inprocessing_after_construction() {
-        let f = cnf_of(&[&[1, 2], &[-1, 2], &[1, -2]]);
-        let mut s = Solver::new(&f, SolverConfig::default());
-        assert!(s.inprocess_stats().is_none());
-        s.enable_inprocessing();
-        assert!(s.inprocess_stats().is_some());
-        assert!(s.solve().is_sat());
     }
 
     #[test]

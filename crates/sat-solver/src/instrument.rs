@@ -13,15 +13,14 @@
 use crate::{DbStats, PolicyKind, SolveResult, SolverStats, StopCause};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
-use telemetry::{Event, Histogram, NullSink, Phase, PhaseTimes, RunRecord, Sink};
+use telemetry::{Event, NullSink, Phase, PhaseTimes, RunRecord, Sink};
 
 /// Per-solve telemetry recorder installed via
 /// [`Solver::set_telemetry`](crate::Solver::set_telemetry).
 ///
-/// Collects per-phase wall time, the glue / learned-clause-length /
-/// trail-depth-at-conflict distributions, and the peak clause-DB size;
-/// emits structured [`Event`]s (solve start/end, reduction snapshots,
-/// optional progress heartbeats) to a pluggable [`Sink`].
+/// Collects per-phase wall time and the peak number of live learned
+/// clauses; emits structured [`Event`]s (solve start/end, reduction
+/// snapshots, optional progress heartbeats) to a pluggable [`Sink`].
 ///
 /// # Examples
 ///
@@ -45,9 +44,6 @@ pub struct SolverTelemetry {
     sink: Box<dyn Sink>,
     progress_interval: Option<Duration>,
     phases: PhaseTimes,
-    glue: Histogram,
-    learned_len: Histogram,
-    trail_depth: Histogram,
     peak_learned: u64,
     started: Option<Instant>,
     last_progress: Option<Instant>,
@@ -74,11 +70,6 @@ impl SolverTelemetry {
             sink: Box::new(NullSink),
             progress_interval: None,
             phases: PhaseTimes::default(),
-            // Glue is small (tier-1 threshold is 2, "good" clauses < 8);
-            // lengths and trail depths span orders of magnitude.
-            glue: Histogram::with_bounds(&[1, 2, 3, 4, 5, 6, 8, 12, 16, 32]),
-            learned_len: Histogram::exponential(1, 2, 12),
-            trail_depth: Histogram::exponential(1, 2, 16),
             peak_learned: 0,
             started: None,
             last_progress: None,
@@ -103,21 +94,6 @@ impl SolverTelemetry {
     /// Per-phase wall time and call counts collected so far.
     pub fn phases(&self) -> &PhaseTimes {
         &self.phases
-    }
-
-    /// Distribution of glue values over learned clauses.
-    pub fn glue_histogram(&self) -> &Histogram {
-        &self.glue
-    }
-
-    /// Distribution of learned-clause lengths.
-    pub fn learned_len_histogram(&self) -> &Histogram {
-        &self.learned_len
-    }
-
-    /// Distribution of trail depth at each conflict.
-    pub fn trail_depth_histogram(&self) -> &Histogram {
-        &self.trail_depth
     }
 
     /// Largest number of live learned clauses observed.
@@ -218,20 +194,11 @@ impl Recorder {
         }
     }
 
-    /// A conflict was analyzed into a learned clause of `len` literals.
+    /// A conflict was analyzed into a learned clause, leaving
+    /// `live_learned` learned clauses in the database.
     #[inline]
-    pub(crate) fn learned(
-        &mut self,
-        glue: u32,
-        len: usize,
-        trail_depth: usize,
-        live_learned: usize,
-        stats: &SolverStats,
-    ) {
+    pub(crate) fn learned(&mut self, live_learned: usize, stats: &SolverStats) {
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.glue.record(u64::from(glue));
-            t.learned_len.record(len as u64);
-            t.trail_depth.record(trail_depth as u64);
             t.peak_learned = t.peak_learned.max(live_learned as u64);
             t.maybe_progress(stats, live_learned);
         }
@@ -295,11 +262,7 @@ impl Recorder {
         record.peak_learned_clauses = t.peak_learned;
         record.phases = t.phases;
         record.stats = stats.to_json();
-        record.extra = Json::object()
-            .with("db", db.to_json())
-            .with("glue_histogram", t.glue.to_json())
-            .with("learned_len_histogram", t.learned_len.to_json())
-            .with("trail_depth_histogram", t.trail_depth.to_json());
+        record.extra = Json::object().with("db", db.to_json());
         t.sink.emit(&Event::SolveEnd {
             record: record.clone(),
         });

@@ -94,15 +94,6 @@ impl PolicyKind {
             PolicyKind::PropFreq | PolicyKind::PropFreqAlpha(_) => 1,
         }
     }
-
-    /// Inverse of [`PolicyKind::label`].
-    pub fn from_label(label: u8) -> Self {
-        if label == 0 {
-            PolicyKind::Default
-        } else {
-            PolicyKind::PropFreq
-        }
-    }
 }
 
 /// The policy's name in records and experiment output: `"default"`,
@@ -200,19 +191,6 @@ mod tests {
             PolicyKind::PropFreq.score(&clause, 5, &freq),
             0x0000_1FFF_FAFF_FFFC
         );
-    }
-
-    #[test]
-    fn label_roundtrip() {
-        assert_eq!(
-            PolicyKind::from_label(PolicyKind::Default.label()),
-            PolicyKind::Default
-        );
-        assert_eq!(
-            PolicyKind::from_label(PolicyKind::PropFreq.label()),
-            PolicyKind::PropFreq
-        );
-        assert_eq!(PolicyKind::PropFreqAlpha(0.7).label(), 1);
     }
 
     #[test]

@@ -232,8 +232,8 @@ impl Solver {
     }
 
     /// Installs a telemetry recorder (replacing any previous one). The
-    /// recorder times the solver's phases, tracks glue / clause-length /
-    /// trail-depth distributions, and emits structured events around each
+    /// recorder times the solver's phases, tracks the peak number of live
+    /// learned clauses, and emits structured events around each
     /// subsequent `solve` call.
     pub fn set_telemetry(&mut self, telemetry: SolverTelemetry) {
         self.rec.telemetry = Some(Box::new(telemetry));
@@ -1028,7 +1028,6 @@ impl Solver {
                     }
                     return SolveResult::Unsat;
                 }
-                let trail_depth = self.trail.len();
                 let (learned, bt_level, glue) = self.analyze(conflict);
                 self.stats.learned_clauses += 1;
                 self.stats.glue_sum += glue as u64;
@@ -1054,8 +1053,7 @@ impl Solver {
                 }
                 self.checkpoint(Checkpoint::PostLearn);
                 let live = self.db.num_learned();
-                self.rec
-                    .learned(glue, learned.len(), trail_depth, live, &self.stats);
+                self.rec.learned(live, &self.stats);
                 self.decay_activities();
                 if self.restart.on_conflict() {
                     let restarting = self.rec.begin(Phase::Restart);
@@ -1300,21 +1298,15 @@ pub fn solve_with_policy(
 
 /// Like [`solve_with_policy`], but with a telemetry recorder installed:
 /// also returns the per-instance [`telemetry::RunRecord`] (phase timings,
-/// distributions, peak clause-DB size). Events along the way go to `sink`
-/// when one is given; pass `None` for measurement without event output.
+/// peak clause-DB size).
 pub fn solve_with_policy_recorded(
     formula: &Cnf,
     policy: PolicyKind,
     budget: Budget,
     instance_id: &str,
-    sink: Option<Box<dyn telemetry::Sink>>,
 ) -> (SolveResult, SolverStats, telemetry::RunRecord) {
     let mut solver = Solver::new(formula, SolverConfig::with_policy(policy));
-    let mut recorder = SolverTelemetry::new(instance_id);
-    if let Some(sink) = sink {
-        recorder = recorder.with_sink(sink);
-    }
-    solver.set_telemetry(recorder);
+    solver.set_telemetry(SolverTelemetry::new(instance_id));
     let result = solver.solve_with_budget(budget);
     let stats = *solver.stats();
     let record = solver

@@ -191,31 +191,6 @@ fn phase_times_are_disjoint_with_inprocessing() {
 }
 
 #[test]
-fn recorder_histograms_match_solver_counters() {
-    let f = php(6, 5);
-    let mut solver = Solver::new(&f, busy_config());
-    solver.set_telemetry(SolverTelemetry::new("php"));
-    assert!(solver.solve().is_unsat());
-    let stats = *solver.stats();
-    let telemetry = solver.take_telemetry().expect("recorder installed");
-    // The final top-level conflict aborts before a clause is learned, so
-    // the histograms see exactly the learned clauses.
-    assert_eq!(telemetry.glue_histogram().count(), stats.learned_clauses);
-    assert_eq!(telemetry.glue_histogram().sum(), stats.glue_sum);
-    assert_eq!(
-        telemetry.learned_len_histogram().count(),
-        stats.learned_clauses
-    );
-    assert_eq!(
-        telemetry.trail_depth_histogram().count(),
-        stats.learned_clauses
-    );
-    let record = telemetry.into_record().expect("solve completed");
-    assert_eq!(record.result, "UNSAT");
-    assert!(record.solve_time_s >= 0.0);
-}
-
-#[test]
 fn jsonl_stream_parses_line_by_line() {
     let f = php(5, 4);
     let mut solver = Solver::new(&f, busy_config());

@@ -6,8 +6,6 @@
 //! is the measurement substrate those experiments (and every later
 //! performance PR) report against:
 //!
-//! * [`Histogram`] — fixed-bucket distributions (glue, learned-clause
-//!   length, trail depth at conflict);
 //! * [`Phase`] / [`PhaseTimes`] — scoped wall-time and call counts for the
 //!   solver's `propagate` / `analyze` / `minimize` / `reduce` / `restart` /
 //!   `inprocess` phases and the pipeline's `feature-extract` /
@@ -55,12 +53,10 @@
 
 pub mod json;
 
-mod histogram;
 mod phase;
 mod record;
 mod sink;
 
-pub use histogram::Histogram;
 pub use phase::{Phase, PhaseGuard, PhaseTimes};
 pub use record::{Degradation, RequestRecord, RunRecord};
 pub use sink::{Event, JsonlSink, MemorySink, NullSink, Sink};

@@ -50,10 +50,11 @@ pub struct RunRecord {
     pub phases: PhaseTimes,
     /// Producer-defined statistics object (e.g. serialized `SolverStats`).
     pub stats: Json,
-    /// Producer-defined additional fields (histograms, db snapshots, …).
+    /// Producer-defined additional fields (a clause-database snapshot,
+    /// the policy pick, …).
     pub extra: Json,
-    /// Degraded-mode events observed during the run (an inference panic
-    /// or deadline, a model-load error, …), in occurrence order. Empty for
+    /// Degraded-mode events observed during the run (an inference panic,
+    /// a model-load error, …), in occurrence order. Empty for
     /// a fully healthy run.
     pub degradations: Vec<Degradation>,
 }

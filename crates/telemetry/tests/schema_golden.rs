@@ -4,7 +4,9 @@
 //! discriminator; the field names below are a compatibility contract with
 //! external consumers. Renaming or removing a rendered field requires
 //! bumping [`SCHEMA_VERSION`] and updating the stability note in README.md;
-//! adding one does not.
+//! adding one does not. [`V2_KEYS`] lists the keys version 2 promises, so
+//! a removal or rename without a bump fails here even where the byte-exact
+//! goldens below are updated along with it.
 
 use std::time::Duration;
 use telemetry::json::{FromJson, Json, ToJson};
@@ -13,6 +15,149 @@ use telemetry::{Event, Phase, RequestRecord, RunRecord, SCHEMA_VERSION};
 #[test]
 fn schema_version_is_pinned() {
     assert_eq!(SCHEMA_VERSION, 2);
+}
+
+/// The keys each record and event renders at schema version 2. Adding a
+/// key needs no bump; removing or renaming a listed one does, and the
+/// bump replaces this list with the new version's.
+const V2_KEYS: [(&str, &[&str]); 7] = [
+    (
+        "RunRecord",
+        &[
+            "schema_version",
+            "instance_id",
+            "policy",
+            "result",
+            "stop_cause",
+            "solve_time_s",
+            "inference_time_s",
+            "peak_learned_clauses",
+            "phases",
+            "stats",
+            "extra",
+            "degradations",
+        ],
+    ),
+    (
+        "RequestRecord",
+        &[
+            "schema_version",
+            "request_id",
+            "session",
+            "worker",
+            "queue_wait_ms",
+            "solve_ms",
+            "verdict",
+            "stop_cause",
+            "error_kind",
+            "stats",
+            "degradations",
+        ],
+    ),
+    (
+        "solve_start",
+        &[
+            "schema_version",
+            "event",
+            "instance_id",
+            "policy",
+            "num_vars",
+            "num_clauses",
+        ],
+    ),
+    (
+        "progress",
+        &[
+            "schema_version",
+            "event",
+            "conflicts",
+            "propagations",
+            "decisions",
+            "learned",
+            "elapsed_s",
+            "conflicts_per_sec",
+            "propagations_per_sec",
+        ],
+    ),
+    (
+        "reduction",
+        &[
+            "schema_version",
+            "event",
+            "reduction_no",
+            "candidates",
+            "deleted",
+            "learned_after",
+            "conflicts",
+        ],
+    ),
+    ("solve_end", &["schema_version", "event", "record"]),
+    ("request_end", &["schema_version", "event", "record"]),
+];
+
+#[test]
+fn version_two_keys_are_all_rendered() {
+    if SCHEMA_VERSION != 2 {
+        return; // `schema_version_is_pinned` asks for this list's update
+    }
+    let run = RunRecord::new("x", "default");
+    let request = RequestRecord::new(1, 1);
+    let rendered = [
+        ("RunRecord", run.to_json()),
+        ("RequestRecord", request.to_json()),
+        (
+            "solve_start",
+            Event::SolveStart {
+                instance_id: String::new(),
+                policy: String::new(),
+                num_vars: 0,
+                num_clauses: 0,
+            }
+            .to_json(),
+        ),
+        (
+            "progress",
+            Event::Progress {
+                conflicts: 0,
+                propagations: 0,
+                decisions: 0,
+                learned: 0,
+                elapsed_s: 0.0,
+                conflicts_per_sec: 0.0,
+                propagations_per_sec: 0.0,
+            }
+            .to_json(),
+        ),
+        (
+            "reduction",
+            Event::Reduction {
+                reduction_no: 0,
+                candidates: 0,
+                deleted: 0,
+                learned_after: 0,
+                conflicts: 0,
+            }
+            .to_json(),
+        ),
+        ("solve_end", Event::SolveEnd { record: run }.to_json()),
+        (
+            "request_end",
+            Event::RequestEnd { record: request }.to_json(),
+        ),
+    ];
+    for (name, keys) in V2_KEYS {
+        let (_, json) = rendered
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no rendered sample of {name}"));
+        for key in keys {
+            assert!(
+                json.get(key).is_some(),
+                "{name} no longer renders `{key}`: a removed or renamed key needs a \
+                 bump SCHEMA_VERSION (and this list rewritten for the new version)"
+            );
+        }
+    }
 }
 
 #[test]
@@ -115,18 +260,15 @@ fn error_request_record_golden() {
 
 #[test]
 fn degraded_record_golden() {
-    // What `solve_recorded` writes when inference overran its deadline
-    // (the heuristic picked instead) and the solve then hit its own.
+    // What `solve_recorded` writes when inference panicked (the heuristic
+    // picked instead) and the solve then hit its deadline.
     let mut record = RunRecord::new("miter-500", "prop-freq");
     record.result = "UNKNOWN".to_string();
     record.stop_cause = Some("deadline".to_string());
-    record.degrade(
-        "inference-deadline",
-        "inference took 0.012s, deadline 0.010s",
-    );
+    record.degrade("inference-panic", "model inference panicked");
     assert_eq!(
         record.to_json().to_string(),
-        r#"{"schema_version":2,"instance_id":"miter-500","policy":"prop-freq","result":"UNKNOWN","stop_cause":"deadline","solve_time_s":0.0,"inference_time_s":null,"peak_learned_clauses":0,"phases":{},"stats":{},"extra":{},"degradations":[{"kind":"inference-deadline","detail":"inference took 0.012s, deadline 0.010s"}]}"#
+        r#"{"schema_version":2,"instance_id":"miter-500","policy":"prop-freq","result":"UNKNOWN","stop_cause":"deadline","solve_time_s":0.0,"inference_time_s":null,"peak_learned_clauses":0,"phases":{},"stats":{},"extra":{},"degradations":[{"kind":"inference-panic","detail":"model inference panicked"}]}"#
     );
     let parsed = RunRecord::from_json(&record.to_json()).expect("round-trips");
     assert_eq!(parsed, record);

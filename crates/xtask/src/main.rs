@@ -1,16 +1,14 @@
 //! Repository automation tasks. `cargo run -p xtask -- lint` runs the
 //! project-specific static checks over the workspace sources — per-file
 //! token rules plus the interprocedural call-graph rules (transitive
-//! hot-path purity, lock-order); `cargo run -p xtask -- schema-update`
-//! refreshes the telemetry wire-format manifest. See DESIGN.md for the
-//! rule catalogue and §14 for the call-graph model.
+//! hot-path purity, lock-order). See DESIGN.md for the rule catalogue and
+//! §14 for the call-graph model.
 
 mod callgraph;
 mod extract;
 mod lexer;
 mod lockorder;
 mod rules;
-mod schema;
 
 use rules::Diagnostic;
 use std::path::{Path, PathBuf};
@@ -21,7 +19,6 @@ fn main() -> ExitCode {
     let command = args.first().map(String::as_str).unwrap_or("lint");
     match command {
         "lint" => lint(args.iter().any(|a| a == "--json")),
-        "schema-update" => schema_update(),
         "callgraph" => callgraph_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
             print!("{USAGE}");
@@ -41,8 +38,6 @@ commands:
   lint [--json]    run the project lint rules over all workspace sources
                    (per-file rules + transitive hot-path purity +
                    lock-order); --json emits one JSON object per finding
-  schema-update    regenerate crates/xtask/telemetry.schema from the
-                   telemetry crate's sources
   callgraph --dot FN
                    print the Graphviz subgraph reachable from fns
                    matching FN (exact id, `::`-suffix, or bare name)
@@ -138,12 +133,6 @@ fn lint(json: bool) -> ExitCode {
     let graph = callgraph::Graph::build(facts);
     callgraph::hot_path_purity(&graph, &allow_map, &mut diags);
     lockorder::lock_analysis(&graph, &allow_map, &mut diags);
-
-    // Golden manifest: telemetry schema.
-    if let Err(e) = check_telemetry_schema(&root, &mut diags) {
-        eprintln!("xtask: {e}");
-        return ExitCode::from(2);
-    }
 
     // File-level allowlist. Entries pointing at files that no longer
     // exist are hard errors (a dead suppression hides nothing today but
@@ -319,51 +308,4 @@ fn relative(root: &Path, file: &Path) -> String {
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-/// Runs the `telemetry-schema` golden-manifest comparison.
-fn check_telemetry_schema(root: &Path, diags: &mut Vec<Diagnostic>) -> Result<(), String> {
-    let current = extract_current_schema(root)?;
-    let manifest_path = root.join("crates/xtask/telemetry.schema");
-    let manifest_text = std::fs::read_to_string(&manifest_path).map_err(|_| {
-        "crates/xtask/telemetry.schema is missing; run `cargo run -p xtask -- schema-update`"
-            .to_string()
-    })?;
-    let manifest = schema::parse_manifest(&manifest_text)?;
-    schema::compare(&current, &manifest, diags);
-    Ok(())
-}
-
-fn extract_current_schema(root: &Path) -> Result<schema::Schema, String> {
-    let read = |rel: &str| {
-        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
-    };
-    schema::extract(
-        &read("crates/telemetry/src/lib.rs")?,
-        &read("crates/telemetry/src/record.rs")?,
-        &read("crates/telemetry/src/sink.rs")?,
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn schema_update() -> ExitCode {
-    let root = workspace_root();
-    let current = match extract_current_schema(&root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let path = root.join("crates/xtask/telemetry.schema");
-    match std::fs::write(&path, schema::to_manifest(&current)) {
-        Ok(()) => {
-            println!("wrote {}", relative(&root, &path));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask: cannot write telemetry.schema: {e}");
-            ExitCode::from(2)
-        }
-    }
 }

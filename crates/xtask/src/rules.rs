@@ -42,16 +42,6 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/sat-solver/src/varmap.rs",
 ];
 
-/// Modules whose state other threads may touch. `Ordering::Relaxed` is
-/// suspect here: a flag or slot that publishes one thread's writes to
-/// another needs a real happens-before edge (Release store / Acquire
-/// load), and a relaxed operation on one is a liveness or soundness bug
-/// that tests will rarely catch. The solver holds no atomic today; it
-/// stays listed so that any atomic added to it later is reviewed. Only
-/// pure counters may be relaxed, and every such site must be individually
-/// annotated with `// xtask: allow(atomic-ordering) <why>`.
-const CONCURRENCY_MODULES: &[&str] = &["crates/sat-solver/src/solver.rs"];
-
 /// Crates on the deterministic solving path: iterating a `HashMap` or
 /// `HashSet` here would make runs irreproducible.
 const SOLVER_CRATES: &[&str] = &[
@@ -75,10 +65,6 @@ const UNWIND_MODULE: &str = "crates/sat-solver/src/resilience.rs";
 
 fn is_hot_path(path: &str) -> bool {
     HOT_PATH_MODULES.contains(&path)
-}
-
-fn is_concurrency_module(path: &str) -> bool {
-    CONCURRENCY_MODULES.contains(&path)
 }
 
 fn is_solver_crate_src(path: &str) -> bool {
@@ -110,13 +96,11 @@ pub fn lint_lexed(path: &str, lexed: &Lexed, tokens: &[Token], diags: &mut Vec<D
         no_index(path, tokens, &mut found);
         no_hard_assert(path, tokens, &mut found);
     }
-    if is_concurrency_module(path) {
-        atomic_ordering(path, tokens, &mut found);
-    }
     if is_solver_crate_src(path) {
         no_hash_iter(path, tokens, &mut found);
     }
     if path.contains("/src/") {
+        atomic_ordering(path, tokens, &mut found);
         no_float_eq(path, tokens, &mut found);
     }
     if path != UNWIND_MODULE {
@@ -240,11 +224,13 @@ fn no_hard_assert(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `atomic-ordering`: no `Ordering::Relaxed` in thread-coordination
-/// modules. Publication atomics (a stop or ready flag, a claimed slot,
-/// anything a consumer reads to observe another thread's writes) need
-/// Release/Acquire pairs; relaxed is only defensible for standalone
-/// counters, each annotated inline with the reason.
+/// `atomic-ordering`: no `Ordering::Relaxed` in any source file. A flag
+/// or slot that publishes one thread's writes to another (a stop or
+/// ready flag, a claimed slot, anything a consumer reads to observe
+/// another thread's writes) needs a real happens-before edge (Release
+/// store / Acquire load), and a relaxed operation on one is a liveness or
+/// soundness bug that tests will rarely catch. Relaxed is only defensible
+/// for standalone counters, each annotated inline with the reason.
 fn atomic_ordering(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     for (i, t) in tokens.iter().enumerate() {
         if t.is_ident("Relaxed")
@@ -257,9 +243,9 @@ fn atomic_ordering(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                 "atomic-ordering",
                 path,
                 t.line,
-                "`Ordering::Relaxed` in a thread-coordination module; publication \
-                 atomics need Release/Acquire — if this is a pure statistics counter, \
-                 annotate the site with `// xtask: allow(atomic-ordering) <why>`",
+                "`Ordering::Relaxed`; publication atomics need Release/Acquire — \
+                 if this is a pure statistics counter, annotate the site with \
+                 `// xtask: allow(atomic-ordering) <why>`",
             );
         }
     }
@@ -738,7 +724,7 @@ mod tests {
     #[test]
     fn atomic_ordering_flags_relaxed_in_concurrency_modules() {
         let src = "use std::sync::atomic::{AtomicBool, Ordering};\nfn f(stop: &AtomicBool) {\n    stop.store(true, Ordering::Relaxed);\n    let _ = stop.load(Ordering::Acquire);\n    stop.store(false, std::sync::atomic::Ordering::Relaxed);\n}";
-        let d = run("crates/sat-solver/src/solver.rs", src);
+        let d = run("crates/rsatd/src/daemon.rs", src);
         assert_eq!(rules(&d), vec!["atomic-ordering", "atomic-ordering"]);
         assert_eq!(d[0].line, 3);
         assert_eq!(d[1].line, 5); // fully qualified path is caught too
@@ -747,14 +733,23 @@ mod tests {
     #[test]
     fn atomic_ordering_respects_inline_allow_and_scope() {
         let allowed = "fn f(n: &std::sync::atomic::AtomicU64) {\n    n.fetch_add(1, Ordering::Relaxed); // xtask: allow(atomic-ordering) statistics counter\n}";
-        assert!(run("crates/sat-solver/src/solver.rs", allowed).is_empty());
-        // Outside the concurrency modules the rule does not apply.
-        let elsewhere =
+        assert!(run("crates/rsatd/src/daemon.rs", allowed).is_empty());
+        // Every source file is in scope, binaries included; integration
+        // tests outside `src/` are not.
+        let relaxed =
             "fn f(n: &std::sync::atomic::AtomicU64) { n.fetch_add(1, Ordering::Relaxed); }";
-        assert!(run("crates/bench/src/report.rs", elsewhere).is_empty());
+        assert_eq!(
+            rules(&run("crates/bench/src/report.rs", relaxed)),
+            vec!["atomic-ordering"]
+        );
+        assert_eq!(
+            rules(&run("crates/rsatd/src/bin/rsatd.rs", relaxed)),
+            vec!["atomic-ordering"]
+        );
+        assert!(run("crates/rsatd/tests/observability.rs", relaxed).is_empty());
         // Test modules are stripped before linting.
         let in_tests = "#[cfg(test)]\nmod tests {\n    fn t(s: &std::sync::atomic::AtomicBool) { s.store(true, Ordering::Relaxed); }\n}";
-        assert!(run("crates/sat-solver/src/solver.rs", in_tests).is_empty());
+        assert!(run("crates/rsatd/src/daemon.rs", in_tests).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Chaos suite for the NeuroSelect pipeline's degradation ladder
-//! (`--features faults`): model-weight I/O faults, inference panics, and
-//! inference stalls must step the policy pick down the
-//! Model → Heuristic → Default ladder — recorded in telemetry — while
-//! the *solve* still returns a verified-correct verdict. A broken model
-//! may cost policy quality, never correctness.
+//! (`--features faults`): model-weight I/O faults and inference panics
+//! must step the policy pick down from the model to the heuristic —
+//! recorded in telemetry — while the *solve* still returns a
+//! verified-correct verdict. A broken model may cost policy quality,
+//! never correctness.
 
 #![cfg(feature = "faults")]
 
@@ -12,7 +12,6 @@ use neuroselect::{
     neuro, static_heuristic_policy, Budget, DegradeReason, NeuroSelectClassifier,
     NeuroSelectSolver, PolicyKind, PolicySource,
 };
-use std::time::{Duration, Instant};
 
 fn tiny_solver() -> NeuroSelectSolver {
     NeuroSelectSolver::new(NeuroSelectClassifier::new(
@@ -162,50 +161,4 @@ fn sticky_model_fault_is_reported_on_a_solve_that_never_reduces() {
             .and_then(|j| j.as_str()),
         Some("heuristic")
     );
-}
-
-#[test]
-fn inference_stall_past_the_deadline_discards_the_answer() {
-    let scope = faults::install(
-        "inference-stall(delay_ms=80,times=10)"
-            .parse()
-            .expect("plan"),
-    );
-    let mut s = tiny_solver();
-    s.inference_deadline = Some(Duration::from_millis(20));
-    for seed in [1u64, 2, 3] {
-        let f = neuroselect::sat_gen::phase_transition_3sat(25, seed);
-        let start = Instant::now();
-        let (decision, _) = s.decide_policy(&f);
-        // The stalled inference completes (cooperative deadline, not
-        // preemption) and its answer is discarded; the pick must not
-        // take meaningfully longer than the stall itself.
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(decision.source, PolicySource::Heuristic);
-        assert_eq!(decision.degradations[0].kind(), "inference-deadline");
-        let detail = decision.degradations[0].detail();
-        assert!(detail.contains("deadline"), "telemetry detail: {detail}");
-    }
-    assert!(scope.fired(faults::site::INFERENCE_STALL) >= 3);
-}
-
-#[test]
-fn heuristic_panic_lands_on_the_default_policy() {
-    // Double fault: the model is out (sticky load failure) *and* the
-    // heuristic panics — the bottom rung is the built-in default policy,
-    // which cannot fail.
-    let scope = faults::install("heuristic-panic(times=10)".parse().expect("plan"));
-    let mut s = tiny_solver();
-    let _ = s.load_weights(std::path::Path::new("/nonexistent/weights.params"));
-    assert!(s.model_fault().is_some());
-    for seed in [1u64, 2, 3] {
-        let f = neuroselect::sat_gen::phase_transition_3sat(25, seed);
-        let (decision, _) = s.decide_policy(&f);
-        assert_eq!(decision.source, PolicySource::Default);
-        assert_eq!(decision.policy, PolicyKind::Default);
-        let kinds: Vec<&str> = decision.degradations.iter().map(|d| d.kind()).collect();
-        assert_eq!(kinds, ["model-load-error", "heuristic-panic"]);
-        assert_solves_correctly(&s, seed);
-    }
-    assert!(scope.fired(faults::site::HEURISTIC_PANIC) >= 3);
 }
