@@ -31,7 +31,6 @@ impl Var {
     /// Panics if `index` exceeds [`Var::MAX_INDEX`].
     #[inline]
     pub fn new(index: u32) -> Self {
-        // xtask: allow(hot-path-purity) documented constructor contract; hot-path callers rebuild vars from in-range indices
         assert!(index <= Self::MAX_INDEX, "variable index out of range");
         Var(index)
     }

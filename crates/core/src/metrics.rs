@@ -68,6 +68,7 @@ impl ClassifierMetrics {
     pub fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
+        // xtask: allow(no-float-eq) precision and recall are non-negative, so the sum is exactly 0 only when both are; this guards 0/0
         if p + r == 0.0 {
             0.0
         } else {

@@ -91,8 +91,9 @@ pub mod site {
     /// request deadlines fire (params: `at`, `delay_ms`).
     pub const SCHEDULER_STALL: &str = "scheduler-stall";
     /// Truncate a daemon connection's response stream after `after`
-    /// bytes (via [`TruncatingWriter`]): the connection must die cleanly
-    /// while the daemon and its sessions keep serving (param: `after`).
+    /// bytes (via [`TruncatingWriter`](crate::TruncatingWriter)): the
+    /// connection must die cleanly while the daemon and its sessions keep
+    /// serving (param: `after`).
     pub const SOCKET_TRUNCATE: &str = "socket-truncate";
 
     /// Every site above: the only names a [`FaultPlan`](crate::FaultPlan)
@@ -382,7 +383,6 @@ pub fn install(plan: FaultPlan) -> FaultScope {
         Err(poisoned) => poisoned.into_inner(),
     };
     let armed = Arc::new(ArmedPlan::arm(plan));
-    // xtask: allow(lock-panic) install/uninstall are serialized by design; cold path, poisoning is recovered above
     let previous = lock_recovering(active_plan()).replace(Arc::clone(&armed));
     FaultScope {
         plan: armed,

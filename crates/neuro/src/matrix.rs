@@ -203,6 +203,7 @@ impl Matrix {
             let arow = &self.data[k * self.cols..(k + 1) * self.cols];
             let brow = &other.data[k * other.cols..(k + 1) * other.cols];
             for (i, &a) in arow.iter().enumerate() {
+                // xtask: allow(no-float-eq) skipping exact zeros is part of `matmul_tn`'s summation-order contract
                 if a == 0.0 {
                     continue;
                 }
@@ -363,6 +364,7 @@ fn write_block<const W: usize>(
 ) -> usize {
     let mut acc = [0.0f32; W];
     for (&a, brow) in arow.iter().zip(b.data.chunks_exact(b.cols)) {
+        // xtask: allow(no-float-eq) skipping exact zeros is part of `matmul`'s summation-order contract
         if a == 0.0 {
             continue;
         }

@@ -10,7 +10,7 @@
 //! A session is the unit of isolation. Each solve runs inside
 //! [`run_isolated`], so a panic in the solver (a bug, or an injected
 //! `session-panic` fault) is converted into a quarantined
-//! [`SessionState::Crashed`] marker: later calls on that session get a
+//! `Crashed` session marker: later calls on that session get a
 //! typed [`DaemonError::SessionCrashed`], while the worker thread, the
 //! queue, and every other session continue untouched. Deadline and
 //! memory exhaustion are softer: the solve returns
@@ -354,6 +354,11 @@ struct StatCells {
     completed: AtomicU64,
 }
 
+/// State shared by the daemon handle and its workers. Lock order:
+/// `sessions` is the only guard held while another lock is taken, and
+/// that other lock is `queue`, in `submit_solve`'s queue-depth check and
+/// in `status`. Every other acquisition takes one lock at a time. All of
+/// them go through `lock`, which recovers from poisoning.
 struct Inner {
     cfg: DaemonConfig,
     sessions: Mutex<HashMap<u64, Session>>,
@@ -472,14 +477,12 @@ impl Daemon {
         }
         let now = Instant::now();
         let mut sessions = lock(&inner.sessions);
-        // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
         self.evict_idle(&mut sessions, now);
         let live = sessions
             .values()
             .filter(|s| matches!(s.state, SessionState::Idle(_) | SessionState::Busy))
             .count();
         if live >= inner.cfg.max_sessions {
-            // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
             self.count_rejected();
             return Err(DaemonError::Busy {
                 retry_after_ms: inner.cfg.retry_after_ms,
@@ -489,12 +492,9 @@ impl Daemon {
             inprocess,
             ..SolverConfig::default()
         };
-        // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
         let solver = Box::new(Solver::new(&Cnf::new(num_vars), config));
         let mem = solver.approx_memory_bytes();
-        // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
         if self.mem_admit(&mut sessions, mem).is_err() {
-            // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
             self.count_rejected();
             return Err(DaemonError::Busy {
                 retry_after_ms: inner.cfg.retry_after_ms,
@@ -611,7 +611,6 @@ impl Daemon {
         }
         let now = Instant::now();
         let mut sessions = lock(&inner.sessions);
-        // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
         self.evict_idle(&mut sessions, now);
         let session = sessions
             .get_mut(&sid)
@@ -631,25 +630,20 @@ impl Daemon {
         let vars = session.vars;
         let mut lits = Vec::with_capacity(assumptions.len());
         for &dimacs in &assumptions {
-            // xtask: allow(lock-panic) lit validation rejects before the assert can trip; guard recovers poisoning
             lits.push(lit_in_range(sid, dimacs, vars)?);
         }
         // Admission control proper: bounded queue, then memory cap.
         {
-            // xtask: allow(lock-order) distinct mutexes: the queue is only ever taken after (inside) the sessions guard
             let queue = lock(&inner.queue);
             if queue.len() >= inner.cfg.queue_depth {
                 drop(queue);
-                // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
                 self.count_rejected();
                 return Err(DaemonError::Busy {
                     retry_after_ms: inner.cfg.retry_after_ms,
                 });
             }
         }
-        // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
         if self.mem_admit(&mut sessions, 0).is_err() {
-            // xtask: allow(lock-panic) admission is atomic under the sessions guard by design; lock() recovers poisoning
             self.count_rejected();
             return Err(DaemonError::Busy {
                 retry_after_ms: inner.cfg.retry_after_ms,
@@ -657,7 +651,6 @@ impl Daemon {
         }
         let session = sessions
             .get_mut(&sid)
-            // xtask: allow(lock-panic) unreachable: the entry was validated under this same continuously-held guard
             .expect("session vanished between validation and admission");
         session.queued = true;
         session.last_used = now;
@@ -677,7 +670,6 @@ impl Daemon {
             cb,
         };
         {
-            // xtask: allow(lock-order) distinct mutexes: inflight is only ever taken after (inside) the sessions guard
             let mut inflight = lock(&inner.inflight);
             inflight.insert(
                 request_id,
@@ -688,7 +680,6 @@ impl Daemon {
                 },
             );
         }
-        // xtask: allow(lock-order) distinct mutexes: the queue is only ever taken after (inside) the sessions guard
         let mut queue = lock(&inner.queue);
         queue.push_back(job);
         drop(queue);
@@ -938,11 +929,9 @@ impl Daemon {
             let _ = handle.join();
         }
         if let Some(records) = &self.inner.records {
-            // xtask: allow(lock-panic) the records lock exists to serialize this sink; cold drain path, poisoning recovered
             lock(records).flush();
         }
         if let Some(records) = &self.inner.request_records {
-            // xtask: allow(lock-panic) the records lock exists to serialize this sink; cold drain path, poisoning recovered
             lock(records).flush();
         }
     }

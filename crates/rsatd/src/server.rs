@@ -33,11 +33,8 @@ fn write_line(slot: &WriterSlot, line: &str) {
         return;
     };
     let failed = writer
-        // xtask: allow(lock-panic) the slot exists to serialize connection writes; errors clear it, poisoning recovered
         .write_all(line.as_bytes())
-        // xtask: allow(lock-panic) the slot exists to serialize connection writes; errors clear it, poisoning recovered
         .and_then(|()| writer.write_all(b"\n"))
-        // xtask: allow(lock-panic) the slot exists to serialize connection writes; errors clear it, poisoning recovered
         .and_then(|()| writer.flush())
         .is_err();
     if failed {

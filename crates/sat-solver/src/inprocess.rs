@@ -361,7 +361,6 @@ impl Solver {
     pub(crate) fn assert_not_eliminated(&self, lits: &[Lit], what: &str) {
         if let Some(eng) = &self.inprocess {
             for &l in lits {
-                // xtask: allow(no-hard-assert) documented API contract, not search-loop code
                 assert!(
                     l.var().index() >= self.num_vars || !eng.is_eliminated(l.var()),
                     "{what} mentions variable {} eliminated by inprocessing",

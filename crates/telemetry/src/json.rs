@@ -68,6 +68,7 @@ impl Json {
         match *self {
             Json::U64(n) => Some(n),
             Json::I64(n) => u64::try_from(n).ok(),
+            // xtask: allow(no-float-eq) only an exactly integral float converts to `u64`
             Json::F64(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Some(f as u64),
             _ => None,
         }
@@ -127,6 +128,7 @@ impl Json {
             }
             Json::F64(f) => {
                 if f.is_finite() {
+                    // xtask: allow(no-float-eq) the writer special-cases exactly integral floats
                     if f.fract() == 0.0 && f.abs() < 1e15 {
                         // Keep integral floats readable and round-trippable.
                         let _ = write!(out, "{f:.1}");

@@ -96,9 +96,7 @@ impl PhaseTimes {
     #[inline]
     pub fn add(&mut self, phase: Phase, elapsed: Duration) {
         let i = phase as usize;
-        // xtask: allow(hot-path-purity) enum-indexed fixed arrays: `phase as usize` < `Phase::ALL.len()` by construction
         self.nanos[i] += elapsed.as_nanos() as u64;
-        // xtask: allow(hot-path-purity) enum-indexed fixed arrays: `phase as usize` < `Phase::ALL.len()` by construction
         self.calls[i] += 1;
     }
 

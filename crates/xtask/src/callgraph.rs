@@ -22,7 +22,7 @@
 //! guarantee the rule protects is the *default-build* hot path).
 
 use crate::extract::{CallSite, CallTarget, EffectKind, FileFacts, FnItem, Receiver, StructInfo};
-use crate::rules::Diagnostic;
+use crate::rules::{Allows, Diagnostic};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Transitive purity roots: BCP, conflict analysis, recursive clause
@@ -133,7 +133,7 @@ const COMMON_STD_METHODS: &[&str] = &[
 ];
 
 /// Generic-ish type wrappers skipped when deriving a base type from type
-/// tokens (`Box<dyn T>`, `Option<MutexGuard<'_, Stripe>>`, …).
+/// tokens (`Box<dyn T>`, `Option<MutexGuard<'_, Session>>`, …).
 const TYPE_WRAPPERS: &[&str] = &[
     "Box",
     "Arc",
@@ -172,8 +172,6 @@ pub struct Edge {
     pub to: usize,
     /// Call-site line in the caller's file.
     pub line: u32,
-    /// Call-site token index.
-    pub tok: usize,
     /// Feature gate on the call site, if any.
     pub cfg: Option<String>,
     /// Resolution kind.
@@ -203,14 +201,10 @@ pub struct FnNode {
     pub dynamics: Vec<DynSite>,
     /// Calls into workspace `macro_rules!` macros: (macro id, line, cfg).
     pub macro_calls: Vec<(String, u32, Option<String>)>,
-    /// Number of cfg variants merged into this node.
-    pub variants: u32,
 }
 
 /// The assembled workspace call graph.
 pub struct Graph {
-    /// Per-file facts (token streams for the lock-order body rescan).
-    pub files: Vec<FileFacts>,
     /// Fn nodes.
     pub nodes: Vec<FnNode>,
     /// Workspace macro ids (macro-opaque items), sorted.
@@ -220,8 +214,6 @@ pub struct Graph {
     by_type: HashMap<(String, String), usize>,
     trait_impls: HashMap<String, Vec<String>>,
     structs: HashMap<String, Vec<StructInfo>>,
-    /// Lock-typed statics by name → module.
-    pub lock_statics: HashMap<String, String>,
 }
 
 impl Graph {
@@ -230,15 +222,9 @@ impl Graph {
         self.by_id.get(id).copied()
     }
 
-    /// Token stream for a file path.
-    pub fn file_tokens(&self, path: &str) -> Option<&FileFacts> {
-        self.files.iter().find(|f| f.path == path)
-    }
-
     /// Builds the graph: merges cfg variants, indexes, resolves calls.
     pub fn build(files: Vec<FileFacts>) -> Graph {
         let mut g = Graph {
-            files,
             nodes: Vec::new(),
             macros: Vec::new(),
             by_id: HashMap::new(),
@@ -246,15 +232,13 @@ impl Graph {
             by_type: HashMap::new(),
             trait_impls: HashMap::new(),
             structs: HashMap::new(),
-            lock_statics: HashMap::new(),
         };
         // Pass 1: nodes (merging same-id variants) and indexes.
-        for fi in 0..g.files.len() {
-            for f in g.files[fi].fns.clone() {
+        for file in files {
+            for f in file.fns {
                 match g.by_id.get(&f.id) {
                     Some(&idx) => {
                         let n = &mut g.nodes[idx];
-                        n.variants += 1;
                         // A variant that is compiled by default makes the
                         // merged node default-compiled.
                         if f.cfg_feature.is_none() {
@@ -275,22 +259,14 @@ impl Graph {
                             edges: Vec::new(),
                             dynamics: Vec::new(),
                             macro_calls: Vec::new(),
-                            variants: 1,
                         });
                     }
                 }
             }
-            for s in g.files[fi].structs.clone() {
+            for s in file.structs {
                 g.structs.entry(s.name.clone()).or_default().push(s);
             }
-            for st in &g.files[fi].statics {
-                if st.is_lock {
-                    g.lock_statics.insert(st.name.clone(), st.module.clone());
-                }
-            }
-            for m in &g.files[fi].macros {
-                g.macros.push(m.clone());
-            }
+            g.macros.extend(file.macros);
         }
         g.macros.sort();
         g.macros.dedup();
@@ -363,7 +339,6 @@ impl Graph {
             self.nodes[caller].edges.push(Edge {
                 to,
                 line: c.line,
-                tok: c.tok,
                 cfg: c.cfg_feature.clone(),
                 kind,
             });
@@ -599,7 +574,7 @@ impl Graph {
                     }
                     Receiver::VarChain(chain) if chain.len() > 1 => {
                         let (_, ty) = item.params.iter().find(|(p, _)| p == &chain[0])?;
-                        (Self::base_type_name(ty)?, &chain[1..])
+                        (base_type_name(ty)?, &chain[1..])
                     }
                     _ => return None,
                 };
@@ -616,7 +591,7 @@ impl Graph {
                 if !field.tokens.iter().any(|t| t == "Mutex" || t == "RwLock") {
                     return None;
                 }
-                Self::base_type_name(&field.tokens)
+                base_type_name(&field.tokens)
             }
             _ => None,
         }
@@ -663,34 +638,6 @@ impl Graph {
             Resolved::External
         } else {
             Resolved::Edges(targets, EdgeKind::Dispatch)
-        }
-    }
-
-    /// Walks `start.f1…fn` through struct field types and returns the
-    /// type owning the *last* field — the lock-identity base used by the
-    /// lock-order analysis (`Pool.stripes`, not `Exchange.pool.stripes`).
-    pub fn owner_of_field(&self, start: &str, fields: &[String]) -> Option<String> {
-        let mut cur = start.to_string();
-        for f in &fields[..fields.len().checked_sub(1)?] {
-            let defs = self.structs.get(&cur)?;
-            let field = defs
-                .iter()
-                .find_map(|d| d.fields.iter().find(|x| &x.name == f))?;
-            match base_type(&field.tokens) {
-                BaseType::Concrete(b) => cur = b,
-                _ => return None,
-            }
-        }
-        self.structs.get(&cur)?;
-        Some(cur)
-    }
-
-    /// Base type name for a token-level type (wrappers and generics
-    /// stripped), shared with the lock-order analysis.
-    pub fn base_type_name(tokens: &[String]) -> Option<String> {
-        match base_type(tokens) {
-            BaseType::Concrete(b) => Some(b),
-            _ => None,
         }
     }
 
@@ -772,35 +719,33 @@ fn base_type(tokens: &[String]) -> BaseType {
     BaseType::Unknown
 }
 
+/// Base type name for a token-level type (wrappers and generics
+/// stripped), if it is concrete.
+fn base_type_name(tokens: &[String]) -> Option<String> {
+    match base_type(tokens) {
+        BaseType::Concrete(b) => Some(b),
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Transitive hot-path purity.
 // ---------------------------------------------------------------------------
-
-/// Inline-allow annotations per file: `(line, rule)` pairs, with the
-/// same same-line-or-line-above semantics as `Lexed::is_allowed`.
-pub type AllowMap = HashMap<String, Vec<(u32, String)>>;
-
-/// Whether `rule` at `path:line` carries an inline allow.
-pub fn allowed(allows: &AllowMap, path: &str, rule: &str, line: u32) -> bool {
-    allows.get(path).is_some_and(|v| {
-        v.iter()
-            .any(|(l, r)| (*l == line || l + 1 == line) && r == rule)
-    })
-}
 
 /// The transitive hot-path purity walk: BFS from [`HOT_PATH_ROOTS`] over
 /// default-build edges; every effect in a reachable fn is a
 /// `hot-path-purity` diagnostic (with the call chain), every
 /// unresolvable call a `dynamic-call` diagnostic.
 ///
-/// Suppression levers, from narrow to broad:
+/// Suppression levers, from narrow to broad (each one it honors counts
+/// as used in `allows`):
 /// * `// xtask: allow(hot-path-purity) <why>` on the effect line — an
 ///   individually audited effect (amortized growth, debug-audited index);
 /// * `// xtask: allow(no-index)` / `allow(no-panic)` — an already
 ///   audited per-file site also satisfies the transitive rule;
 /// * `// xtask: allow(hot-path-call) <why>` on a call line — prunes the
 ///   edge itself (for `Option`-gated cold branches the walk cannot see).
-pub fn hot_path_purity(g: &Graph, allows: &AllowMap, diags: &mut Vec<Diagnostic>) {
+pub fn hot_path_purity(g: &Graph, allows: &mut Allows, diags: &mut Vec<Diagnostic>) {
     let mut roots = Vec::new();
     for r in HOT_PATH_ROOTS {
         match g.by_id(r) {
@@ -826,7 +771,7 @@ pub fn hot_path_purity(g: &Graph, allows: &AllowMap, diags: &mut Vec<Diagnostic>
             if e.cfg.is_some() {
                 continue; // compiled out of default builds
             }
-            if allowed(allows, &node.item.path, "hot-path-call", e.line) {
+            if allows.covers(&node.item.path, "hot-path-call", e.line) {
                 continue; // audited cold edge
             }
             let callee = &g.nodes[e.to];
@@ -868,8 +813,8 @@ pub fn hot_path_purity(g: &Graph, allows: &AllowMap, diags: &mut Vec<Diagnostic>
                 EffectKind::Panic => Some("no-panic"),
                 _ => None,
             };
-            if allowed(allows, path, "hot-path-purity", ef.line)
-                || equivalent.is_some_and(|r| allowed(allows, path, r, ef.line))
+            if allows.covers(path, "hot-path-purity", ef.line)
+                || equivalent.is_some_and(|r| allows.covers(path, r, ef.line))
             {
                 continue;
             }
@@ -888,7 +833,7 @@ pub fn hot_path_purity(g: &Graph, allows: &AllowMap, diags: &mut Vec<Diagnostic>
             });
         }
         for d in &node.dynamics {
-            if d.cfg.is_some() || allowed(allows, path, "dynamic-call", d.line) {
+            if d.cfg.is_some() || allows.covers(path, "dynamic-call", d.line) {
                 continue;
             }
             diags.push(Diagnostic {
@@ -905,7 +850,7 @@ pub fn hot_path_purity(g: &Graph, allows: &AllowMap, diags: &mut Vec<Diagnostic>
             });
         }
         for (m, line, cfg) in &node.macro_calls {
-            if cfg.is_some() || allowed(allows, path, "hot-path-purity", *line) {
+            if cfg.is_some() || allows.covers(path, "hot-path-purity", *line) {
                 continue;
             }
             diags.push(Diagnostic {
@@ -1036,9 +981,7 @@ mod tests {
     use crate::lexer::{lex, strip_test_items};
 
     fn facts(path: &str, src: &str) -> FileFacts {
-        let lexed = lex(src);
-        let tokens = strip_test_items(&lexed.tokens);
-        extract_file(path, src, tokens)
+        extract_file(path, src, &strip_test_items(&lex(src).tokens))
     }
 
     fn graph(files: &[(&str, &str)]) -> Graph {
@@ -1047,7 +990,7 @@ mod tests {
 
     fn purity_diags(g: &Graph) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        hot_path_purity(g, &AllowMap::new(), &mut diags);
+        hot_path_purity(g, &mut Allows::default(), &mut diags);
         diags
     }
 
@@ -1164,15 +1107,29 @@ mod tests {
         ]);
         assert!(purity_diags(&g).iter().any(|d| d.rule == "hot-path-purity"));
         // An edge-pruning allow on the call line silences the whole
-        // subtree.
-        let mut allows = AllowMap::new();
+        // subtree, and pruning the edge is what uses the allow.
+        let mut allows = Allows::default();
         allows.insert(
-            "crates/sat-solver/src/solver.rs".to_string(),
+            "crates/sat-solver/src/solver.rs",
             vec![(4, "hot-path-call".to_string())],
         );
         let mut diags = Vec::new();
-        hot_path_purity(&g, &allows, &mut diags);
+        hot_path_purity(&g, &mut allows, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
+        allows.apply(&mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+        // The same allow on the effect line would name the wrong rule:
+        // the effect is reported and the allow is stale.
+        let mut allows = Allows::default();
+        allows.insert(
+            "crates/sat-solver/src/solver.rs",
+            vec![(10, "hot-path-call".to_string())],
+        );
+        let mut diags = Vec::new();
+        hot_path_purity(&g, &mut allows, &mut diags);
+        allows.apply(&mut diags);
+        let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, vec!["hot-path-purity", "stale-allow"], "{diags:?}");
     }
 
     #[test]

@@ -96,8 +96,6 @@ pub struct CallSite {
     pub target: CallTarget,
     /// 1-based source line.
     pub line: u32,
-    /// Index of the callee-name token in the file's token stream.
-    pub tok: usize,
     /// `Some(feature)` when the site sits under a statement- or
     /// item-level `#[cfg(feature = "...")]` gate (and is therefore
     /// compiled out of default builds). `cfg(not(...))` does not gate.
@@ -130,8 +128,6 @@ pub struct FnItem {
     pub params: Vec<(String, Vec<String>)>,
     /// Identifier tokens of the return type, in order.
     pub ret: Vec<String>,
-    /// Token range of the body including braces, if the fn has one.
-    pub body: Option<(usize, usize)>,
     /// Call sites in body order.
     pub calls: Vec<CallSite>,
     /// Effect sites in body order.
@@ -159,31 +155,15 @@ pub struct StructInfo {
     pub fields: Vec<FieldInfo>,
 }
 
-/// A `static` or `const` item (lock-order analysis cares about the
-/// `Mutex`-typed ones).
-#[derive(Debug, Clone)]
-pub struct StaticInfo {
-    /// Item name.
-    pub name: String,
-    /// Module id.
-    pub module: String,
-    /// Whether the type mentions `Mutex`/`RwLock`/`OnceLock`.
-    pub is_lock: bool,
-}
-
 /// Everything extracted from one source file.
 #[derive(Debug, Default)]
 pub struct FileFacts {
     /// Workspace-relative path.
     pub path: String,
-    /// The stripped token stream all `tok` indices refer to.
-    pub tokens: Vec<Token>,
     /// Extracted fns (including nested ones).
     pub fns: Vec<FnItem>,
     /// Structs with named fields.
     pub structs: Vec<StructInfo>,
-    /// Statics and consts.
-    pub statics: Vec<StaticInfo>,
     /// Ids of `macro_rules!` definitions (macro-opaque items).
     pub macros: Vec<String>,
 }
@@ -207,22 +187,18 @@ pub fn module_id(path: &str) -> String {
 /// Extracts all items from one file. `tokens` must already be
 /// test-stripped; `src` is consulted only to recover `#[cfg]` feature
 /// names (the lexer normalizes string literals).
-pub fn extract_file(path: &str, src: &str, tokens: Vec<Token>) -> FileFacts {
+pub fn extract_file(path: &str, src: &str, tokens: &[Token]) -> FileFacts {
     let lines: Vec<&str> = src.lines().collect();
-    let module = module_id(path);
     let mut facts = FileFacts {
         path: path.to_string(),
         ..Default::default()
     };
-    {
-        let mut cx = Cx {
-            toks: &tokens,
-            lines: &lines,
-            out: &mut facts,
-        };
-        cx.items(0, tokens.len(), &module, None);
-    }
-    facts.tokens = tokens;
+    let mut cx = Cx {
+        toks: tokens,
+        lines: &lines,
+        out: &mut facts,
+    };
+    cx.items(0, tokens.len(), &module_id(path), None);
     facts
 }
 
@@ -530,11 +506,7 @@ impl<'a> Cx<'a> {
                     i = self.parse_macro_rules(i, end, module);
                     attrs = Attrs::default();
                 }
-                "static" | "const" => {
-                    i = self.parse_static(i, end, module);
-                    attrs = Attrs::default();
-                }
-                "use" | "type" => {
+                "use" | "type" | "static" | "const" => {
                     i = self.skip_to_semi(i, end);
                     attrs = Attrs::default();
                 }
@@ -767,49 +739,6 @@ impl<'a> Cx<'a> {
         self.skip_to_semi(j, end)
     }
 
-    /// `static NAME: Type = init;` / `const NAME: Type = init;`.
-    fn parse_static(&mut self, i: usize, end: usize, module: &str) -> usize {
-        let mut j = i + 1;
-        if self.is_ident(j, "mut") {
-            j += 1;
-        }
-        let Some(name) = self
-            .t(j)
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text.clone())
-        else {
-            return self.skip_to_semi(i, end);
-        };
-        let mut is_lock = false;
-        if self.is_punct(j + 1, ":") {
-            let mut m = j + 2;
-            let mut depth = 0i32;
-            while m < end {
-                let u = &self.toks[m];
-                if u.is_punct("<") {
-                    depth += 1;
-                } else if u.is_punct(">") {
-                    depth -= 1;
-                } else if u.is_punct(">>") {
-                    depth -= 2;
-                } else if (u.is_punct("=") || u.is_punct(";")) && depth <= 0 {
-                    break;
-                } else if u.kind == TokenKind::Ident
-                    && matches!(u.text.as_str(), "Mutex" | "RwLock" | "OnceLock")
-                {
-                    is_lock = true;
-                }
-                m += 1;
-            }
-        }
-        self.out.statics.push(StaticInfo {
-            name,
-            module: module.to_string(),
-            is_lock,
-        });
-        self.skip_to_semi(i, end)
-    }
-
     /// `fn name(<params>) [-> Ret] { body }` (or `;` for trait decls).
     /// Returns the index one past the item. Nested fns recurse with the
     /// enclosing fn's id as their module, so a shadowed local fn resolves
@@ -917,7 +846,6 @@ impl<'a> Cx<'a> {
             cfg_feature: attrs.cfg_feature.clone(),
             params,
             ret,
-            body: None,
             calls: Vec::new(),
             effects: Vec::new(),
         };
@@ -930,8 +858,7 @@ impl<'a> Cx<'a> {
             return j + 1;
         }
         let close = self.close_brace(j);
-        item.body = Some((j, close));
-        self.scan_body(j + 1, close, &mut item, owner);
+        self.scan_body(j + 1, close, &mut item);
         let next = close + 1;
         self.out.fns.push(item);
         next
@@ -940,7 +867,7 @@ impl<'a> Cx<'a> {
     /// Scans a fn body for calls, effects, and nested items. Closure
     /// bodies are plain body tokens here, so they are attributed to the
     /// enclosing fn by construction.
-    fn scan_body(&mut self, start: usize, end: usize, item: &mut FnItem, owner: Option<&Owner>) {
+    fn scan_body(&mut self, start: usize, end: usize, item: &mut FnItem) {
         // Statement-level cfg gates: (range start, range end, feature).
         let mut gated: Vec<(usize, usize, String)> = Vec::new();
         let mut k = start;
@@ -1015,7 +942,6 @@ impl<'a> Cx<'a> {
                     item.calls.push(CallSite {
                         target: CallTarget::MacroUse(t.text.clone()),
                         line,
-                        tok: k,
                         cfg_feature: cfg,
                     });
                     k += 2;
@@ -1073,7 +999,6 @@ impl<'a> Cx<'a> {
                     item.calls.push(CallSite {
                         target,
                         line,
-                        tok,
                         cfg_feature: cfg,
                     });
                     k += 1;
@@ -1112,7 +1037,6 @@ impl<'a> Cx<'a> {
                 }
             }
         }
-        let _ = owner;
     }
 
     fn effect(&self, item: &mut FnItem, kind: EffectKind, line: u32, tok: usize, what: String) {
@@ -1227,9 +1151,7 @@ mod tests {
     use crate::lexer::{lex, strip_test_items};
 
     fn extract(path: &str, src: &str) -> FileFacts {
-        let lexed = lex(src);
-        let tokens = strip_test_items(&lexed.tokens);
-        extract_file(path, src, tokens)
+        extract_file(path, src, &strip_test_items(&lex(src).tokens))
     }
 
     fn fn_ids(f: &FileFacts) -> Vec<&str> {
@@ -1407,13 +1329,16 @@ mod tests {
 
     #[test]
     fn params_carry_type_idents_and_statics_flag_locks() {
+        // Statics and consts are skipped like `use`: their initializers
+        // belong to no fn. Taking a static's lock is a `lock` effect of
+        // the fn that takes it.
         let src = "static POOL: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
                    const N: usize = 4;\n\
-                   fn f(s: &mut Solver, n: usize) {}";
+                   fn f(s: &mut Solver, n: usize) { POOL.lock(); }";
         let f = extract("crates/core/src/lib.rs", src);
-        assert_eq!(f.statics.len(), 2);
-        assert!(f.statics[0].is_lock);
-        assert!(!f.statics[1].is_lock);
+        assert_eq!(fn_ids(&f), vec!["core::f"]);
+        let kinds: Vec<EffectKind> = f.fns[0].effects.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![EffectKind::Lock]);
         assert_eq!(
             f.fns[0].params,
             vec![

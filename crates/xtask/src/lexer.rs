@@ -49,11 +49,6 @@ impl Token {
     pub fn is_punct(&self, text: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == text
     }
-
-    /// Whether this is any identifier (or keyword).
-    pub fn is_ident_kind(&self) -> bool {
-        self.kind == TokenKind::Ident
-    }
 }
 
 /// A lexed source file: the token stream plus the inline lint-suppression
@@ -63,18 +58,8 @@ pub struct Lexed {
     /// All tokens in source order (comments omitted, doc comments kept).
     pub tokens: Vec<Token>,
     /// `(line, rule)` pairs from `// xtask: allow(<rule>) <reason>`
-    /// comments; a diagnostic of `rule` on `line` is suppressed.
+    /// comments (applied by [`crate::rules::Allows`]).
     pub allows: Vec<(u32, String)>,
-}
-
-impl Lexed {
-    /// Whether a diagnostic of `rule` at `line` is suppressed by an inline
-    /// annotation on the same line or on the line directly above.
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allows
-            .iter()
-            .any(|(l, r)| (*l == line || l + 1 == line) && r == rule)
-    }
 }
 
 /// Multi-character operators, longest first so matching is greedy.
@@ -160,8 +145,9 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Strings, byte strings, raw strings.
         if c == '"' {
+            let start_line = line;
             i = consume_string(&chars, i, &mut line);
-            push!(TokenKind::Str, String::from("\"\""), line);
+            push!(TokenKind::Str, String::from("\"\""), start_line);
             continue;
         }
         if (c == 'r' || c == 'b') && is_raw_or_byte_literal(&chars, i) {
@@ -333,13 +319,20 @@ fn raw_hashes_then_quote(chars: &[char], mut i: usize) -> bool {
     chars.get(i) == Some(&'"')
 }
 
-/// Consumes a plain `"..."` string starting at the opening quote; returns
-/// the index one past the closing quote.
+/// Consumes a `"..."` string (or the quoted part of a `b"..."`) starting
+/// at the opening quote; returns the index one past the closing quote.
 fn consume_string(chars: &[char], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2,
+            '\\' => {
+                // The character after `\` is skipped; when it is the newline
+                // of a `\` line continuation, the line still ends.
+                if chars.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             '"' => return i + 1,
             '\n' => {
                 *line += 1;
@@ -373,27 +366,15 @@ fn consume_prefixed_literal(chars: &[char], mut i: usize, line: &mut u32) -> usi
         }
         return i + 1;
     }
+    if !raw {
+        return consume_string(chars, i, line);
+    }
     let mut hashes = 0usize;
     while chars.get(i) == Some(&'#') {
         hashes += 1;
         i += 1;
     }
     i += 1; // opening quote
-    if !raw {
-        // plain byte string: handles escapes
-        while i < chars.len() {
-            match chars[i] {
-                '\\' => i += 2,
-                '"' => return i + 1,
-                '\n' => {
-                    *line += 1;
-                    i += 1;
-                }
-                _ => i += 1,
-            }
-        }
-        return i;
-    }
     while i < chars.len() {
         if chars[i] == '\n' {
             *line += 1;
@@ -602,15 +583,26 @@ mod tests {
 
     #[test]
     fn allow_annotations_are_collected() {
-        let src =
-            "let x = a[i]; // xtask: allow(no-index) audited access\nlet y = b[j];\nlet z = 1;";
+        let src = "let x = a[i]; // xtask: allow(no-index) audited access\n\
+                   /// xtask: allow(no-panic) a doc comment is not an allow\n\
+                   // xtask: allow(hot-path-call) cold branch\nlet z = f();";
         let toks = lex(src);
-        assert!(toks.is_allowed("no-index", 1));
-        // A standalone annotation line covers the line below it, but no
+        assert_eq!(
+            toks.allows,
+            vec![
+                (1, "no-index".to_string()),
+                (3, "hot-path-call".to_string())
+            ]
+        );
+        // An annotation covers its own line and the line below it, but no
         // further.
-        assert!(toks.is_allowed("no-index", 2));
-        assert!(!toks.is_allowed("no-index", 3));
-        assert!(!toks.is_allowed("no-panic", 1));
+        let mut allows = crate::rules::Allows::default();
+        allows.insert("f.rs", toks.allows);
+        assert!(allows.covers("f.rs", "no-index", 1));
+        assert!(allows.covers("f.rs", "no-index", 2));
+        assert!(!allows.covers("f.rs", "no-index", 3));
+        assert!(!allows.covers("f.rs", "no-panic", 1));
+        assert!(!allows.covers("g.rs", "no-index", 1));
     }
 
     #[test]
@@ -619,6 +611,24 @@ mod tests {
         let toks = lex(src);
         let t = toks.tokens.iter().find(|t| t.is_ident("t")).unwrap();
         assert_eq!(t.line, 4);
+    }
+
+    #[test]
+    fn line_numbers_survive_string_continuations() {
+        // A `\` line continuation skips its newline inside plain and byte
+        // strings; the line count must still advance, and a literal is
+        // reported on the line it starts on.
+        let src = "let s = \"a\\\n   b\";\nlet t = 1;\nlet u = b\"c\\\n   d\";\nlet v = 2;";
+        let toks = lex(src);
+        let line_of = |name: &str| toks.tokens.iter().find(|t| t.is_ident(name)).unwrap().line;
+        assert_eq!((line_of("t"), line_of("v")), (3, 6));
+        let strs: Vec<u32> = toks
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .map(|t| t.line)
+            .collect();
+        assert_eq!(strs, vec![1, 4]);
     }
 
     #[test]

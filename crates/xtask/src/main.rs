@@ -1,16 +1,15 @@
 //! Repository automation tasks. `cargo run -p xtask -- lint` runs the
 //! project-specific static checks over the workspace sources — per-file
-//! token rules plus the interprocedural call-graph rules (transitive
-//! hot-path purity, lock-order). See DESIGN.md for the rule catalogue and
+//! token rules plus the transitive hot-path purity rule over the
+//! workspace call graph. See DESIGN.md §9.1 for the rule catalogue and
 //! §14 for the call-graph model.
 
 mod callgraph;
 mod extract;
 mod lexer;
-mod lockorder;
 mod rules;
 
-use rules::Diagnostic;
+use rules::{Allows, Diagnostic};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -36,8 +35,8 @@ usage: cargo run -p xtask -- <command>
 
 commands:
   lint [--json]    run the project lint rules over all workspace sources
-                   (per-file rules + transitive hot-path purity +
-                   lock-order); --json emits one JSON object per finding
+                   (per-file rules + transitive hot-path purity); --json
+                   emits one JSON object per finding
   callgraph --dot FN
                    print the Graphviz subgraph reachable from fns
                    matching FN (exact id, `::`-suffix, or bare name)
@@ -52,7 +51,7 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Per-file output of the parallel lex/lint/extract stage.
+/// Per-file output of the lex/lint/extract stage.
 struct FileResult {
     rel: String,
     diags: Vec<Diagnostic>,
@@ -60,103 +59,63 @@ struct FileResult {
     allows: Vec<(u32, String)>,
 }
 
-/// Lexes, lints, and extracts one file (runs on a worker thread).
-fn process_file(root: &Path, file: &Path) -> Result<FileResult, String> {
-    let rel = relative(root, file);
-    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {rel}: {e}"))?;
-    let lexed = lexer::lex(&src);
+/// Lexes, lints, and extracts one file (`rel` is its workspace-relative
+/// path).
+fn process_file(rel: &str, src: &str) -> FileResult {
+    let lexed = lexer::lex(src);
     let tokens = lexer::strip_test_items(&lexed.tokens);
     let mut diags = Vec::new();
-    rules::lint_lexed(&rel, &lexed, &tokens, &mut diags);
-    let facts = extract::extract_file(&rel, &src, tokens);
-    Ok(FileResult {
-        rel,
+    rules::lint_file(rel, &tokens, &mut diags);
+    FileResult {
+        rel: rel.to_string(),
         diags,
-        facts,
+        facts: extract::extract_file(rel, src, &tokens),
         allows: lexed.allows,
-    })
+    }
 }
 
-/// Runs the per-file stage across all sources with scoped threads. The
-/// file list is split into contiguous chunks (one per worker), and the
-/// chunk results are concatenated in spawn order, so the output is
-/// deterministic regardless of scheduling.
-fn process_all(root: &Path, files: &[PathBuf]) -> Result<Vec<FileResult>, String> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8);
-    if workers == 1 || files.len() < 2 {
-        return files.iter().map(|f| process_file(root, f)).collect();
+/// Reads and processes every workspace source, in path order.
+fn process_all(root: &Path) -> Result<Vec<FileResult>, String> {
+    collect_sources(root)
+        .iter()
+        .map(|file| {
+            let rel = relative(root, file);
+            let src =
+                std::fs::read_to_string(file).map_err(|e| format!("cannot read {rel}: {e}"))?;
+            Ok(process_file(&rel, &src))
+        })
+        .collect()
+}
+
+/// Every finding over the processed files, sorted by location: the
+/// per-file rules and the purity walk over the assembled call graph,
+/// then the one suppression pass, which also reports stale allows.
+fn findings(results: Vec<FileResult>) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    let mut allows = Allows::default();
+    let mut facts = Vec::with_capacity(results.len());
+    for r in results {
+        diags.extend(r.diags);
+        allows.insert(&r.rel, r.allows);
+        facts.push(r.facts);
     }
-    let chunk = files.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = files
-            .chunks(chunk)
-            .map(|slice| s.spawn(move || slice.iter().map(|f| process_file(root, f)).collect()))
-            .collect();
-        let mut out = Vec::with_capacity(files.len());
-        for h in handles {
-            let chunk_results: Vec<Result<FileResult, String>> = h
-                .join()
-                .map_err(|_| "lint worker thread panicked".to_string())?;
-            for r in chunk_results {
-                out.push(r?);
-            }
-        }
-        Ok(out)
-    })
+    let graph = callgraph::Graph::build(facts);
+    callgraph::hot_path_purity(&graph, &mut allows, &mut diags);
+    allows.apply(&mut diags);
+    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    diags
 }
 
 fn lint(json: bool) -> ExitCode {
-    let root = workspace_root();
-    let mut diags: Vec<Diagnostic> = Vec::new();
-
-    let results = match process_all(&root, &collect_sources(&root)) {
+    let results = match process_all(&workspace_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask: {e}");
             return ExitCode::from(2);
         }
     };
-    let mut allow_map = callgraph::AllowMap::new();
-    let mut facts = Vec::with_capacity(results.len());
-    for r in results {
-        diags.extend(r.diags);
-        if !r.allows.is_empty() {
-            allow_map.insert(r.rel.clone(), r.allows);
-        }
-        facts.push(r.facts);
-    }
-
-    // Interprocedural rules over the assembled call graph.
-    let graph = callgraph::Graph::build(facts);
-    callgraph::hot_path_purity(&graph, &allow_map, &mut diags);
-    lockorder::lock_analysis(&graph, &allow_map, &mut diags);
-
-    // File-level allowlist. Entries pointing at files that no longer
-    // exist are hard errors (a dead suppression hides nothing today but
-    // will silently re-arm if the path comes back), distinct from stale
-    // entries whose file exists but whose diagnostic is gone.
-    let allow_path = root.join("crates/xtask/lint.allow");
-    let (stale, dead) = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => match rules::parse_allowlist(&text) {
-            Ok(entries) => {
-                let (live, dead): (Vec<_>, Vec<_>) = entries
-                    .into_iter()
-                    .partition(|e| root.join(&e.path).exists());
-                (rules::apply_allowlist(&mut diags, &live), dead)
-            }
-            Err(e) => {
-                eprintln!("xtask: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => (Vec::new(), Vec::new()), // no allowlist file
-    };
-
-    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    let println_or_json = |d: &Diagnostic| {
+    let diags = findings(results);
+    for d in &diags {
         if json {
             println!(
                 "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
@@ -168,49 +127,12 @@ fn lint(json: bool) -> ExitCode {
         } else {
             println!("{d}");
         }
-    };
-    for d in &diags {
-        println_or_json(d);
     }
-    for e in &dead {
-        let msg = format!(
-            "dead entry `{} {}{}`: the file does not exist; remove the entry",
-            e.rule,
-            e.path,
-            e.line.map(|l| format!(":{l}")).unwrap_or_default()
-        );
-        println_or_json(&Diagnostic {
-            rule: "dead-allow",
-            path: "crates/xtask/lint.allow".to_string(),
-            line: 1,
-            message: msg,
-        });
-    }
-    for e in &stale {
-        let msg = format!(
-            "stale entry `{} {}{}` matches nothing; remove it",
-            e.rule,
-            e.path,
-            e.line.map(|l| format!(":{l}")).unwrap_or_default()
-        );
-        println_or_json(&Diagnostic {
-            rule: "stale-allow",
-            path: "crates/xtask/lint.allow".to_string(),
-            line: 1,
-            message: msg,
-        });
-    }
-    let total = diags.len() + stale.len() + dead.len();
-    if total == 0 {
+    if diags.is_empty() {
         eprintln!("xtask lint: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "xtask lint: {} violation(s), {} stale / {} dead allowlist entr(ies)",
-            diags.len(),
-            stale.len(),
-            dead.len()
-        );
+        eprintln!("xtask lint: {} violation(s)", diags.len());
         ExitCode::FAILURE
     }
 }
@@ -232,9 +154,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Builds the call graph from the current sources (no lint rules).
+/// Builds the call graph from the current sources.
 fn build_graph(root: &Path) -> Result<callgraph::Graph, String> {
-    let results = process_all(root, &collect_sources(root))?;
+    let results = process_all(root)?;
     Ok(callgraph::Graph::build(
         results.into_iter().map(|r| r.facts).collect(),
     ))
@@ -308,4 +230,47 @@ fn relative(root: &Path, file: &Path) -> String {
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The suppression pass counts an allow as used by whichever check
+    /// honors it — a per-file rule, the purity walk's `no-index` stand-in
+    /// for `hot-path-purity`, or the walk's `hot-path-call` edge pruning
+    /// — and reports only the allow that suppressed nothing.
+    #[test]
+    fn only_allows_that_suppress_nothing_are_stale() {
+        let solver = "struct Solver;\n\
+                      impl Solver {\n    fn propagate(&mut self) -> Option<u32> {\n        \
+                      helper(&[1]);\n        \
+                      cold_path(self); // xtask: allow(hot-path-call) audited cold branch\n        \
+                      None\n    }\n\
+                      fn analyze(&mut self) {}\n    fn lit_redundant(&mut self) -> bool { false }\n}\n\
+                      fn cold_path(_s: &mut Solver) { let mut v = Vec::new(); v.push(1); }";
+        let util = "pub(crate) fn helper(xs: &[u32]) -> u32 {\n    \
+                    xs[0] // xtask: allow(no-index) callers pass a non-empty slice\n}\n\
+                    // xtask: allow(no-float-eq) exact zero is the sentinel\n\
+                    pub(crate) fn is_zero(x: f64) -> bool { x == 0.0 }\n\
+                    // xtask: allow(no-panic) nothing here panics\n\
+                    pub(crate) fn clean() {}";
+        let varmap = "fn at() {}\nstruct VarMap;\nimpl VarMap { fn get(&self) {} fn get_mut(&mut self) {} }\n\
+                      struct LitMap;\nimpl LitMap { fn get_mut(&mut self) {} }";
+        let diags = findings(vec![
+            process_file("crates/sat-solver/src/solver.rs", solver),
+            process_file("crates/sat-solver/src/util.rs", util),
+            process_file("crates/sat-solver/src/varmap.rs", varmap),
+        ]);
+        let found: Vec<String> = diags
+            .iter()
+            .map(|d| format!("{}:{}: [{}]", d.path, d.line, d.rule))
+            .collect();
+        assert_eq!(
+            found,
+            vec!["crates/sat-solver/src/util.rs:6: [stale-allow]"],
+            "{diags:?}"
+        );
+        assert!(diags[0].message.contains("allow(no-panic)"), "{diags:?}");
+    }
 }

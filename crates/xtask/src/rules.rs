@@ -1,19 +1,19 @@
-//! The lint rules and their per-module scoping.
+//! The lint rules and their per-module scoping, and the one suppression
+//! mechanism.
 //!
-//! Every rule emits `file:line`-anchored [`Diagnostic`]s. Suppression is
-//! two-tier: an inline `// xtask: allow(<rule>) <reason>` comment on the
-//! offending line (for individually audited sites), or an entry in
-//! `crates/xtask/lint.allow` (for grandfathered files). The shipped tree is
-//! expected to lint clean with a near-empty allowlist.
+//! Every rule emits `file:line`-anchored [`Diagnostic`]s without looking
+//! at suppressions. An inline `// xtask: allow(<rule>) <reason>` comment
+//! on an individually audited site suppresses a finding; [`Allows`]
+//! applies those comments once, after every rule has run, and reports
+//! each one that suppressed nothing as `stale-allow`.
 
-#[cfg(test)]
-use crate::lexer::{lex, strip_test_items};
-use crate::lexer::{Lexed, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
+use std::collections::BTreeMap;
 
 /// A single lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule name (used in allowlists and inline annotations).
+    /// Stable rule name (the one inline annotations name).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -76,48 +76,90 @@ fn is_lib_source(path: &str) -> bool {
     path.contains("/src/") && !path.contains("/src/bin/") && !path.ends_with("/main.rs")
 }
 
-/// Lints one source file, appending findings to `diags`. Inline
-/// `xtask: allow` annotations are honored here; the file-level allowlist is
-/// applied by the caller. (The driver lexes once and calls [`lint_lexed`];
-/// this convenience wrapper is for tests.)
-#[cfg(test)]
-pub fn lint_file(path: &str, src: &str, diags: &mut Vec<Diagnostic>) {
-    let lexed = lex(src);
-    let tokens = strip_test_items(&lexed.tokens);
-    lint_lexed(path, &lexed, &tokens, diags);
-}
-
-/// Pre-lexed variant of [`lint_file`], so the driver can lex each file
-/// once and share the token stream with the call-graph extractor.
-pub fn lint_lexed(path: &str, lexed: &Lexed, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
-    let mut found = Vec::new();
+/// Runs every per-file rule in scope for `path` over its test-stripped
+/// tokens, appending the findings to `out` unsuppressed.
+pub fn lint_file(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     if is_hot_path(path) {
-        no_panic(path, tokens, &mut found);
-        no_index(path, tokens, &mut found);
-        no_hard_assert(path, tokens, &mut found);
+        no_panic(path, tokens, out);
+        no_index(path, tokens, out);
+        no_hard_assert(path, tokens, out);
     }
     if is_solver_crate_src(path) {
-        no_hash_iter(path, tokens, &mut found);
+        no_hash_iter(path, tokens, out);
     }
     if path.contains("/src/") {
-        atomic_ordering(path, tokens, &mut found);
-        no_float_eq(path, tokens, &mut found);
+        atomic_ordering(path, tokens, out);
+        no_float_eq(path, tokens, out);
     }
     if path != UNWIND_MODULE {
-        no_unwind_escape(path, tokens, &mut found);
+        no_unwind_escape(path, tokens, out);
     }
     if is_lib_source(path) {
-        pub_docs(path, tokens, &mut found);
+        pub_docs(path, tokens, out);
     }
     if path.ends_with("/src/lib.rs") {
-        unsafe_forbidden(path, tokens, &mut found);
+        unsafe_forbidden(path, tokens, out);
     }
-    apply_inline_allows(lexed, &mut found);
-    diags.extend(found);
 }
 
-fn apply_inline_allows(lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
-    diags.retain(|d| !lexed.is_allowed(d.rule, d.line));
+/// One inline allow comment and whether it has suppressed anything yet.
+struct Allow {
+    line: u32,
+    rule: String,
+    used: bool,
+}
+
+/// The workspace's inline `// xtask: allow(<rule>) <reason>` comments,
+/// by file. An allow covers a finding of its rule on its own line or on
+/// the line below.
+#[derive(Default)]
+pub struct Allows {
+    by_file: BTreeMap<String, Vec<Allow>>,
+}
+
+impl Allows {
+    /// Records one file's `(line, rule)` annotations.
+    pub fn insert(&mut self, path: &str, allows: Vec<(u32, String)>) {
+        let entries = allows
+            .into_iter()
+            .map(|(line, rule)| Allow {
+                line,
+                rule,
+                used: false,
+            })
+            .collect();
+        self.by_file.insert(path.to_string(), entries);
+    }
+
+    /// Whether an allow for `rule` covers `path:line`. Every covering
+    /// allow counts as used.
+    pub fn covers(&mut self, path: &str, rule: &str, line: u32) -> bool {
+        let mut hit = false;
+        for a in self.by_file.get_mut(path).into_iter().flatten() {
+            if a.rule == rule && (a.line == line || a.line + 1 == line) {
+                a.used = true;
+                hit = true;
+            }
+        }
+        hit
+    }
+
+    /// The one suppression pass: drops every finding an allow covers,
+    /// then reports each allow that suppressed nothing, here or in an
+    /// earlier [`Allows::covers`] query, as a `stale-allow` finding at
+    /// its own line. A `stale-allow` finding cannot itself be allowed.
+    pub fn apply(mut self, diags: &mut Vec<Diagnostic>) {
+        diags.retain(|d| !self.covers(&d.path, d.rule, d.line));
+        for (path, allows) in self.by_file {
+            for a in allows.iter().filter(|a| !a.used) {
+                let message = format!(
+                    "`// xtask: allow({})` suppresses no finding; remove it",
+                    a.rule
+                );
+                diag(diags, "stale-allow", &path, a.line, message);
+            }
+        }
+    }
 }
 
 fn diag(
@@ -461,7 +503,8 @@ fn no_float_eq(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                 t.line,
                 format!(
                     "float literal compared with `{}`; use an epsilon or an integer \
-                     representation (allowlist the site if the exact compare is intended)",
+                     representation, or annotate an intended exact compare with \
+                     `// xtask: allow(no-float-eq) <why>`",
                     t.text
                 ),
             );
@@ -579,87 +622,23 @@ fn unsafe_forbidden(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// One entry of the file-level allowlist `crates/xtask/lint.allow`:
-/// `<rule> <path>[:<line>]`, suppressing that rule for the whole file or a
-/// single line. `#` starts a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllowEntry {
-    /// Rule name the entry suppresses.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// Restrict the suppression to one line, if given.
-    pub line: Option<u32>,
-}
-
-/// Parses the allowlist file format. Malformed lines are reported as
-/// errors rather than silently ignored — a typo in an allowlist must not
-/// re-open a violation.
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut entries = Vec::new();
-    for (no, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(rule), Some(target), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!(
-                "lint.allow:{}: expected `<rule> <path>[:<line>]`, got {raw:?}",
-                no + 1
-            ));
-        };
-        let (path, line_no) = match target.rsplit_once(':') {
-            Some((p, l)) if l.chars().all(|c| c.is_ascii_digit()) && !l.is_empty() => {
-                let parsed = l
-                    .parse::<u32>()
-                    .map_err(|_| format!("lint.allow:{}: bad line number {l:?}", no + 1))?;
-                (p.to_string(), Some(parsed))
-            }
-            _ => (target.to_string(), None),
-        };
-        entries.push(AllowEntry {
-            rule: rule.to_string(),
-            path,
-            line: line_no,
-        });
-    }
-    Ok(entries)
-}
-
-/// Drops diagnostics matched by the allowlist; returns the entries that
-/// matched nothing (stale entries are themselves reported by the driver).
-pub fn apply_allowlist(diags: &mut Vec<Diagnostic>, entries: &[AllowEntry]) -> Vec<AllowEntry> {
-    let mut used = vec![false; entries.len()];
-    diags.retain(|d| {
-        let mut hit = false;
-        for (e, flag) in entries.iter().zip(used.iter_mut()) {
-            if e.rule == d.rule && e.path == d.path && e.line.is_none_or(|l| l == d.line) {
-                *flag = true;
-                hit = true;
-            }
-        }
-        !hit
-    });
-    entries
-        .iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(e, _)| e.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::{lex, strip_test_items};
 
     const HOT: &str = "crates/sat-solver/src/solver.rs";
     const SOLVER: &str = "crates/cnf/src/parse.rs";
     const LIB: &str = "crates/telemetry/src/record.rs";
 
+    /// Lints one file and applies its inline allows, as the driver does.
     fn run(path: &str, src: &str) -> Vec<Diagnostic> {
+        let lexed = lex(src);
         let mut diags = Vec::new();
-        lint_file(path, src, &mut diags);
+        lint_file(path, &strip_test_items(&lexed.tokens), &mut diags);
+        let mut allows = Allows::default();
+        allows.insert(path, lexed.allows);
+        allows.apply(&mut diags);
         diags
     }
 
@@ -801,33 +780,5 @@ mod tests {
         let ok = "//! Crate docs.\n#![forbid(unsafe_code)]\nfn private() {}";
         let d = run("crates/cnf/src/lib.rs", ok);
         assert!(!rules(&d).contains(&"unsafe-forbidden"));
-    }
-
-    #[test]
-    fn allowlist_roundtrip_and_stale_detection() {
-        let entries = parse_allowlist(
-            "# comment\nno-float-eq crates/core/src/metrics.rs\nno-index crates/x.rs:12\n",
-        )
-        .expect("parses");
-        assert_eq!(entries.len(), 2);
-        let mut diags = vec![
-            Diagnostic {
-                rule: "no-float-eq",
-                path: "crates/core/src/metrics.rs".into(),
-                line: 71,
-                message: String::new(),
-            },
-            Diagnostic {
-                rule: "no-index",
-                path: "crates/x.rs".into(),
-                line: 13,
-                message: String::new(),
-            },
-        ];
-        let stale = apply_allowlist(&mut diags, &entries);
-        assert_eq!(diags.len(), 1, "line-scoped entry must not match line 13");
-        assert_eq!(stale.len(), 1);
-        assert_eq!(stale[0].rule, "no-index");
-        assert!(parse_allowlist("too many words here\n").is_err());
     }
 }
