@@ -13,10 +13,8 @@
 //! The report feeds `exp_amortize` and the CI assertion that incremental
 //! sessions amortize at least 2× over cold starts.
 
-use neuroselect::logic_circuit::{
-    Circuit, IncrementalEncoder, IncrementalUnroll, NodeId, SequentialCircuit,
-};
-use neuroselect::rsatd::{Daemon, DaemonConfig, Verdict};
+use logic_circuit::{Circuit, IncrementalEncoder, IncrementalUnroll, NodeId, SequentialCircuit};
+use rsatd::{Daemon, DaemonConfig, Verdict};
 use std::time::Instant;
 
 /// Wall-clock and work totals for one sweep in both modes.
@@ -108,7 +106,7 @@ fn gated_counter(bits: usize) -> SequentialCircuit {
     SequentialCircuit::new(c, bits)
 }
 
-fn dimacs_clauses(delta: &neuroselect::cnf::Cnf) -> Vec<Vec<i64>> {
+fn dimacs_clauses(delta: &cnf::Cnf) -> Vec<Vec<i64>> {
     delta
         .clauses()
         .iter()

@@ -76,7 +76,6 @@ pub use select::{NeuroSelectSolver, SelectionOutcome};
 pub use cnf;
 pub use logic_circuit;
 pub use neuro;
-pub use rsatd;
 pub use sat_gen;
 pub use sat_graph;
 pub use sat_solver;

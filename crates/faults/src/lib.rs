@@ -81,14 +81,15 @@ pub mod site {
     /// `at`: the round's step budget collapses, forcing a mid-round abort
     /// that must leave the solver consistent (param: `at`).
     pub const INPROCESS_STALL: &str = "inprocess-stall";
-    /// Panic inside a daemon session's solve once the daemon's solve
-    /// counter reaches `at`; `session` narrows it to one session. The
-    /// session must be quarantined (`crashed`), never the daemon
-    /// (params: `session`, `at`).
+    /// Panic inside a daemon session's solve once its request id
+    /// reaches `at`; `session` narrows it to one session. The session
+    /// must be quarantined (`crashed`), never the daemon (params:
+    /// `session`, `at`).
     pub const SESSION_PANIC: &str = "session-panic";
-    /// Stall a daemon worker for `delay_ms` milliseconds before it picks
-    /// up its `at`-th job, backing the queue up so admission control and
-    /// request deadlines fire (params: `at`, `delay_ms`).
+    /// Stall a daemon worker for `delay_ms` milliseconds before it
+    /// services the request whose id reaches `at`, backing the queue up
+    /// so admission control and request deadlines fire (params: `at`,
+    /// `delay_ms`).
     pub const SCHEDULER_STALL: &str = "scheduler-stall";
     /// Truncate a daemon connection's response stream after `after`
     /// bytes (via [`TruncatingWriter`](crate::TruncatingWriter)): the

@@ -13,14 +13,13 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 use rsatd::{serve_connection, serve_unix, Daemon, DaemonConfig};
 
-/// SIGTERM/SIGINT flag flipped by the signal handler; polled by the
-/// accept loop.
+/// SIGTERM/SIGINT flag flipped by the signal handler; the accept loop's
+/// stop flag.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -188,21 +187,7 @@ fn main() -> ExitCode {
 
     match args.transport {
         Transport::Unix(path) => {
-            let stop = Arc::new(AtomicBool::new(false));
-            let poll_stop = Arc::clone(&stop);
-            // Bridge the signal flag into the accept loop's stop flag.
-            let bridge = std::thread::spawn(move || {
-                while !poll_stop.load(Ordering::Acquire) {
-                    if SHUTDOWN.load(Ordering::Acquire) {
-                        poll_stop.store(true, Ordering::Release);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            });
-            let served = serve_unix(&daemon, &path, Arc::clone(&stop));
-            stop.store(true, Ordering::Release);
-            let _ = bridge.join();
+            let served = serve_unix(&daemon, &path, &SHUTDOWN);
             daemon.shutdown();
             if let Err(e) = served {
                 let _ = writeln!(std::io::stderr(), "rsatd: socket error: {e}");

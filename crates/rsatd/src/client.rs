@@ -220,13 +220,6 @@ impl<R: BufRead, W: Write> Client<R, W> {
         self.roundtrip(Json::object().with("op", "status".into()))
     }
 
-    /// The daemon's deep-status snapshot (robustness counters,
-    /// per-session stats, in-flight request ages, slow-request ring), as
-    /// raw JSON.
-    pub fn introspect(&mut self) -> Result<Json, ClientError> {
-        self.roundtrip(Json::object().with("op", "introspect".into()))
-    }
-
     /// Asks the daemon to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.roundtrip(Json::object().with("op", "shutdown".into()))

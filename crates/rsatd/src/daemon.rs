@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use cnf::{Cnf, Lit, Var};
 use sat_solver::{run_isolated, Budget, SolveResult, Solver, SolverConfig, SolverTelemetry};
-use telemetry::json::{Json, ToJson};
+use telemetry::json::ToJson;
 use telemetry::{Event, JsonlSink, RequestRecord, Sink};
 
 /// Tuning knobs of a [`Daemon`].
@@ -239,8 +239,8 @@ pub struct SolveReply {
     pub memory_bytes: u64,
 }
 
-/// Monotonic robustness counters, reported by [`Daemon::stats`], the
-/// `status` request and [`Daemon::introspect`].
+/// Monotonic robustness counters, reported by [`Daemon::stats`] and the
+/// `status` request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Solves accepted into the queue.
@@ -272,13 +272,14 @@ pub struct DaemonStatus {
     pub memory_bytes: u64,
 }
 
-/// Lifecycle of one session slot. `Busy` means the solver is checked
-/// out on a worker thread; terminal states keep the slot as a tombstone
-/// so late requests get a precise error instead of `no-such-session`.
+/// Lifecycle of one session slot. `Busy` means an admitted job holds
+/// the solver, from admission until its worker checks it back in;
+/// terminal states keep the slot as a tombstone so late requests get a
+/// precise error instead of `no-such-session`.
 enum SessionState {
     /// Solver at rest, ready for the next call.
     Idle(Box<Solver>),
-    /// Solver checked out by a worker.
+    /// Solver owned by an admitted job, queued or running.
     Busy,
     /// Quarantined after a panic; the string is the panic message.
     Crashed(String),
@@ -290,21 +291,11 @@ enum SessionState {
 
 struct Session {
     state: SessionState,
-    /// True from admission until a worker checks the solver out —
-    /// blocks concurrent solves and shields the session from eviction.
-    queued: bool,
     vars: u32,
-    created: Instant,
     last_used: Instant,
     mem_bytes: u64,
     last_model: Option<Vec<bool>>,
     last_core: Option<Vec<Lit>>,
-    /// Cumulative per-session accounting, updated as each of its
-    /// requests reaches a terminal record (surfaced by `introspect`).
-    solves: u64,
-    conflicts: u64,
-    propagations: u64,
-    last_verdict: Option<String>,
 }
 
 /// The outcome callback of one admitted solve. The first argument is
@@ -312,37 +303,18 @@ struct Session {
 /// and on the request's [`telemetry::RequestRecord`].
 pub type SolveCallback = Box<dyn FnOnce(u64, Result<SolveReply, DaemonError>) + Send>;
 
+/// One admitted solve, owning its session's solver (the slot reads
+/// `Busy` meanwhile).
 struct Job {
     request_id: u64,
     session: u64,
+    solver: Box<Solver>,
     assumptions: Vec<Lit>,
     deadline_at: Instant,
     /// Wall-clock admission time, for queue-wait accounting.
     admitted_at: Instant,
-    seq: u64,
     cb: SolveCallback,
 }
-
-/// Live entry for a request between admission and its terminal record.
-struct InFlight {
-    session: u64,
-    admitted_at: Instant,
-    /// `None` while queued; the worker id once checked out.
-    worker: Option<u64>,
-}
-
-/// One slot of the bounded worst-by-wall slow-request ring.
-#[derive(Clone)]
-struct SlowRequest {
-    request_id: u64,
-    session: u64,
-    queue_wait_ms: f64,
-    solve_ms: f64,
-    verdict: String,
-}
-
-/// Capacity of the slow-request ring kept for `introspect`.
-const SLOW_RING: usize = 16;
 
 #[derive(Default)]
 struct StatCells {
@@ -354,11 +326,12 @@ struct StatCells {
     completed: AtomicU64,
 }
 
-/// State shared by the daemon handle and its workers. Lock order:
-/// `sessions` is the only guard held while another lock is taken, and
-/// that other lock is `queue`, in `submit_solve`'s queue-depth check and
-/// in `status`. Every other acquisition takes one lock at a time. All of
-/// them go through `lock`, which recovers from poisoning.
+/// State shared by the daemon handle and its workers. It has five
+/// mutexes: `sessions`, `queue`, `workers`, `records` and
+/// `request_records`. Lock order: the one nested acquisition is `queue`
+/// under `sessions`, in `submit_solve`'s queue-depth check; every other
+/// acquisition takes one lock at a time. All of them go through `lock`,
+/// which recovers from poisoning.
 struct Inner {
     cfg: DaemonConfig,
     sessions: Mutex<HashMap<u64, Session>>,
@@ -368,14 +341,10 @@ struct Inner {
     queue_cv: Condvar,
     running: AtomicUsize,
     draining: AtomicBool,
-    jobs_taken: AtomicU64,
-    solve_seq: AtomicU64,
     mem_total: AtomicU64,
     stats: StatCells,
     records: Option<Mutex<JsonlSink<BufWriter<File>>>>,
     request_records: Option<Mutex<JsonlSink<BufWriter<File>>>>,
-    inflight: Mutex<HashMap<u64, InFlight>>,
-    slow: Mutex<Vec<SlowRequest>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -440,14 +409,10 @@ impl Daemon {
             queue_cv: Condvar::new(),
             running: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            jobs_taken: AtomicU64::new(0),
-            solve_seq: AtomicU64::new(0),
             mem_total: AtomicU64::new(0),
             stats: StatCells::default(),
             records,
             request_records,
-            inflight: Mutex::new(HashMap::new()),
-            slow: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -483,10 +448,7 @@ impl Daemon {
             .filter(|s| matches!(s.state, SessionState::Idle(_) | SessionState::Busy))
             .count();
         if live >= inner.cfg.max_sessions {
-            self.count_rejected();
-            return Err(DaemonError::Busy {
-                retry_after_ms: inner.cfg.retry_after_ms,
-            });
+            return Err(self.reject_busy());
         }
         let config = SolverConfig {
             inprocess,
@@ -495,27 +457,18 @@ impl Daemon {
         let solver = Box::new(Solver::new(&Cnf::new(num_vars), config));
         let mem = solver.approx_memory_bytes();
         if self.mem_admit(&mut sessions, mem).is_err() {
-            self.count_rejected();
-            return Err(DaemonError::Busy {
-                retry_after_ms: inner.cfg.retry_after_ms,
-            });
+            return Err(self.reject_busy());
         }
         let sid = inner.next_session.fetch_add(1, Ordering::AcqRel);
         sessions.insert(
             sid,
             Session {
                 state: SessionState::Idle(solver),
-                queued: false,
                 vars: num_vars,
-                created: now,
                 last_used: now,
                 mem_bytes: mem,
                 last_model: None,
                 last_core: None,
-                solves: 0,
-                conflicts: 0,
-                propagations: 0,
-                last_verdict: None,
             },
         );
         inner.mem_total.fetch_add(mem, Ordering::AcqRel);
@@ -595,8 +548,9 @@ impl Daemon {
     /// Asynchronous solve: admission happens synchronously (errors
     /// return immediately and `cb` is *not* invoked); once admitted,
     /// returns the minted request id and `cb` later receives that id
-    /// plus the outcome on a worker thread. Every admitted request —
-    /// whatever its fate — emits exactly one terminal
+    /// plus the outcome on a worker thread. The admitted job owns the
+    /// session's solver until then. Every admitted request — whatever
+    /// its fate — emits exactly one terminal
     /// [`telemetry::RequestRecord`] carrying the same id.
     pub fn submit_solve(
         &self,
@@ -615,9 +569,6 @@ impl Daemon {
         let session = sessions
             .get_mut(&sid)
             .ok_or(DaemonError::NoSuchSession(sid))?;
-        if session.queued {
-            return Err(DaemonError::SessionBusy(sid));
-        }
         match &session.state {
             SessionState::Idle(_) => {}
             SessionState::Busy => return Err(DaemonError::SessionBusy(sid)),
@@ -633,26 +584,21 @@ impl Daemon {
             lits.push(lit_in_range(sid, dimacs, vars)?);
         }
         // Admission control proper: bounded queue, then memory cap.
-        {
-            let queue = lock(&inner.queue);
-            if queue.len() >= inner.cfg.queue_depth {
-                drop(queue);
-                self.count_rejected();
-                return Err(DaemonError::Busy {
-                    retry_after_ms: inner.cfg.retry_after_ms,
-                });
-            }
+        if lock(&inner.queue).len() >= inner.cfg.queue_depth {
+            return Err(self.reject_busy());
         }
-        if self.mem_admit(&mut sessions, 0).is_err() {
-            self.count_rejected();
-            return Err(DaemonError::Busy {
-                retry_after_ms: inner.cfg.retry_after_ms,
-            });
+        // The job takes the solver here, so the slot reads `Busy` and the
+        // memory admission below cannot evict the session it admits.
+        let SessionState::Idle(solver) = std::mem::replace(&mut session.state, SessionState::Busy)
+        else {
+            unreachable!("the session was idle under this same guard");
+        };
+        let admitted = self.mem_admit(&mut sessions, 0);
+        let session = sessions.get_mut(&sid).expect("eviction keeps every slot");
+        if admitted.is_err() {
+            session.state = SessionState::Idle(solver);
+            return Err(self.reject_busy());
         }
-        let session = sessions
-            .get_mut(&sid)
-            .expect("session vanished between validation and admission");
-        session.queued = true;
         session.last_used = now;
         drop(sessions);
 
@@ -663,26 +609,13 @@ impl Daemon {
         let job = Job {
             request_id,
             session: sid,
+            solver,
             assumptions: lits,
             deadline_at: now + timeout,
             admitted_at: now,
-            seq: inner.solve_seq.fetch_add(1, Ordering::AcqRel),
             cb,
         };
-        {
-            let mut inflight = lock(&inner.inflight);
-            inflight.insert(
-                request_id,
-                InFlight {
-                    session: sid,
-                    admitted_at: now,
-                    worker: None,
-                },
-            );
-        }
-        let mut queue = lock(&inner.queue);
-        queue.push_back(job);
-        drop(queue);
+        lock(&inner.queue).push_back(job);
         inner.queue_cv.notify_one();
         inner.stats.admitted.fetch_add(1, Ordering::AcqRel);
         Ok(request_id)
@@ -729,9 +662,6 @@ impl Daemon {
         let session = sessions
             .get_mut(&sid)
             .ok_or(DaemonError::NoSuchSession(sid))?;
-        if session.queued {
-            return Err(DaemonError::SessionBusy(sid));
-        }
         match &session.state {
             SessionState::Busy => return Err(DaemonError::SessionBusy(sid)),
             SessionState::Closed => return Err(DaemonError::SessionClosed(sid)),
@@ -761,8 +691,7 @@ impl Daemon {
 
     /// Current occupancy.
     pub fn status(&self) -> DaemonStatus {
-        let sessions = lock(&self.inner.sessions);
-        let live = sessions
+        let live = lock(&self.inner.sessions)
             .values()
             .filter(|s| matches!(s.state, SessionState::Idle(_) | SessionState::Busy))
             .count();
@@ -773,138 +702,6 @@ impl Daemon {
             draining: self.inner.draining.load(Ordering::Acquire),
             memory_bytes: self.inner.mem_total.load(Ordering::Acquire),
         }
-    }
-
-    /// Deep-status snapshot for operators: everything [`Daemon::status`]
-    /// and [`Daemon::stats`] report, plus per-session state and
-    /// cumulative stats, the ages of in-flight requests, and the worst-N
-    /// slow-request ring with a queue-wait vs solve phase breakdown.
-    pub fn introspect(&self) -> Json {
-        let status = self.status();
-        let stats = self.stats();
-        let now = Instant::now();
-
-        // Collect plain rows under each lock; all Json assembly happens
-        // after the guards drop (`Json::with`/`set` panic on duplicate
-        // keys, and a panic under these locks would poison the daemon).
-        let mut session_rows = Vec::new();
-        {
-            let sessions = lock(&self.inner.sessions);
-            let mut ids: Vec<u64> = sessions.keys().copied().collect();
-            ids.sort_unstable();
-            for sid in ids {
-                let s = &sessions[&sid];
-                let state = match &s.state {
-                    SessionState::Idle(_) => "idle",
-                    SessionState::Busy => "busy",
-                    SessionState::Crashed(_) => "crashed",
-                    SessionState::Evicted(_) => "evicted",
-                    SessionState::Closed => "closed",
-                };
-                session_rows.push((
-                    sid,
-                    state,
-                    s.vars,
-                    s.mem_bytes,
-                    now.duration_since(s.created).as_millis() as u64,
-                    s.solves,
-                    s.conflicts,
-                    s.propagations,
-                    s.last_verdict.clone(),
-                ));
-            }
-        }
-
-        let mut in_flight_rows = Vec::new();
-        {
-            let inflight = lock(&self.inner.inflight);
-            let mut ids: Vec<u64> = inflight.keys().copied().collect();
-            ids.sort_unstable();
-            for rid in ids {
-                let r = &inflight[&rid];
-                in_flight_rows.push((
-                    rid,
-                    r.session,
-                    r.worker,
-                    now.duration_since(r.admitted_at).as_millis() as u64,
-                ));
-            }
-        }
-
-        let mut slow_rows: Vec<SlowRequest> = Vec::new();
-        {
-            let slow = lock(&self.inner.slow);
-            slow_rows.extend(slow.iter().cloned());
-        }
-
-        let mut out = Json::object()
-            .with("sessions", status.sessions.into())
-            .with("queued", status.queued.into())
-            .with("running", status.running.into())
-            .with("draining", status.draining.into())
-            .with("memory_bytes", status.memory_bytes.into())
-            .with("admitted", stats.admitted.into())
-            .with("rejected", stats.rejected.into())
-            .with("evicted", stats.evicted.into())
-            .with("crashed", stats.crashed.into())
-            .with("deadline_exceeded", stats.deadline_exceeded.into())
-            .with("completed", stats.completed.into());
-
-        let session_list: Vec<Json> = session_rows
-            .into_iter()
-            .map(
-                |(sid, state, vars, mem, age_ms, solves, conflicts, propagations, verdict)| {
-                    Json::object()
-                        .with("id", sid.into())
-                        .with("state", state.into())
-                        .with("vars", vars.into())
-                        .with("memory_bytes", mem.into())
-                        .with("age_ms", age_ms.into())
-                        .with("solves", solves.into())
-                        .with("conflicts", conflicts.into())
-                        .with("propagations", propagations.into())
-                        .with(
-                            "last_verdict",
-                            verdict.as_deref().map_or(Json::Null, Json::from),
-                        )
-                },
-            )
-            .collect();
-        out.set("session_list", Json::Array(session_list));
-
-        let in_flight: Vec<Json> = in_flight_rows
-            .into_iter()
-            .map(|(rid, session, worker, age_ms)| {
-                Json::object()
-                    .with("request_id", rid.into())
-                    .with("session", session.into())
-                    .with(
-                        "state",
-                        if worker.is_some() {
-                            "running".into()
-                        } else {
-                            "queued".into()
-                        },
-                    )
-                    .with("worker", worker.map_or(Json::Null, Json::from))
-                    .with("age_ms", age_ms.into())
-            })
-            .collect();
-        out.set("in_flight", Json::Array(in_flight));
-
-        let slow: Vec<Json> = slow_rows
-            .into_iter()
-            .map(|s| {
-                Json::object()
-                    .with("request_id", s.request_id.into())
-                    .with("session", s.session.into())
-                    .with("queue_wait_ms", s.queue_wait_ms.into())
-                    .with("solve_ms", s.solve_ms.into())
-                    .with("verdict", s.verdict.as_str().into())
-            })
-            .collect();
-        out.set("slow", Json::Array(slow));
-        out
     }
 
     /// True once a drain or shutdown began.
@@ -938,21 +735,25 @@ impl Daemon {
 
     // ---- internals -----------------------------------------------------
 
-    fn count_rejected(&self) {
+    /// Counts an admission-control rejection and returns its `busy`
+    /// error with the retry hint.
+    fn reject_busy(&self) -> DaemonError {
         self.inner.stats.rejected.fetch_add(1, Ordering::AcqRel);
+        DaemonError::Busy {
+            retry_after_ms: self.inner.cfg.retry_after_ms,
+        }
     }
 
     fn count_evicted(&self) {
         self.inner.stats.evicted.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Evicts idle-timed-out sessions. Queued/busy sessions are shielded.
+    /// Evicts idle-timed-out sessions. Busy sessions are shielded.
     fn evict_idle(&self, sessions: &mut HashMap<u64, Session>, now: Instant) {
         let timeout = self.inner.cfg.idle_timeout;
         let mut freed = 0u64;
         for session in sessions.values_mut() {
             let expired = matches!(session.state, SessionState::Idle(_))
-                && !session.queued
                 && now.duration_since(session.last_used) > timeout;
             if expired {
                 freed += session.mem_bytes;
@@ -969,7 +770,8 @@ impl Daemon {
     }
 
     /// Memory admission: ensures `extra` more bytes fit under the cap,
-    /// evicting least-recently-used idle sessions if needed.
+    /// evicting least-recently-used idle sessions if needed. Busy
+    /// sessions, the one being admitted among them, are never victims.
     fn mem_admit(&self, sessions: &mut HashMap<u64, Session>, extra: u64) -> Result<(), ()> {
         let cap = self.inner.cfg.max_memory_bytes;
         let over = |total: u64| total.saturating_add(extra) > cap;
@@ -979,7 +781,7 @@ impl Daemon {
         // LRU order over evictable sessions.
         let mut victims: Vec<(u64, Instant)> = sessions
             .iter()
-            .filter(|(_, s)| matches!(s.state, SessionState::Idle(_)) && !s.queued)
+            .filter(|(_, s)| matches!(s.state, SessionState::Idle(_)))
             .map(|(&sid, s)| (sid, s.last_used))
             .collect();
         victims.sort_by_key(|&(_, used)| used);
@@ -1014,9 +816,6 @@ impl Daemon {
         let session = sessions
             .get_mut(&sid)
             .ok_or(DaemonError::NoSuchSession(sid))?;
-        if session.queued {
-            return Err(DaemonError::SessionBusy(sid));
-        }
         let vars = session.vars;
         match &mut session.state {
             SessionState::Idle(solver) => {
@@ -1050,7 +849,7 @@ fn lit_in_range(sid: u64, dimacs: i64, num_vars: u32) -> Result<Lit, DaemonError
 /// Blocks until a job is available (`Some`) or the daemon is draining
 /// with an empty queue (`None`). The queue guard never escapes this
 /// function.
-fn next_job(inner: &Arc<Inner>) -> Option<Job> {
+fn next_job(inner: &Inner) -> Option<Job> {
     let mut queue = lock(&inner.queue);
     loop {
         if let Some(job) = queue.pop_front() {
@@ -1069,80 +868,49 @@ fn next_job(inner: &Arc<Inner>) -> Option<Job> {
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, worker_id: u64) {
+fn worker_loop(inner: &Inner, worker_id: u64) {
     while let Some(job) = next_job(inner) {
         inner.running.fetch_add(1, Ordering::AcqRel);
-        let taken = inner.jobs_taken.fetch_add(1, Ordering::AcqRel) + 1;
-        inject_scheduler_stall(taken);
-        run_job(inner, job, worker_id);
+        let request_id = job.request_id;
+        inject_scheduler_stall(request_id);
+        let (cb, result) = execute_solve(inner, job, worker_id);
+        // The callback is foreign code (e.g. a connection writer); its
+        // panics must not kill the worker.
+        let _ = run_isolated(move || cb(request_id, result));
         inner.running.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Executes one admitted solve end to end: checkout, isolated solve,
-/// checkin (or quarantine), telemetry, callback.
-fn run_job(inner: &Arc<Inner>, job: Job, worker_id: u64) {
-    let daemon = Daemon {
-        inner: Arc::clone(inner),
-    };
-    let request_id = job.request_id;
-    let (cb, result) = execute_solve(&daemon, inner, job, worker_id);
-    // The callback is foreign code (e.g. a connection writer); its
-    // panics must not kill the worker.
-    let _ = run_isolated(move || cb(request_id, result));
-}
-
 type SolveOutcome = (SolveCallback, Result<SolveReply, DaemonError>);
 
-fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) -> SolveOutcome {
+/// Executes one admitted solve end to end: isolated solve, checkin (or
+/// quarantine), telemetry. Each of its four exit paths (queued past the
+/// deadline, eliminated assumption, crash quarantine, verdict) writes the
+/// request's one terminal record.
+fn execute_solve(inner: &Inner, job: Job, worker_id: u64) -> SolveOutcome {
     let Job {
         request_id,
         session: sid,
+        mut solver,
         assumptions,
         deadline_at,
         admitted_at,
-        seq,
         cb,
     } = job;
 
-    // The request reached a worker: measure its queue wait and mark it
-    // running.
-    let queue_wait_ms = admitted_at.elapsed().as_secs_f64() * 1e3;
-    {
-        let mut inflight = lock(&inner.inflight);
-        if let Some(entry) = inflight.get_mut(&request_id) {
-            entry.worker = Some(worker_id);
-        }
-    }
     let mut record = RequestRecord::new(request_id, sid);
     record.worker = worker_id;
-    record.queue_wait_ms = queue_wait_ms;
+    record.queue_wait_ms = admitted_at.elapsed().as_secs_f64() * 1e3;
 
-    // Checkout: queued -> Busy, taking the solver onto this thread.
-    let mut solver = match checkout_solver(inner, sid) {
-        Ok(solver) => solver,
-        Err(err) => {
-            record.verdict = "error".to_string();
-            record.error_kind = Some(err.kind().to_string());
-            finish_request(daemon, record);
-            return (cb, err_outcome(err));
-        }
-    };
-
-    let checkin = |solver: Box<Solver>, model: Option<Vec<bool>>, core: Option<Vec<Lit>>| {
-        checkin_solver(daemon, sid, solver, model, core)
-    };
-
-    let now = Instant::now();
-    if now >= deadline_at {
+    if Instant::now() >= deadline_at {
         // Queued past its deadline: degrade without touching the solver.
         inner.stats.deadline_exceeded.fetch_add(1, Ordering::AcqRel);
         let verdict = Verdict::Unknown("deadline".to_string());
-        let mem = checkin(solver, None, None);
+        let mem = checkin_solver(inner, sid, solver, None, None);
         inner.stats.completed.fetch_add(1, Ordering::AcqRel);
         record.verdict = "unknown".to_string();
         record.stop_cause = Some("deadline".to_string());
-        finish_request(daemon, record);
+        finish_request(inner, record);
         return (
             cb,
             Ok(SolveReply {
@@ -1158,12 +926,12 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
 
     // A stale-frozen assumption is a client contract error, not a crash.
     if let Some(v) = solver.find_eliminated(&assumptions) {
-        checkin(solver, None, None);
+        checkin_solver(inner, sid, solver, None, None);
         let err = DaemonError::EliminatedAssumption(sid, v);
         record.verdict = "error".to_string();
         record.error_kind = Some(err.kind().to_string());
-        finish_request(daemon, record);
-        return (cb, err_outcome(err));
+        finish_request(inner, record);
+        return (cb, Err(err));
     }
     solver.freeze_lits(&assumptions);
 
@@ -1183,14 +951,18 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
 
     // The recorder reads the phase clocks and, at solve end, walks the
     // clause arena for its record: only worth it when the record is kept.
+    // Its instance id names the request, so the run record joins the
+    // request record on (`session`, `request_id`).
     if inner.records.is_some() {
-        solver.set_telemetry(SolverTelemetry::new(format!("session-{sid}/solve-{seq}")));
+        solver.set_telemetry(SolverTelemetry::new(format!(
+            "session-{sid}/request-{request_id}"
+        )));
     }
 
     let before = *solver.stats();
     let started = Instant::now();
     let isolated = run_isolated(move || {
-        inject_session_panic(sid, seq);
+        inject_session_panic(sid, request_id);
         let result = solver.solve_with_assumptions(&assumptions, budget);
         (solver, result)
     });
@@ -1201,15 +973,12 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     let (mut solver, result) = match isolated {
         Ok(pair) => pair,
         Err(crash) => {
-            quarantine_session(daemon, sid, &crash.message);
+            quarantine_session(inner, sid, &crash.message);
             record.verdict = "error".to_string();
             record.error_kind = Some("crashed".to_string());
             record.degrade("session-crash", crash.message.clone());
-            finish_request(daemon, record);
-            return (
-                cb,
-                err_outcome(DaemonError::SessionCrashed(sid, crash.message)),
-            );
+            finish_request(inner, record);
+            return (cb, Err(DaemonError::SessionCrashed(sid, crash.message)));
         }
     };
 
@@ -1230,14 +999,14 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     };
 
     emit_record(inner, &mut solver);
-    let mem = checkin(solver, model, core);
+    let mem = checkin_solver(inner, sid, solver, model, core);
     inner.stats.completed.fetch_add(1, Ordering::AcqRel);
     record.verdict = verdict.as_str().to_string();
     if let Verdict::Unknown(cause) = &verdict {
         record.stop_cause = Some(cause.clone());
     }
     record.stats = after.delta_since(&before).to_json();
-    finish_request(daemon, record);
+    finish_request(inner, record);
     (
         cb,
         Ok(SolveReply {
@@ -1251,47 +1020,16 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     )
 }
 
-fn err_outcome(err: DaemonError) -> Result<SolveReply, DaemonError> {
-    Err(err)
-}
-
-/// Checkout: queued -> Busy, moving the solver out of the session slot
-/// and onto the calling worker thread. The sessions guard never escapes
-/// this function.
-fn checkout_solver(inner: &Inner, sid: u64) -> Result<Box<Solver>, DaemonError> {
-    let mut sessions = lock(&inner.sessions);
-    let Some(session) = sessions.get_mut(&sid) else {
-        return Err(DaemonError::NoSuchSession(sid));
-    };
-    session.queued = false;
-    match std::mem::replace(&mut session.state, SessionState::Busy) {
-        SessionState::Idle(solver) => Ok(solver),
-        other => {
-            // Only reachable if a terminal transition raced the
-            // queue; restore and report it.
-            let err = match &other {
-                SessionState::Crashed(msg) => DaemonError::SessionCrashed(sid, msg.clone()),
-                SessionState::Evicted(why) => DaemonError::SessionEvicted(sid, why),
-                SessionState::Closed => DaemonError::SessionClosed(sid),
-                _ => DaemonError::SessionBusy(sid),
-            };
-            session.state = other;
-            Err(err)
-        }
-    }
-}
-
-/// Checkin: Busy -> Idle, returning the solver to its slot, refreshing
-/// the memory accounting, and stashing the latest model/core. Returns
-/// the session's new memory footprint.
+/// Checkin: Busy -> Idle, returning the job's solver to its slot,
+/// refreshing the memory accounting, and stashing the latest model/core.
+/// Returns the session's new memory footprint.
 fn checkin_solver(
-    daemon: &Daemon,
+    inner: &Inner,
     sid: u64,
     solver: Box<Solver>,
     model: Option<Vec<bool>>,
     core: Option<Vec<Lit>>,
 ) -> u64 {
-    let inner = &daemon.inner;
     let mem = solver.approx_memory_bytes();
     let mut sessions = lock(&inner.sessions);
     if let Some(session) = sessions.get_mut(&sid) {
@@ -1313,8 +1051,7 @@ fn checkin_solver(
 /// Quarantine: the solver died with its panic; the session slot records
 /// why, its memory accounting is released, and everything else keeps
 /// running.
-fn quarantine_session(daemon: &Daemon, sid: u64, message: &str) {
-    let inner = &daemon.inner;
+fn quarantine_session(inner: &Inner, sid: u64, message: &str) {
     {
         let mut sessions = lock(&inner.sessions);
         if let Some(session) = sessions.get_mut(&sid) {
@@ -1341,53 +1078,11 @@ fn emit_record(inner: &Inner, solver: &mut Solver) {
     }
 }
 
-/// The single terminal point of an admitted request: retires the
-/// in-flight entry, folds the request into the slow-request ring and
-/// the owning session's cumulative stats, and appends the
+/// The single terminal point of an admitted request: appends its
 /// [`telemetry::RequestRecord`] to the request-records sink. Every
 /// admitted request — success, crash-quarantined, deadline-degraded, or
 /// drained at shutdown — passes through here exactly once.
-fn finish_request(daemon: &Daemon, record: RequestRecord) {
-    let inner = &daemon.inner;
-    {
-        let mut inflight = lock(&inner.inflight);
-        inflight.remove(&record.request_id);
-    }
-    {
-        // Worst-N by total wall (queue wait + solve), bounded.
-        let mut slow = lock(&inner.slow);
-        slow.push(SlowRequest {
-            request_id: record.request_id,
-            session: record.session,
-            queue_wait_ms: record.queue_wait_ms,
-            solve_ms: record.solve_ms,
-            verdict: record.verdict.clone(),
-        });
-        let wall = |s: &SlowRequest| s.queue_wait_ms + s.solve_ms;
-        slow.sort_by(|a, b| {
-            wall(b)
-                .partial_cmp(&wall(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        slow.truncate(SLOW_RING);
-    }
-    {
-        let mut sessions = lock(&inner.sessions);
-        if let Some(session) = sessions.get_mut(&record.session) {
-            session.solves += 1;
-            session.conflicts += record
-                .stats
-                .get("conflicts")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            session.propagations += record
-                .stats
-                .get("propagations")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            session.last_verdict = Some(record.verdict.clone());
-        }
-    }
+fn finish_request(inner: &Inner, record: RequestRecord) {
     if let Some(records) = &inner.request_records {
         lock(records).emit(&Event::RequestEnd { record });
     }
@@ -1463,26 +1158,27 @@ impl Drop for SessionHandle {
 // ---- fault injection ---------------------------------------------------
 
 /// `scheduler-stall(at=N,delay_ms=D)`: the worker sleeps `D` ms before
-/// servicing the `N`-th job it takes — a slow scheduler in a box, for
-/// driving queue backpressure and deadline misses in chaos tests.
+/// servicing request `N` (`at` matches the request id) — a slow
+/// scheduler in a box, for driving queue backpressure and deadline
+/// misses in chaos tests.
 #[cfg(feature = "faults")]
-fn inject_scheduler_stall(jobs_taken: u64) {
-    if let Some(cfg) = faults::fire(faults::site::SCHEDULER_STALL, &[("at", jobs_taken)]) {
+fn inject_scheduler_stall(request_id: u64) {
+    if let Some(cfg) = faults::fire(faults::site::SCHEDULER_STALL, &[("at", request_id)]) {
         std::thread::sleep(Duration::from_millis(cfg.get_u64("delay_ms", 50)));
     }
 }
 
 #[cfg(not(feature = "faults"))]
-fn inject_scheduler_stall(_jobs_taken: u64) {}
+fn inject_scheduler_stall(_request_id: u64) {}
 
 /// `session-panic(session=S,at=N)`: panics inside the isolation scope
-/// of the matching solve — a solver bug in a box, for proving the
-/// quarantine holds.
+/// of the matching solve (`at` matches the request id) — a solver bug in
+/// a box, for proving the quarantine holds.
 #[cfg(feature = "faults")]
-fn inject_session_panic(session: u64, seq: u64) {
+fn inject_session_panic(session: u64, request_id: u64) {
     if faults::fire(
         faults::site::SESSION_PANIC,
-        &[("session", session), ("at", seq)],
+        &[("session", session), ("at", request_id)],
     )
     .is_some()
     {
@@ -1491,4 +1187,4 @@ fn inject_session_panic(session: u64, seq: u64) {
 }
 
 #[cfg(not(feature = "faults"))]
-fn inject_session_panic(_session: u64, _seq: u64) {}
+fn inject_session_panic(_session: u64, _request_id: u64) {}

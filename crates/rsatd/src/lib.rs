@@ -30,10 +30,9 @@
 //! * **Per-request observability** — every admitted request gets a
 //!   daemon-minted `request_id` echoed on its wire reply and stamped on
 //!   exactly one terminal [`telemetry::RequestRecord`] JSONL line
-//!   (queue wait, solve wall, verdict, worker, solver stat deltas);
-//!   the `introspect` request exposes the robustness counters,
-//!   per-session stats, in-flight request ages, and a worst-N
-//!   slow-request ring.
+//!   (queue wait, solve wall, verdict, worker, solver stat deltas). That
+//!   record is the daemon's one per-request view; the `status` request
+//!   reports the aggregate counters and occupancy.
 //!
 //! Module map: [`daemon`] is the in-process service (typed API, worker
 //! pool, session store); [`proto`] is the newline-delimited JSON wire

@@ -112,9 +112,6 @@ pub enum Request {
     },
     /// Daemon occupancy and robustness counters.
     Status,
-    /// Deep status: everything `status` reports plus per-session
-    /// state/stats, in-flight request ages, and the slow-request ring.
-    Introspect,
     /// Graceful drain: stop admitting, finish in-flight work, exit.
     Shutdown,
 }
@@ -209,7 +206,6 @@ fn decode(value: &Json) -> Result<Request, WireError> {
             session: u64_field(value, "session")?,
         }),
         "status" => Ok(Request::Status),
-        "introspect" => Ok(Request::Introspect),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(WireError::new(
             "unknown-op",

@@ -263,7 +263,6 @@ fn dispatch_sync(daemon: &Daemon, id: &Json, request: Request) -> String {
                 .with("deadline_exceeded", stats.deadline_exceeded.into())
                 .with("completed", stats.completed.into()))
         }
-        Request::Introspect => Ok(daemon.introspect()),
         Request::Solve { .. } | Request::Shutdown => {
             unreachable!("handled asynchronously by the read loop")
         }
@@ -283,7 +282,7 @@ fn dispatch_sync(daemon: &Daemon, id: &Json, request: Request) -> String {
 pub fn serve_unix(
     daemon: &Daemon,
     path: &std::path::Path,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> std::io::Result<()> {
     use std::os::unix::net::UnixListener;
 
@@ -325,7 +324,7 @@ pub fn serve_unix(
 pub fn serve_unix(
     _daemon: &Daemon,
     _path: &std::path::Path,
-    _stop: Arc<AtomicBool>,
+    _stop: &AtomicBool,
 ) -> std::io::Result<()> {
     Err(std::io::Error::other("unix sockets are unavailable here"))
 }

@@ -327,3 +327,69 @@ fn stats_and_status_track_the_story() {
     daemon.shutdown();
     assert!(daemon.status().draining);
 }
+
+/// Pigeonhole PHP(holes+1, holes) as daemon clauses: UNSAT, over
+/// `(holes + 1) * holes` variables.
+fn php_clauses(holes: i64) -> Vec<Vec<i64>> {
+    let var = |p: i64, h: i64| p * holes + h + 1;
+    let mut clauses: Vec<Vec<i64>> = (0..=holes)
+        .map(|p| (0..holes).map(|h| var(p, h)).collect())
+        .collect();
+    for h in 0..holes {
+        for p1 in 0..=holes {
+            for p2 in p1 + 1..=holes {
+                clauses.push(vec![-var(p1, h), -var(p2, h)]);
+            }
+        }
+    }
+    clauses
+}
+
+#[test]
+fn memory_admission_never_evicts_the_session_it_admits() {
+    // Two 42-variable sessions; a PHP(7,6) solve grows the second well
+    // past the first. Measure both sizes on an uncapped daemon.
+    let grow = |daemon: &Daemon| {
+        let first = daemon.open(42, false).unwrap();
+        let second = daemon.open(42, false).unwrap();
+        let fresh = daemon.status().memory_bytes / 2;
+        daemon.add_clauses(second, &php_clauses(6)).unwrap();
+        let grown = daemon.solve(second, &[], None).unwrap();
+        assert_eq!(grown.verdict, Verdict::Unsat);
+        (first, second, fresh, grown.memory_bytes)
+    };
+    let probe = Daemon::start(quick_config());
+    let (_, _, small, large) = grow(&probe);
+    probe.shutdown();
+
+    // A cap that either session fits alone and the pair does not.
+    let cap = small.max(large);
+    assert!(
+        2 * small <= cap && small + large > cap,
+        "{small} + {large} vs {cap}"
+    );
+    let daemon = Daemon::start(DaemonConfig {
+        max_memory_bytes: cap,
+        ..quick_config()
+    });
+    let (first, second, _, _) = grow(&daemon);
+    assert_eq!(daemon.status().memory_bytes, small + large);
+
+    // Solving the least recently used session must evict the other one,
+    // not the session being admitted.
+    let reply = daemon
+        .solve(first, &[], None)
+        .expect("the admitted session answers");
+    assert_eq!(reply.verdict, Verdict::Sat);
+    assert!(matches!(
+        daemon.solve(second, &[], None),
+        Err(DaemonError::SessionEvicted(_, "memory"))
+    ));
+    let stats = daemon.stats();
+    assert_eq!(stats.evicted, 1);
+    assert_eq!(
+        stats.admitted, stats.completed,
+        "every admitted solve completes"
+    );
+    daemon.shutdown();
+}

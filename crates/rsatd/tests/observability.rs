@@ -1,5 +1,6 @@
 //! Per-request observability: daemon-minted request ids on the wire,
-//! terminal `RequestRecord` JSONL emission, and the `introspect` RPC.
+//! terminal `RequestRecord` JSONL emission, and the join from each
+//! solve's `RunRecord` to its request.
 //!
 //! The binary round-trip test spawns the real `rsatd` binary over stdio
 //! with `--records-out`, drives a mixed batch of solves (including a
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 use rsatd::{Client, ClientError, Daemon, DaemonConfig, Verdict};
 use telemetry::json::{FromJson, Json, ToJson};
-use telemetry::RequestRecord;
+use telemetry::{Event, RequestRecord};
 
 /// 3 variables, satisfiable, forced `x2 = true`; UNSAT under `-2`.
 const SAT_CLAUSES: &[&[i64]] = &[&[1, 2], &[-1, 2], &[2, 3]];
@@ -30,15 +31,6 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
         "rsatd-observability-{}-{tag}-{n}.jsonl",
         std::process::id()
     ))
-}
-
-fn keys(value: &Json) -> Vec<&str> {
-    value
-        .as_object()
-        .expect("a JSON object")
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .collect()
 }
 
 #[test]
@@ -92,27 +84,6 @@ fn binary_round_trips_request_ids_from_replies_to_records() {
         }
         other => panic!("expected a daemon error, got {other}"),
     }
-
-    // introspect over the wire: per-session cumulative stats are live.
-    let snap = client.introspect().expect("introspect");
-    let session_list = snap
-        .get("session_list")
-        .and_then(Json::as_array)
-        .expect("session_list array");
-    assert_eq!(session_list.len(), sids.len());
-    let total_solves: u64 = session_list
-        .iter()
-        .map(|s| s.get("solves").and_then(Json::as_u64).unwrap_or(0))
-        .sum();
-    assert_eq!(total_solves, 20, "introspect sums the completed solves");
-    assert!(
-        !snap
-            .get("slow")
-            .and_then(Json::as_array)
-            .expect("slow ring")
-            .is_empty(),
-        "the slow-request ring has entries after 20 solves"
-    );
 
     client.shutdown().expect("shutdown");
     drop(client);
@@ -185,100 +156,6 @@ fn a_mem_limit_past_u64_bytes_is_no_cap() {
 }
 
 #[test]
-fn introspect_wire_shape_is_pinned() {
-    let daemon = Daemon::start(DaemonConfig {
-        workers: 2,
-        default_deadline: Duration::from_secs(5),
-        ..DaemonConfig::default()
-    });
-    let sid = daemon.open(3, false).unwrap();
-    daemon.add_clauses(sid, &sat_clauses()).unwrap();
-    let first = daemon.solve(sid, &[], None).unwrap();
-    assert_eq!(first.verdict, Verdict::Sat);
-    let second = daemon.solve(sid, &[-2], None).unwrap();
-    assert_eq!(second.verdict, Verdict::Unsat);
-
-    let snap = daemon.introspect();
-    // The golden key sets: removing or renaming any of these breaks
-    // dashboards reading the introspect reply — extend, don't mutate.
-    assert_eq!(
-        keys(&snap),
-        [
-            "sessions",
-            "queued",
-            "running",
-            "draining",
-            "memory_bytes",
-            "admitted",
-            "rejected",
-            "evicted",
-            "crashed",
-            "deadline_exceeded",
-            "completed",
-            "session_list",
-            "in_flight",
-            "slow",
-        ]
-    );
-    let session_list = snap.get("session_list").and_then(Json::as_array).unwrap();
-    assert_eq!(session_list.len(), 1);
-    assert_eq!(
-        keys(&session_list[0]),
-        [
-            "id",
-            "state",
-            "vars",
-            "memory_bytes",
-            "age_ms",
-            "solves",
-            "conflicts",
-            "propagations",
-            "last_verdict",
-        ]
-    );
-    assert_eq!(
-        session_list[0].get("state").and_then(Json::as_str),
-        Some("idle")
-    );
-    assert_eq!(
-        session_list[0].get("solves").and_then(Json::as_u64),
-        Some(2)
-    );
-    assert_eq!(
-        session_list[0].get("last_verdict").and_then(Json::as_str),
-        Some("unsat")
-    );
-
-    // Both solves are done: nothing in flight, both in the slow ring,
-    // worst (longest wall) first.
-    assert_eq!(
-        snap.get("in_flight")
-            .and_then(Json::as_array)
-            .unwrap()
-            .len(),
-        0
-    );
-    let slow = snap.get("slow").and_then(Json::as_array).unwrap();
-    assert_eq!(slow.len(), 2);
-    assert_eq!(
-        keys(&slow[0]),
-        [
-            "request_id",
-            "session",
-            "queue_wait_ms",
-            "solve_ms",
-            "verdict"
-        ]
-    );
-    let wall = |s: &Json| {
-        s.get("queue_wait_ms").and_then(Json::as_f64).unwrap()
-            + s.get("solve_ms").and_then(Json::as_f64).unwrap()
-    };
-    assert!(wall(&slow[0]) >= wall(&slow[1]), "ring is worst-first");
-    daemon.shutdown();
-}
-
-#[test]
 fn typed_api_reports_request_ids_and_records_errors() {
     // The typed SessionHandle path and error replies: a solve on a
     // crashed-or-missing session via submit_solve is rejected without
@@ -347,11 +224,17 @@ fn php_clauses(holes: i64) -> Vec<Vec<i64>> {
     clauses
 }
 
+/// Reads (and removes) a records file, one event per line.
+fn read_events(path: &std::path::Path) -> Vec<Event> {
+    let raw = std::fs::read_to_string(path).expect("records written");
+    let _ = std::fs::remove_file(path);
+    raw.lines()
+        .map(|l| Event::from_json(&Json::parse(l).expect("JSON line")).expect("an event"))
+        .collect()
+}
+
 #[test]
 fn deadline_stop_is_recorded_once_as_stop_cause() {
-    use telemetry::json::FromJson;
-    use telemetry::Event;
-
     let runs_path = temp_path("deadline-runs");
     let requests_path = temp_path("deadline-requests");
     let daemon = Daemon::start(DaemonConfig {
@@ -368,14 +251,7 @@ fn deadline_stop_is_recorded_once_as_stop_cause() {
     assert_eq!(reply.verdict, Verdict::Unknown("deadline".to_string()));
     daemon.shutdown();
 
-    let events = |path: &std::path::Path| -> Vec<Event> {
-        let raw = std::fs::read_to_string(path).expect("records written");
-        let _ = std::fs::remove_file(path);
-        raw.lines()
-            .map(|l| Event::from_json(&Json::parse(l).expect("JSON line")).expect("an event"))
-            .collect()
-    };
-    match events(&runs_path).as_slice() {
+    match read_events(&runs_path).as_slice() {
         [Event::SolveEnd { record }] => {
             assert_eq!(record.result, "UNKNOWN");
             assert_eq!(record.stop_cause.as_deref(), Some("deadline"));
@@ -383,12 +259,63 @@ fn deadline_stop_is_recorded_once_as_stop_cause() {
         }
         other => panic!("expected one solve_end record, got {other:?}"),
     }
-    match events(&requests_path).as_slice() {
+    match read_events(&requests_path).as_slice() {
         [Event::RequestEnd { record }] => {
             assert_eq!(record.verdict, "unknown");
             assert_eq!(record.stop_cause.as_deref(), Some("deadline"));
             assert!(record.degradations.is_empty(), "{:?}", record.degradations);
         }
         other => panic!("expected one request_end record, got {other:?}"),
+    }
+}
+
+#[test]
+fn run_records_name_their_request() {
+    // Both sinks open: each solve's RunRecord names the request whose
+    // RequestRecord describes the same solve, `session-S/request-R`.
+    let runs_path = temp_path("join-runs");
+    let requests_path = temp_path("join-requests");
+    let daemon = Daemon::start(DaemonConfig {
+        records_path: Some(runs_path.clone()),
+        request_records_path: Some(requests_path.clone()),
+        ..DaemonConfig::default()
+    });
+    let sids: Vec<u64> = (0..3)
+        .map(|_| {
+            let sid = daemon.open(3, false).unwrap();
+            daemon.add_clauses(sid, &sat_clauses()).unwrap();
+            sid
+        })
+        .collect();
+    for i in 0..9usize {
+        let assumptions: &[i64] = if i % 3 == 2 { &[-2] } else { &[] };
+        daemon.solve(sids[i % 3], assumptions, None).unwrap();
+    }
+    daemon.shutdown();
+
+    let requests: Vec<String> = read_events(&requests_path)
+        .into_iter()
+        .map(|event| match event {
+            Event::RequestEnd { record } => {
+                format!("session-{}/request-{}", record.session, record.request_id)
+            }
+            other => panic!("expected a request_end record, got {other:?}"),
+        })
+        .collect();
+    let runs: Vec<String> = read_events(&runs_path)
+        .into_iter()
+        .map(|event| match event {
+            Event::SolveEnd { record } => record.instance_id,
+            other => panic!("expected a solve_end record, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(requests.len(), 9);
+    assert_eq!(runs.len(), 9);
+    for instance in &runs {
+        assert_eq!(
+            requests.iter().filter(|r| *r == instance).count(),
+            1,
+            "{instance} must name exactly one request record: {requests:?}"
+        );
     }
 }

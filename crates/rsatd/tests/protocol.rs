@@ -74,9 +74,12 @@ fn parse_rejects_deeply_nested_json_without_overflowing() {
 
 #[test]
 fn parse_rejects_unknown_op_but_echoes_id() {
-    let envelope = parse_request("{\"id\":42,\"op\":\"explode\"}");
-    assert_eq!(envelope.id, Json::U64(42));
-    assert_eq!(envelope.req.unwrap_err().kind, "unknown-op");
+    // A retired op name is as unknown as any other.
+    for op in ["explode", "introspect"] {
+        let envelope = parse_request(&format!("{{\"id\":42,\"op\":\"{op}\"}}"));
+        assert_eq!(envelope.id, Json::U64(42), "{op}");
+        assert_eq!(envelope.req.unwrap_err().kind, "unknown-op", "{op}");
+    }
 }
 
 #[test]
@@ -331,4 +334,64 @@ fn status_reports_counters_on_the_wire() {
     drop(client);
     server.join().unwrap();
     daemon.shutdown();
+}
+
+// ---- the socket binary ---------------------------------------------------
+
+/// `rsatd --socket` stops on SIGTERM: the signal flag is the accept
+/// loop's stop flag, so the daemon drains, exits 0 and unlinks its
+/// socket file — with a client connection still open.
+#[test]
+fn socket_daemon_drains_on_sigterm_and_unlinks_its_socket() {
+    use std::process::{Child, Command, ExitStatus, Stdio};
+    use std::time::Instant;
+
+    fn wait_for_exit(child: &mut Child) -> ExitStatus {
+        let started = Instant::now();
+        loop {
+            if let Some(status) = child.try_wait().expect("poll rsatd") {
+                return status;
+            }
+            if started.elapsed() > Duration::from_secs(10) {
+                let _ = child.kill();
+                panic!("rsatd did not exit within 10 s of SIGTERM");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    let path = std::env::temp_dir().join(format!("rsatd-sigterm-{}.sock", std::process::id()));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rsatd"))
+        .arg("--socket")
+        .arg(&path)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn rsatd");
+    let started = Instant::now();
+    let stream = loop {
+        match UnixStream::connect(&path) {
+            Ok(stream) => break stream,
+            Err(e) if started.elapsed() > Duration::from_secs(10) => {
+                let _ = child.kill();
+                panic!("rsatd never listened on {}: {e}", path.display());
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    };
+    let reader = BufReader::new(stream.try_clone().expect("clone client socket"));
+    let mut client = Client::new(reader, stream);
+    let sid = client.open(2, false, &[vec![1, 2]], &[]).unwrap();
+    assert_eq!(client.solve(sid, &[], None).unwrap().verdict, "sat");
+
+    let kill = Command::new("kill")
+        .arg("-TERM")
+        .arg(child.id().to_string())
+        .status()
+        .expect("run kill");
+    assert!(kill.success(), "kill -TERM failed: {kill:?}");
+    let status = wait_for_exit(&mut child);
+    assert!(status.success(), "rsatd exits 0 after SIGTERM: {status:?}");
+    assert!(!path.exists(), "the socket file is unlinked on exit");
 }

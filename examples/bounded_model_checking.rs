@@ -15,10 +15,8 @@
 //! cargo run --release --example bounded_model_checking
 //! ```
 
-use neuroselect::logic_circuit::{
-    Circuit, IncrementalEncoder, IncrementalUnroll, NodeId, SequentialCircuit,
-};
-use neuroselect::rsatd::{Daemon, DaemonConfig, Verdict};
+use logic_circuit::{Circuit, IncrementalEncoder, IncrementalUnroll, NodeId, SequentialCircuit};
+use rsatd::{Daemon, DaemonConfig, Verdict};
 use std::error::Error;
 use std::time::Duration;
 
@@ -44,7 +42,7 @@ fn gated_counter(bits: usize) -> SequentialCircuit {
 }
 
 /// Converts one delta CNF into the daemon's wire clause shape.
-fn dimacs_clauses(delta: &neuroselect::cnf::Cnf) -> Vec<Vec<i64>> {
+fn dimacs_clauses(delta: &cnf::Cnf) -> Vec<Vec<i64>> {
     delta
         .clauses()
         .iter()

@@ -10,11 +10,11 @@
 //! cargo run --release --example incremental_equivalence
 //! ```
 
-use neuroselect::logic_circuit::{
+use logic_circuit::{
     inject_fault, random_circuit, rewrite, Circuit, Gate, IncrementalEncoder, NodeId,
     RandomCircuitSpec,
 };
-use neuroselect::rsatd::{Daemon, DaemonConfig, DaemonError, Verdict};
+use rsatd::{Daemon, DaemonConfig, DaemonError, Verdict};
 use std::error::Error;
 
 /// Appends a copy of `source` to `target`, reusing `shared_inputs` for its
